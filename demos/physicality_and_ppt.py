@@ -2,9 +2,10 @@
 # Physicality and the partial-transposition test on a few canonical states.
 #
 # Every state is a correlation matrix gamma (vacuum = identity).  Physical
-# means gamma >= J^T gamma^{-1} J, equivalently all symplectic eigenvalues
-# >= 1.  A bipartite state is distillable exactly when its partial
-# transpose fails that test (NPT).
+# means gamma - iJ >= 0, equivalently all symplectic eigenvalues >= 1; the
+# verdict is decided as gamma - iJ >= 0 (margin = its smallest eigenvalue)
+# and the spectra are reported.  A bipartite state is distillable exactly
+# when its partial transpose fails that test (NPT).
 #
 import numpy as np
 

@@ -14,11 +14,11 @@ modes are ordered side A first with interleaved (q, p) coordinates.
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      MeasurementError, NumericsError, PreconditionError)
-from .symplectic import (SymplecticBasis, SymplecticForm, SymplecticMatrix,
-                         beam_splitter, direct_sum, embed_pair,
-                         extend_to_symplectic_basis, form_matrix, is_symplectic,
-                         make_form, random_symplectic, skew_product,
-                         symplectic_eigenvalues, two_mode_squeezer)
+from .symplectic import (SymplecticBasis, SymplecticMatrix, beam_splitter,
+                         direct_sum, embed_pair, extend_to_symplectic_basis,
+                         form_matrix, is_symplectic, random_symplectic,
+                         skew_product, symplectic_eigenvalues,
+                         two_mode_squeezer)
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict, apply_symplectic,
                      condition_on_x_measurement, direct_sum_states, is_npt,
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrelationMatrix", "GaussianState", "NptVerdict", "PhysicalityVerdict",
-    "SymplecticBasis", "SymplecticForm", "SymplecticMatrix",
+    "SymplecticBasis", "SymplecticMatrix",
     "StdFormParams", "WignerParams", "TwoModePhysicality",
     "InseparabilityCheck", "RcWitnessResult", "NptWitness", "PipelineReport",
     "StandardFormStage", "SymmetrizationReport", "FuzzConfig",
@@ -55,7 +55,7 @@ __all__ = [
     "StateFileError",
     "VERDICT_DISTILLABLE", "VERDICT_NOT_DISTILLABLE", "VERDICT_BOUNDARY",
     "KINDS", "DEFAULT_TOLERANCES",
-    "make_form", "form_matrix", "is_symplectic", "symplectic_eigenvalues",
+    "form_matrix", "is_symplectic", "symplectic_eigenvalues",
     "skew_product", "extend_to_symplectic_basis", "random_symplectic",
     "direct_sum", "beam_splitter", "two_mode_squeezer", "embed_pair",
     "vacuum", "pt_sign_vector", "pt_form", "validate_physical",

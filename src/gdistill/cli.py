@@ -23,10 +23,9 @@ import os
 import sys
 
 from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, MAX_PIPELINE_ATTEMPTS,
-                      PipelineStageError, concentrate, distill_pipeline,
-                      find_npt_witness, symmetrize)
-from .errors import ConcentrationError, DistillError
+                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
+                      distill_pipeline, symmetrize, witness_and_concentrate)
+from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
 from .statefile import (StateFileError, dumps, load_state, npt_to_dict,
@@ -154,28 +153,22 @@ def cmd_symmetrize(args, tol: float) -> int:
 
 def cmd_concentrate(args, tol: float) -> int:
     state, _ = load_state(args.path)
-    witness = transforms = last = None
-    for attempt in range(MAX_PIPELINE_ATTEMPTS):
-        witness = find_npt_witness(state.gamma, tol=tol,
-                                   seed=args.seed * MAX_PIPELINE_ATTEMPTS + attempt)
-        try:
-            transforms = concentrate(state.gamma, witness, tol=tol)
-            break
-        except ConcentrationError as exc:
-            last = exc
-    if transforms is None:
-        raise last
-    s_a, s_b, gamma_red = transforms
+    verdict = is_npt(state.gamma, tol=tol)
+    if not verdict.npt:
+        raise PreconditionError(
+            f"concentration requires an NPT state (margin {verdict.raw_margin:.3e})")
+    witness, s_a, s_b, gamma_red, _ = witness_and_concentrate(
+        state.gamma, seed=args.seed, tol=tol)
+    red = is_npt(gamma_red, tol=tol)
     if args.json:
         print(dumps({
             "witness": witness_to_dict(witness),
             "s_a": s_a.entries.tolist(),
             "s_b": s_b.entries.tolist(),
             "gamma_1x1": gamma_red.entries.tolist(),
-            "npt_margin_1x1": is_npt(gamma_red, tol=tol).raw_margin,
+            "npt_margin_1x1": red.raw_margin,
         }))
     else:
-        red = is_npt(gamma_red, tol=tol)
         print(f"reduced 1x1 npt margin: {red.raw_margin:.6e} "
               f"(witness retries {witness.retries})")
     return EXIT_OK

@@ -160,19 +160,28 @@ def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT,
     if not verdict.npt:
         raise PreconditionError(
             f"witness search requires an NPT state (margin {verdict.raw_margin:.3e})")
+    return _search_witness(gamma, *_minimal_eigenvector(gamma), seed=seed, first=0)
+
+
+def _minimal_eigenvector(gamma: CorrelationMatrix):
+    """(gamma - i*Jtilde, eps = -lambda_min, unit eigenvector in canonical phase)."""
     herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
     w, V = np.linalg.eigh(herm)
-    eps = float(-w[0])
     z0 = V[:, 0]
     # canonical phase: make the largest component real positive, so results
     # do not depend on the eigensolver's phase choice
     pivot = int(np.argmax(np.abs(z0)))
     z0 = z0 * (np.conj(z0[pivot]) / abs(z0[pivot]))
-    z0 = z0 / np.linalg.norm(z0)
+    return herm, float(-w[0]), z0 / np.linalg.norm(z0)
 
+
+def _search_witness(gamma: CorrelationMatrix, herm: np.ndarray, eps: float,
+                    z0: np.ndarray, seed: int, first: int) -> NptWitness:
+    """First usable witness among z0 (step 0) and its seeded perturbations
+    (steps 1..32), starting at step ``first``."""
     floor = SKEW_FLOOR_FACTOR  # |z| = 1 throughout
     best = None
-    for k in range(MAX_WITNESS_RETRIES + 1):
+    for k in range(first, MAX_WITNESS_RETRIES + 1):
         if k == 0:
             z = z0
         else:
@@ -216,12 +225,12 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     (Re z, Im z) on each side, transforms gamma, and keeps only the first
     mode of each side.  The transformed witness is then supported on the
     kept modes, the quadratic form value is unchanged, and the reduced
-    two-mode state is NPT.
+    two-mode state is NPT.  gamma must be physical (it is not re-checked).
 
     Returns (S_A, S_B, gamma_red).  Raises ConcentrationError when witness
     support leaks beyond the kept modes (> 1e-6) or the reduced state comes
     out PPT; both indicate a degenerate witness and the caller should retry
-    find_npt_witness with a fresh perturbation seed.
+    with a fresh perturbation seed (see witness_and_concentrate).
     """
     n_a, n_b = gamma.partition
     if n_a < 1 or n_b < 1:
@@ -246,10 +255,11 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
         raise ConcentrationError(
             f"witness support leaked {leak:.3e} beyond the first mode pair")
     gamma_red = reduce_to_modes(gamma_hat, [0], [0])
-    red = is_npt(gamma_red, tol=tol)
-    if not red.npt:
+    # congruence and reduction keep gamma physical: only NPT is left to check
+    raw = float(np.linalg.eigvalsh(gamma_red.entries - 1j * pt_form(1, 1))[0])
+    if not raw < -tol:
         raise ConcentrationError(
-            f"reduced two-mode state is not NPT (margin {red.raw_margin:.3e})")
+            f"reduced two-mode state is not NPT (margin {raw:.3e})")
     return (
         SymplecticMatrix(n=n_a, entries=sa),
         SymplecticMatrix(n=n_b, entries=sb),
@@ -257,12 +267,41 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     )
 
 
-_SWAP = np.zeros((4, 4))
-_SWAP[0, 2] = _SWAP[1, 3] = _SWAP[2, 0] = _SWAP[3, 1] = 1.0
+def _in_stage(stage: str, fn, *args, **kwargs):
+    """Call fn, re-raising any DistillError as a PipelineStageError."""
+    try:
+        return fn(*args, **kwargs)
+    except DistillError as exc:
+        raise PipelineStageError(stage, exc) from exc
+
+
+def witness_and_concentrate(gamma: CorrelationMatrix, seed: int = 0,
+                            tol: float = TOL_VERDICT):
+    """The witness and concentrate stages, for a state the caller has decided
+    is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Attempt
+    k < 8 searches with perturbation seed seed * 8 + k, starting from a
+    perturbation when k > 0 (the raw eigenvector already failed); a
+    ConcentrationError moves on to the next attempt.  Returns (witness, S_A,
+    S_B, gamma_1x1, attempts); raises PipelineStageError naming the stage.
+    """
+    start = _minimal_eigenvector(gamma)
+    for attempt in range(MAX_PIPELINE_ATTEMPTS):
+        witness = _in_stage("witness", _search_witness, gamma, *start,
+                            seed=seed * MAX_PIPELINE_ATTEMPTS + attempt,
+                            first=min(attempt, 1))
+        try:
+            return (witness, *concentrate(gamma, witness, tol=tol), attempt + 1)
+        except ConcentrationError as exc:
+            last_exc = exc
+        except DistillError as exc:
+            raise PipelineStageError("concentrate", exc) from exc
+    raise PipelineStageError("concentrate", last_exc)
 
 
 def _swap_sides(g: np.ndarray) -> np.ndarray:
-    return _SWAP.T @ g @ _SWAP
+    """Exchange the two modes of a 4 x 4 (1x1-mode) matrix."""
+    idx = [2, 3, 0, 1]
+    return g[np.ix_(idx, idx)]
 
 
 def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> SymmetrizationReport:
@@ -366,14 +405,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
     Concentration failures trigger fresh witness seeds, up to 8 attempts.
     Any stage failure raises PipelineStageError naming the stage.
     """
-
-    def run(stage, fn):
-        try:
-            return fn()
-        except DistillError as exc:
-            raise PipelineStageError(stage, exc) from exc
-
-    npt_verdict = run("npt_check", lambda: is_npt(gamma, tol=tol))
+    npt_verdict = _in_stage("npt_check", is_npt, gamma, tol=tol)
     if not npt_verdict.npt:
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_NOT_DISTILLABLE, npt=npt_verdict)
@@ -381,29 +413,16 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_BOUNDARY, npt=npt_verdict)
 
-    witness = s_a = s_b = gamma_red = None
-    attempts = 0
-    last_exc = None
-    for attempt in range(MAX_PIPELINE_ATTEMPTS):
-        attempts = attempt + 1
-        witness = run("witness", lambda: find_npt_witness(
-            gamma, tol=tol, seed=seed * MAX_PIPELINE_ATTEMPTS + attempt))
-        try:
-            s_a, s_b, gamma_red = concentrate(gamma, witness, tol=tol)
-            break
-        except ConcentrationError as exc:
-            last_exc = exc
-            s_a = None
-    if s_a is None:
-        raise PipelineStageError("concentrate", last_exc)
+    witness, s_a, s_b, gamma_red, attempts = witness_and_concentrate(
+        gamma, seed=seed, tol=tol)
 
     def std_stage():
         sa2, sb2, gamma_std = standard_form_transform(gamma_red)
         return StandardFormStage(s_a=sa2, s_b=sb2, gamma_std=gamma_std,
                                  params=standard_form_params(gamma_std))
 
-    std = run("standard_form", std_stage)
-    sym = run("symmetrize", lambda: symmetrize(std.gamma_std, tol=tol))
+    std = _in_stage("standard_form", std_stage)
+    sym = _in_stage("symmetrize", symmetrize, std.gamma_std, tol=tol)
 
     def rc_stage():
         final_params = standard_form_params(sym.gamma_out)
@@ -417,7 +436,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
                       for r in range(1, int(r_max) + 1))
         return final_params, sweep
 
-    final_params, sweep = run("rc_witness", rc_stage)
+    final_params, sweep = _in_stage("rc_witness", rc_stage)
     return PipelineReport(
         input_partition=gamma.partition,
         verdict=VERDICT_DISTILLABLE,

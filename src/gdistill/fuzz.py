@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distill import (BOUNDARY_BAND, MAX_PIPELINE_ATTEMPTS,
-                      MAX_WITNESS_RETRIES, SKEW_FLOOR_FACTOR,
+from .distill import (BOUNDARY_BAND, MAX_WITNESS_RETRIES, SKEW_FLOOR_FACTOR,
                       SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
                       VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
-                      concentrate, distill_pipeline, find_npt_witness,
-                      symmetrize)
-from .errors import ConcentrationError
+                      PipelineStageError, _swap_sides, distill_pipeline,
+                      symmetrize, witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
@@ -446,11 +444,6 @@ def rc_soundness(t: _Trial):
                     f"asymptotic value ({res.asymptotic_value:.3e})", state=g)
 
 
-def _swap4(g: np.ndarray) -> np.ndarray:
-    idx = [2, 3, 0, 1]
-    return g[np.ix_(idx, idx)]
-
-
 def symmetrization_oracle(gamma: CorrelationMatrix, theta: float,
                           swapped: bool) -> np.ndarray:
     """Independent reconstruction of the symmetrized companion matrix: couple a
@@ -459,14 +452,14 @@ def symmetrization_oracle(gamma: CorrelationMatrix, theta: float,
     _, _, gw_std = standard_form_transform(wigner_cm(gamma))
     g = gw_std.entries
     if swapped:
-        g = _swap4(g)
+        g = _swap_sides(g)
     core = CorrelationMatrix(entries=g, partition=(1, 1))
     joint = direct_sum_states(core, vacuum(0, 1))       # ancilla is global mode 2
     mixer = embed_pair(beam_splitter(theta), 3, 1, 2)   # couples hot side to it
     cond = condition_on_x_measurement(apply_symplectic(joint, mixer), 2)
     out = cond.entries
     if swapped:
-        out = _swap4(out)
+        out = _swap_sides(out)
     return out
 
 
@@ -506,16 +499,10 @@ def concentration_invariants(t: _Trial):
     survives the congruence and the restriction; the reduced state is NPT."""
     n_a, n_b = t.partition()
     g = random_npt_cm(n_a, n_b, t.seed(1))
-    witness = s_a = None
-    for attempt in range(MAX_PIPELINE_ATTEMPTS):
-        witness = find_npt_witness(g, seed=t.seed(2 + attempt))
-        try:
-            s_a, s_b, g_red = concentrate(g, witness)
-            break
-        except ConcentrationError:
-            continue
-    if s_a is None:
-        raise Violation("concentration failed for every witness seed", state=g)
+    try:
+        witness, s_a, s_b, g_red, _ = witness_and_concentrate(g, seed=t.seed(2))
+    except PipelineStageError as exc:
+        raise Violation(str(exc), state=g)
     if witness.retries > MAX_WITNESS_RETRIES:
         raise Violation(f"witness took {witness.retries} retries")
     if min(abs(witness.skew_a), abs(witness.skew_b)) <= SKEW_FLOOR_FACTOR:

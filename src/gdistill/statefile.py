@@ -126,7 +126,7 @@ def dumps(doc: dict) -> str:
 def physicality_to_dict(v: PhysicalityVerdict) -> dict:
     return {
         "physical": v.physical,
-        "margin": v.margin,
+        "physical_margin": v.margin,
         "min_symplectic_eigenvalue": v.min_symplectic_eigenvalue,
     }
 

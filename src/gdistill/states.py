@@ -10,14 +10,13 @@ correlation matrix gamma appearing in its characteristic function
 
 with coordinates interleaved as (q_1, p_1, ..., q_{N+M}, p_{N+M}) and side A
 occupying the first N modes.  The vacuum has gamma = identity.  A symmetric
-positive definite gamma describes a physical state exactly when
-
-    gamma >= J^T gamma^{-1} J
-
-as a matrix inequality, equivalently when every symplectic eigenvalue is
->= 1, equivalently when the Hermitian matrix gamma - iJ is positive
-semidefinite.  Both the matrix-inequality margin and the symplectic spectrum
-are computed and reported so they can be cross-checked.
+positive definite gamma describes a physical state exactly when the
+Hermitian matrix gamma - iJ is positive semidefinite, equivalently when
+every symplectic eigenvalue is >= 1.  Physicality is decided as
+gamma - iJ >= 0: the margin is the smallest eigenvalue of gamma - iJ.  The
+symplectic spectrum is reported alongside but takes no part in the verdict;
+its rounding error grows with cond(gamma), while the margin's stays at
+machine precision times |gamma|.
 
 Partial transposition on side B flips the sign of every B-side momentum:
 gamma -> Lambda gamma Lambda with Lambda = diag(1,...,1, 1,-1,...,1,-1).
@@ -35,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import form_matrix, symplectic_eigenvalues
+from .symplectic import form_matrix, spectrum_from_eigh, symplectic_eigenvalues
 
 TOL_VERDICT = 1e-9          # default tolerance for physicality / NPT verdicts
-COND_LIMIT = 1e12           # refuse to invert beyond this condition number
+COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
 WIGNER_INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
 QVAR_FLOOR = 1e-12          # degenerate-measurement guard
@@ -149,15 +148,15 @@ class GaussianState:
 @dataclass(frozen=True)
 class PhysicalityVerdict:
     physical: bool
-    margin: float                    # min eigenvalue of gamma - J^T gamma^{-1} J
-    min_symplectic_eigenvalue: float
+    margin: float                    # min eigenvalue of gamma - iJ (decides)
+    min_symplectic_eigenvalue: float  # reported only
 
 
 @dataclass(frozen=True)
 class NptVerdict:
     npt: bool
     margin: float                    # min eigenvalue of gamma - i*Jtilde, clipped at 0
-    min_pt_symplectic_eigenvalue: float
+    min_pt_symplectic_eigenvalue: float  # reported only
     raw_margin: float                # same eigenvalue before clipping
 
 
@@ -186,33 +185,35 @@ def pt_form(n_a: int, n_b: int) -> np.ndarray:
     return (lam[:, None] * J) * lam[None, :]
 
 
-def _check_conditioning(g: np.ndarray, what: str):
-    w = np.linalg.eigvalsh(g)
+def _check_conditioning(w: np.ndarray, what: str):
     if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
         raise NumericsError(
             f"{what}: matrix condition number exceeds {COND_LIMIT:.0e}; "
             "result would not be trustworthy")
 
 
-def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
-    """Decide physicality of a correlation matrix.
+def _decide_physical(g: np.ndarray, what: str):
+    """(lambda_min(gamma - iJ), w, Q): one eigh(gamma) = (w, Q) guards the
+    conditioning and factors gamma for the reported spectra."""
+    w, Q = np.linalg.eigh(g)
+    _check_conditioning(w, what)
+    return float(np.linalg.eigvalsh(g - 1j * form_matrix(g.shape[0] // 2))[0]), w, Q
 
-    Two independent criteria are evaluated: the margin of the matrix
-    inequality gamma >= J^T gamma^{-1} J and the minimum symplectic
-    eigenvalue (physical iff >= 1).  The verdict is taken from the margin;
-    both numbers are reported so callers and tests can assert agreement.
+
+def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
+    """Decide physicality of a correlation matrix as gamma - iJ >= 0.
+
+    The margin is the smallest eigenvalue of the Hermitian matrix gamma - iJ
+    and the state is physical iff margin >= -tol.  The minimum symplectic
+    eigenvalue is reported alongside; it is not consulted.
+
+    Raises NumericsError when cond(gamma) exceeds COND_LIMIT.
     """
-    g = _coerce(gamma)
-    n = g.shape[0] // 2
-    _check_conditioning(g, "validate_physical")
-    J = form_matrix(n)
-    diff = _sym(g - J.T @ np.linalg.inv(g) @ J)
-    margin = float(np.linalg.eigvalsh(diff)[0])
-    nu_min = float(symplectic_eigenvalues(g)[0])
+    margin, w, Q = _decide_physical(_coerce(gamma), "validate_physical")
     return PhysicalityVerdict(
         physical=bool(margin >= -tol),
         margin=margin,
-        min_symplectic_eigenvalue=nu_min,
+        min_symplectic_eigenvalue=float(spectrum_from_eigh(w, Q)[0]),
     )
 
 
@@ -233,26 +234,27 @@ def is_npt(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptVerdict:
 
     The margin is the most negative eigenvalue of the Hermitian matrix
     gamma - i*Jtilde (clipped at zero for PPT states, where small positive
-    eigenvalues carry no meaning: pure product states sit exactly at zero).
-    The symplectic spectrum of the transposed matrix is computed as an
-    independent check; NPT holds iff its minimum is < 1.
+    eigenvalues carry no meaning: pure product states sit exactly at zero);
+    NPT iff it is < -tol.  The symplectic spectrum of the transposed matrix
+    is reported alongside; it is not consulted.
 
-    Raises PreconditionError when gamma itself is not physical.
+    Raises PreconditionError when gamma is not physical (gamma - iJ >= 0
+    decided as in validate_physical), NumericsError when it is too
+    ill-conditioned.
     """
     if gamma.n_a < 1 or gamma.n_b < 1:
         raise ValueError("NPT test needs at least one mode on each side")
-    phys = validate_physical(gamma, tol=tol)
-    if not phys.physical:
+    phys_margin, w, Q = _decide_physical(gamma.entries, "is_npt")
+    if phys_margin < -tol:
         raise PreconditionError(
-            f"is_npt requires a physical state (margin {phys.margin:.3e})")
+            f"is_npt requires a physical state (margin {phys_margin:.3e})")
     herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
     raw = float(np.linalg.eigvalsh(herm)[0])
-    tilde = partial_transpose(gamma)
-    nu_min = float(symplectic_eigenvalues(tilde.entries)[0])
+    lam = pt_sign_vector(gamma.n_a, gamma.n_b)
     return NptVerdict(
         npt=bool(raw < -tol),
         margin=min(raw, 0.0),
-        min_pt_symplectic_eigenvalue=nu_min,
+        min_pt_symplectic_eigenvalue=float(spectrum_from_eigh(w, Q, signs=lam)[0]),
         raw_margin=raw,
     )
 
@@ -266,7 +268,7 @@ def wigner_cm(gamma: CorrelationMatrix) -> CorrelationMatrix:
     pure states, which is the purity test used elsewhere.
     """
     g = gamma.entries
-    _check_conditioning(g, "wigner_cm")
+    _check_conditioning(np.linalg.eigvalsh(g), "wigner_cm")
     J = form_matrix(gamma.n_modes)
     w = _sym(J.T @ np.linalg.inv(g) @ J)
     return CorrelationMatrix(entries=w, partition=gamma.partition)

@@ -38,7 +38,7 @@ def _as_matrix(S) -> np.ndarray:
     """Accept a bare ndarray or any wrapper exposing .entries / .columns."""
     if isinstance(S, np.ndarray):
         return S
-    for attr in ("entries", "columns", "matrix"):
+    for attr in ("entries", "columns"):
         if hasattr(S, attr):
             return getattr(S, attr)
     return np.asarray(S, dtype=float)
@@ -48,14 +48,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The form matrix J for n modes."""
-
-    n: int
-    matrix: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,19 +77,15 @@ class SymplecticBasis:
     columns: np.ndarray = field(repr=False)
 
 
-def make_form(n: int) -> SymplecticForm:
-    """Build the symplectic form for n modes."""
+def form_matrix(n: int) -> np.ndarray:
+    """The read-only 2n x 2n form matrix J for n modes."""
     if n < 1:
         raise ValueError(f"mode count must be >= 1, got {n}")
     J = np.zeros((2 * n, 2 * n))
     for k in range(n):
         J[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = _J1
-    return SymplecticForm(n=n, matrix=_frozen(J))
-
-
-def form_matrix(n: int) -> np.ndarray:
-    """The bare 2n x 2n form matrix (convenience for internal arithmetic)."""
-    return make_form(n).matrix
+    J.flags.writeable = False
+    return J
 
 
 def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
@@ -125,14 +113,22 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
         raise ValueError(f"expected an even-dimensional square matrix, got {g.shape}")
     if np.abs(g - g.T).max() > 1e-8 * max(1.0, np.abs(g).max()):
         raise ValueError("matrix is not symmetric")
-    n = g.shape[0] // 2
     w, Q = np.linalg.eigh(g)
     if w[0] <= 0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
+    return spectrum_from_eigh(w, Q)
+
+
+def spectrum_from_eigh(w: np.ndarray, Q: np.ndarray, signs=None) -> np.ndarray:
+    """Symplectic spectrum, ascending, of gamma = Q diag(w) Q^T (w > 0), or
+    with ``signs`` (the +-1 diagonal of Lambda) of Lambda gamma Lambda, from
+    the same factorization: sqrt(Lambda gamma Lambda) = Lambda sqrt(gamma) Lambda."""
+    n = w.size // 2
     root = Q @ np.diag(np.sqrt(w)) @ Q.T
+    if signs is not None:
+        root = (signs[:, None] * root) * signs[None, :]
     herm = 1j * (root @ form_matrix(n) @ root)  # Hermitian, spectrum +/- nu_k
-    vals = np.linalg.eigvalsh(herm)
-    return vals[n:]
+    return np.linalg.eigvalsh(herm)[n:]
 
 
 def skew_product(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import gdistill.distill as distill_module
 from gdistill import (
+    ConcentrationError,
+    NumericsError,
+    PipelineStageError,
     PreconditionError,
     VERDICT_BOUNDARY,
     VERDICT_DISTILLABLE,
@@ -242,6 +246,46 @@ def test_pipeline_distillable_squeezed():
     # certified protocol: (n - k_x)(n + k_p) < 1 for the final state
     n = np.sqrt(p.n_a * p.n_b)
     assert (n - p.k_x) * (n + p.k_p) - 1.0 < 0
+
+
+def test_pipeline_strongly_squeezed_pairs():
+    # pure pairs squeezed far beyond the random populations are decided NPT
+    # and certified, not refused as unphysical
+    for k in range(3):
+        rep = distill_pipeline(local_scramble(tmss_cm(3.0), k), seed=k)
+        assert rep.verdict == VERDICT_DISTILLABLE
+        assert rep.rc.value < 0
+
+
+def test_pipeline_wraps_concentrate_stage_errors(monkeypatch):
+    def broken(gamma, witness, tol):
+        raise NumericsError("injected")
+
+    monkeypatch.setattr(distill_module, "concentrate", broken)
+    with pytest.raises(PipelineStageError) as err:
+        distill_pipeline(tmss_cm(0.5))
+    assert err.value.stage == "concentrate"
+    assert isinstance(err.value.cause, NumericsError)
+
+
+def test_pipeline_retry_starts_from_a_perturbation(monkeypatch):
+    # after a concentration failure the raw eigenvector is not tried again
+    real = distill_module.concentrate
+    seen = []
+
+    def fails_once(gamma, witness, tol):
+        seen.append(witness)
+        if len(seen) == 1:
+            raise ConcentrationError("injected")
+        return real(gamma, witness, tol=tol)
+
+    monkeypatch.setattr(distill_module, "concentrate", fails_once)
+    rep = distill_pipeline(tmss_cm(0.5))
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert rep.witness_attempts == 2
+    assert seen[0].retries == 0 and seen[1].retries >= 1
+    assert not np.array_equal(seen[0].z, seen[1].z)
+    assert rep.witness is seen[1]
 
 
 def test_pipeline_not_distillable():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdistill import (
+    CorrelationMatrix,
     GaussianState,
     StateFileError,
     distill_pipeline,
@@ -162,6 +163,18 @@ def test_cli_validate_exit_codes(tmp_path):
     assert res.returncode == 1 and res.stdout == ""
     res = run_cli("validate", str(tmp_path / "missing.json"))
     assert res.returncode == 1
+
+
+def test_cli_validate_reports_both_margins(tmp_path):
+    # noisy squeezed pair: physical with room to spare, and NPT
+    core = CorrelationMatrix.from_blocks(1.5 * np.eye(2), 1.5 * np.eye(2),
+                                         np.diag([0.9, -0.9]))
+    res = run_cli("validate", write_state(tmp_path, "n.json", core))
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["physical_margin"] == validate_physical(core).margin
+    assert doc["margin"] == is_npt(core).margin
+    assert doc["physical_margin"] > 0 > doc["margin"]
 
 
 def test_cli_pipeline_exit_codes(tmp_path):

@@ -14,6 +14,7 @@ from gdistill import (
     embed_pair,
     is_npt,
     is_pure,
+    local_scramble,
     partial_transpose,
     pt_form,
     pt_sign_vector,
@@ -89,16 +90,20 @@ def test_vacuum_physical_not_npt():
 
 
 def test_validate_physical_frozen_values():
-    # thermal occupation 2 per mode: margin = 2 - 1/2
+    # thermal occupation 2 per mode: margin = lambda_min(gamma - iJ) = nu - 1
     verdict = validate_physical(thermal_cm([2.0, 2.0], (1, 1)))
     assert verdict.physical
-    assert verdict.margin == pytest.approx(1.5, abs=1e-12)
+    assert verdict.margin == pytest.approx(1.0, abs=1e-12)
     assert verdict.min_symplectic_eigenvalue == pytest.approx(2.0, abs=1e-12)
-    # half the vacuum floor: margin = 0.5 - 2
+    # half the vacuum floor: margin = 0.5 - 1
     verdict = validate_physical(0.5 * np.eye(4))
     assert not verdict.physical
-    assert verdict.margin == pytest.approx(-1.5, abs=1e-12)
+    assert verdict.margin == pytest.approx(-0.5, abs=1e-12)
     assert verdict.min_symplectic_eigenvalue == pytest.approx(0.5, abs=1e-12)
+    # a scrambled pure pair squeezed far beyond the random populations
+    verdict = validate_physical(local_scramble(tmss_cm(3.25), 1))
+    assert verdict.physical
+    assert abs(verdict.margin) < 1e-12
 
 
 def test_validate_physical_criteria_agree():
@@ -141,12 +146,14 @@ def test_partial_transpose_involution_exact():
 
 
 def test_is_npt_frozen_two_mode_squeezed():
-    for r in (0.25, 0.5, 1.0):
+    for r in (0.25, 0.5, 1.0, 3.25, 5.0):
+        # eigenvalue rounding error is about machine epsilon times |gamma| = e^{2r}
+        tol = max(1e-12, 4 * np.finfo(float).eps * np.exp(2 * r))
         npt = is_npt(tmss_cm(r))
         assert npt.npt
-        assert npt.raw_margin == pytest.approx(np.exp(-2 * r) - 1.0, abs=1e-12)
+        assert npt.raw_margin == pytest.approx(np.exp(-2 * r) - 1.0, abs=tol)
         assert npt.margin == npt.raw_margin
-        assert npt.min_pt_symplectic_eigenvalue == pytest.approx(np.exp(-2 * r), abs=1e-12)
+        assert npt.min_pt_symplectic_eigenvalue == pytest.approx(np.exp(-2 * r), abs=tol)
     # separable thermal product is PPT
     npt = is_npt(thermal_cm([2.0, 1.5], (1, 1)))
     assert not npt.npt and npt.margin == 0.0 and npt.raw_margin >= 0.0

@@ -9,7 +9,6 @@ from gdistill import (
     extend_to_symplectic_basis,
     form_matrix,
     is_symplectic,
-    make_form,
     random_symplectic,
     skew_product,
     symplectic_eigenvalues,
@@ -39,7 +38,7 @@ def test_form_matrix_structure():
 
 def test_make_form_rejects_bad_mode_count():
     with pytest.raises(ValueError):
-        make_form(0)
+        form_matrix(0)
 
 
 def test_is_symplectic_basic():
