@@ -14,18 +14,17 @@ modes are ordered side A first with interleaved (q, p) coordinates.
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      MeasurementError, NumericsError, PreconditionError)
-from .symplectic import (SymplecticBasis, SymplecticMatrix, beam_splitter,
-                         direct_sum, embed_pair, extend_to_symplectic_basis,
-                         form_matrix, is_symplectic, random_symplectic,
-                         skew_product, symplectic_eigenvalues,
-                         two_mode_squeezer)
+from .symplectic import (SymplecticMatrix, beam_splitter, direct_sum,
+                         embed_pair, extend_to_symplectic_basis, form_matrix,
+                         is_symplectic, random_symplectic, skew_product,
+                         symplectic_eigenvalues, two_mode_squeezer)
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict, apply_symplectic,
                      condition_on_x_measurement, direct_sum_states, is_npt,
                      is_pure, partial_transpose, pt_form, pt_sign_vector,
                      reduce_to_modes, vacuum, validate_physical, wigner_cm)
 from .two_mode import (InseparabilityCheck, RcWitnessResult, StdFormParams,
-                       TwoModePhysicality, WignerParams, check_inseparable,
+                       TwoModePhysicality, check_inseparable,
                        check_physical, check_symmetric_inseparable,
                        det_invariants, inseparability_residual, is_symmetric,
                        rc_value, standard_form_params, standard_form_transform,
@@ -46,8 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrelationMatrix", "GaussianState", "NptVerdict", "PhysicalityVerdict",
-    "SymplecticBasis", "SymplecticMatrix",
-    "StdFormParams", "WignerParams", "TwoModePhysicality",
+    "SymplecticMatrix", "StdFormParams", "TwoModePhysicality",
     "InseparabilityCheck", "RcWitnessResult", "NptWitness", "PipelineReport",
     "StandardFormStage", "SymmetrizationReport", "FuzzConfig",
     "DistillError", "PreconditionError", "NumericsError", "DegeneracyError",

@@ -68,6 +68,8 @@ def cmd_validate(args, tol: float) -> int:
 
 
 def cmd_pipeline(args, tol: float) -> int:
+    if args.r_max < 1:
+        return _fail(f"--r-max must be >= 1, got {args.r_max}", EXIT_PARSE)
     state, _ = load_state(args.path)
     try:
         report = distill_pipeline(state.gamma, r_max=args.r_max,

@@ -236,17 +236,14 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     if n_a < 1 or n_b < 1:
         raise ValueError("concentration needs at least one mode per side")
     za, zb = _side_split(np.asarray(witness.z), n_a)
-    mats = []
-    for z_side in (za, zb):
-        f1, f2 = _canonical_pair(z_side)
-        try:
-            basis = extend_to_symplectic_basis(f1, f2)
-        except NumericsError as exc:
-            raise ConcentrationError(f"basis extension failed: {exc}") from exc
-        mats.append(basis.columns)
-    sa, sb = mats
+    pairs = [_canonical_pair(z_side) for z_side in (za, zb)]
+    try:
+        sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
+    except NumericsError as exc:
+        raise ConcentrationError(f"basis extension failed: {exc}") from exc
     gamma_hat = apply_symplectic(gamma, direct_sum(sa, sb))
-    z_hat = np.concatenate([np.linalg.solve(sa, za), np.linalg.solve(sb, zb)])
+    z_hat = np.concatenate([np.linalg.solve(sa.entries, za),
+                            np.linalg.solve(sb.entries, zb)])
     leak = max(
         float(np.abs(z_hat[2 : 2 * n_a]).max(initial=0.0)),
         float(np.abs(z_hat[2 * n_a + 2 :]).max(initial=0.0)),
@@ -260,11 +257,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     if not raw < -tol:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
-    return (
-        SymplecticMatrix(n=n_a, entries=sa),
-        SymplecticMatrix(n=n_b, entries=sb),
-        gamma_red,
-    )
+    return sa, sb, gamma_red
 
 
 def _in_stage(stage: str, fn, *args, **kwargs):
@@ -403,8 +396,12 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
     distillable.)
 
     Concentration failures trigger fresh witness seeds, up to 8 attempts.
-    Any stage failure raises PipelineStageError naming the stage.
+    Any stage failure raises PipelineStageError naming the stage; the
+    rc_witness stage fails when the witness is not negative at r = r_max.
+    Raises ValueError for r_max < 1.
     """
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
     npt_verdict = _in_stage("npt_check", is_npt, gamma, tol=tol)
     if not npt_verdict.npt:
         return PipelineReport(input_partition=gamma.partition,
@@ -434,6 +431,10 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         _, _, gamma_final_std = standard_form_transform(sym.gamma_out)
         sweep = tuple(rc_value(gamma_final_std, r=float(r))
                       for r in range(1, int(r_max) + 1))
+        if not sweep[-1].value < 0:
+            raise NumericsError(
+                f"reduction-criterion witness is not negative at r={r_max}: "
+                f"{sweep[-1].value:.3e}")
         return final_params, sweep
 
     final_params, sweep = _in_stage("rc_witness", rc_stage)

@@ -217,8 +217,7 @@ def basis_extension_pairing(t: _Trial):
     else:
         return  # absurdly unlucky draws; nothing to check
     f2 = -v / s  # f1^T J f2 = -1
-    basis = extend_to_symplectic_basis(f1, f2)
-    S = basis.columns
+    S = extend_to_symplectic_basis(f1, f2).entries
     resid = _maxdiff(S.T @ J @ S, J)
     if resid > t.tol["pairing"]:
         raise Violation(f"extended basis violates pairing relations by {resid:.3e}")
@@ -410,10 +409,11 @@ def wigner_duality_inequalities(t: _Trial):
         raise Violation(
             f"companion parameters violate the physicality inequality: "
             f"{physicality:.3e}", state=g)
-    if w.d_x > 1.0 + 1e-8:
+    d_x = m - w.k_x ** 2
+    if d_x > 1.0 + 1e-8:
         raise Violation(
             f"companion correlation inequality not reversed: N_aN_b - K_x^2 = "
-            f"{w.d_x!r} > 1", state=g)
+            f"{d_x!r} > 1", state=g)
     det_g = float(np.linalg.det(g.entries))
     if abs(w.n_a * p.n_a - w.n_b * p.n_b) > 1e-8 * _scale(g) ** 2:
         raise Violation("cross relation N_a n_a = N_b n_b violated", state=g)

@@ -27,21 +27,15 @@ from scipy.linalg import expm
 from .errors import NumericsError
 
 TOL_SYMPLECTIC = 1e-9
-# candidate vectors with residual below this norm are skipped during basis
-# extension; they are (numerically) inside the span already built
-BASIS_RESIDUAL_FLOOR = 1e-8
 
 _J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _as_matrix(S) -> np.ndarray:
-    """Accept a bare ndarray or any wrapper exposing .entries / .columns."""
+    """Accept a bare ndarray or a wrapper exposing .entries."""
     if isinstance(S, np.ndarray):
         return S
-    for attr in ("entries", "columns"):
-        if hasattr(S, attr):
-            return getattr(S, attr)
-    return np.asarray(S, dtype=float)
+    return np.asarray(getattr(S, "entries", S), dtype=float)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -64,17 +58,6 @@ class SymplecticMatrix:
         if not is_symplectic(S, tol=TOL_SYMPLECTIC):
             raise ValueError("matrix is not symplectic within tolerance")
         object.__setattr__(self, "entries", _frozen(S))
-
-
-@dataclass(frozen=True)
-class SymplecticBasis:
-    """2n basis vectors stored as the columns of a symplectic matrix.
-
-    Columns (2k-1, 2k) are canonical pairs: f_{2k-1}^T J f_{2k} = -1.
-    """
-
-    n: int
-    columns: np.ndarray = field(repr=False)
 
 
 def form_matrix(n: int) -> np.ndarray:
@@ -142,73 +125,47 @@ def skew_product(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray,
-                               tol: float = TOL_SYMPLECTIC) -> SymplecticBasis:
-    """Complete a canonical pair (f1, f2) to a full symplectic basis.
+                               tol: float = TOL_SYMPLECTIC) -> SymplecticMatrix:
+    """Complete a canonical pair (f1, f2) to a symplectic matrix whose first
+    two columns are exactly f1 and f2.
 
     Requires f1^T J f2 = -1 within tol (see the module docstring for the sign
-    convention).  Remaining pairs are produced by skew-orthogonal
-    Gram-Schmidt over the standard basis vectors, with pivoting (the
-    candidate with the largest projection residual wins) and a second
-    projection pass to scrub first-order rounding error; the partner of each
-    accepted vector is chosen to maximize |pairing| before normalization.
-    The returned columns always satisfy S^T J S = J to the requested
-    tolerance.
+    convention).  The other pairs span the symplectic complement of
+    span(f1, f2), which is the Euclidean complement of span(J f1, J f2): its
+    orthonormal basis B is the tail of one complete QR factorization.  The
+    restricted form B^T J B is real antisymmetric, so i*B^T J B is Hermitian
+    with eigenvalues +-t_k; each eigenvector u_k with t_k > 0 gives the
+    canonical pair sqrt(2/t_k) * (Re B u_k, Im B u_k), as in
+    spectrum_from_eigh.  Raises NumericsError when a t_k is not positive or
+    the result fails S^T J S = J within TOL_SYMPLECTIC.
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     if f1.shape != f2.shape or f1.ndim != 1 or f1.size % 2:
         raise ValueError("expected two real vectors of equal even length")
-    dim = f1.size
-    n = dim // 2
+    n = f1.size // 2
     J = form_matrix(n)
     pairing = float(f1 @ J @ f2)
     if abs(pairing + 1.0) > tol:
         raise ValueError(
             f"(f1, f2) is not a canonical pair: f1^T J f2 = {pairing:.3e}, expected -1")
 
-    cols = [f1, f2]
-
-    def project_out(v):
-        # remove skew components along all completed pairs (a, b):
-        # v + (v^T J b) a - (v^T J a) b is J-orthogonal to both
-        for k in range(0, len(cols), 2):
-            a, b = cols[k], cols[k + 1]
-            v = v + float(v @ J @ b) * a - float(v @ J @ a) * b
-        return v
-
-    def stalled():
-        return NumericsError(
-            f"symplectic basis extension stalled at {len(cols)}/{dim} vectors; "
-            "input pair is too close to degenerate")
-
-    candidates = list(np.eye(dim))
-    while len(cols) < dim:
-        nrm, idx, v = max(
-            ((np.linalg.norm(w), i, w)
-             for i, w in enumerate(map(project_out, candidates))),
-            key=lambda item: item[0])
-        if nrm < BASIS_RESIDUAL_FLOOR:
-            raise stalled()
-        candidates.pop(idx)
-        v = project_out(v)  # second pass kills first-order rounding error
-        a_new = v / np.linalg.norm(v)
-        d, idx, w = max(
-            ((float(a_new @ J @ u), i, u)
-             for i, u in enumerate(map(project_out, candidates))),
-            key=lambda item: abs(item[0]))
-        if abs(d) < BASIS_RESIDUAL_FLOOR:
-            raise stalled()
-        candidates.pop(idx)
-        w = project_out(w)
-        b_new = -w / float(a_new @ J @ w)  # a_new^T J b_new = -1
-        cols.extend([a_new, b_new])
-
-    S = np.column_stack(cols)
-    if not is_symplectic(S, tol=max(tol, TOL_SYMPLECTIC)):
+    B = np.linalg.qr(J @ np.column_stack([f1, f2]), mode="complete").Q[:, 2:]
+    t, U = np.linalg.eigh(1j * (B.T @ J @ B))
+    t, W = t[n - 1 :], B @ U[:, n - 1 :]
+    if not np.all(t > 0):
+        raise NumericsError(
+            "symplectic complement of the input pair is degenerate; the pair is "
+            "too ill-conditioned to extend")
+    W = W * np.sqrt(2.0 / t)
+    pairs = np.stack([W.real, W.imag], axis=2).reshape(2 * n, 2 * n - 2)
+    S = np.column_stack([f1, f2, pairs])
+    try:
+        return SymplecticMatrix(n=n, entries=S)
+    except ValueError as exc:
         raise NumericsError(
             "completed symplectic basis failed validation; the input pair is "
-            "too ill-conditioned to extend at this tolerance")
-    return SymplecticBasis(n=n, columns=_frozen(S))
+            "too ill-conditioned to extend") from exc
 
 
 def random_symplectic(n: int, seed: int) -> SymplecticMatrix:

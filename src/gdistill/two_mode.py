@@ -65,24 +65,6 @@ class StdFormParams:
 
 
 @dataclass(frozen=True)
-class WignerParams:
-    """Standard-form parameters of the Wigner-form companion matrix."""
-
-    n_a: float
-    n_b: float
-    k_x: float
-    k_p: float
-
-    @property
-    def d_x(self) -> float:
-        return self.n_a * self.n_b - self.k_x ** 2
-
-    @property
-    def d_p(self) -> float:
-        return self.n_a * self.n_b - self.k_p ** 2
-
-
-@dataclass(frozen=True)
 class TwoModePhysicality:
     physical: bool
     physicality_residual: float   # first inequality, LHS - RHS (>= 0 when physical)
@@ -271,10 +253,9 @@ def tmss_cm(r: float) -> CorrelationMatrix:
         ch * np.eye(2), ch * np.eye(2), sh * np.diag([1.0, -1.0]))
 
 
-def wigner_params(gamma: CorrelationMatrix) -> WignerParams:
+def wigner_params(gamma: CorrelationMatrix) -> StdFormParams:
     """Standard-form parameters of the Wigner-form companion of gamma."""
-    p = standard_form_params(wigner_cm(gamma))
-    return WignerParams(n_a=p.n_a, n_b=p.n_b, k_x=p.k_x, k_p=p.k_p)
+    return standard_form_params(wigner_cm(gamma))
 
 
 def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:

@@ -257,6 +257,25 @@ def test_pipeline_strongly_squeezed_pairs():
         assert rep.rc.value < 0
 
 
+def test_pipeline_refuses_a_certificate_that_is_not_negative():
+    # NPT, but at r = 1 the probe is too weakly squeezed: the witness reads
+    # +5.3e-3, so the rc_witness stage fails instead of certifying
+    g = CorrelationMatrix.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2),
+                                      1.01 * np.diag([1.0, -1.0]))
+    with pytest.raises(PipelineStageError) as err:
+        distill_pipeline(g, r_max=1)
+    assert err.value.stage == "rc_witness"
+    assert isinstance(err.value.cause, NumericsError)
+    rep = distill_pipeline(g)
+    assert rep.verdict == VERDICT_DISTILLABLE and rep.rc.value < 0
+
+
+def test_pipeline_rejects_non_positive_r_max():
+    for r_max in (0, -3):
+        with pytest.raises(ValueError):
+            distill_pipeline(tmss_cm(0.5), r_max=r_max)
+
+
 def test_pipeline_wraps_concentrate_stage_errors(monkeypatch):
     def broken(gamma, witness, tol):
         raise NumericsError("injected")
@@ -286,6 +305,24 @@ def test_pipeline_retry_starts_from_a_perturbation(monkeypatch):
     assert seen[0].retries == 0 and seen[1].retries >= 1
     assert not np.array_equal(seen[0].z, seen[1].z)
     assert rep.witness is seen[1]
+
+
+def test_failed_basis_completion_triggers_a_retry(monkeypatch):
+    # a completion that fails validation raises NumericsError; concentrate
+    # turns it into ConcentrationError, so the pipeline retries
+    real = distill_module.extend_to_symplectic_basis
+    calls = []
+
+    def fails_first(f1, f2):
+        calls.append(f1)
+        if len(calls) == 1:
+            raise NumericsError("injected")
+        return real(f1, f2)
+
+    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis", fails_first)
+    rep = distill_pipeline(tmss_cm(0.5))
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert rep.witness_attempts == 2
 
 
 def test_pipeline_not_distillable():

@@ -195,6 +195,23 @@ def test_cli_pipeline_exit_codes(tmp_path):
     assert "INCONCLUSIVE_BOUNDARY" in res.stdout
 
 
+def test_cli_pipeline_rejects_non_positive_r_max(tmp_path):
+    path = write_state(tmp_path, "d.json", tmss_cm(0.5))
+    for r_max in ("0", "-3"):
+        res = run_cli("pipeline", path, "--r-max", r_max)
+        assert res.returncode == 1
+        assert res.stdout == "" and "--r-max must be >= 1" in res.stderr
+
+
+def test_cli_pipeline_exits_5_when_the_witness_is_not_negative(tmp_path):
+    g = CorrelationMatrix.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2),
+                                      1.01 * np.diag([1.0, -1.0]))
+    path = write_state(tmp_path, "w.json", g)
+    res = run_cli("pipeline", path, "--r-max", "1")
+    assert res.returncode == 5
+    assert res.stdout == "" and "rc_witness" in res.stderr
+
+
 def test_cli_pipeline_json_deterministic(tmp_path):
     path = write_state(tmp_path, "d.json", random_npt_cm(2, 2, seed=11))
     a = run_cli("pipeline", path, "--json")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gdistill import (
+    NumericsError,
     apply_symplectic,
     beam_splitter,
     direct_sum,
@@ -110,7 +111,7 @@ def test_extend_to_symplectic_basis_frozen_pair():
     f1 = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     f2 = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2)
     basis = extend_to_symplectic_basis(f1, f2)
-    S = basis.columns
+    S = basis.entries
     assert S.shape == (4, 4)
     assert np.array_equal(S[:, 0], f1)
     assert np.array_equal(S[:, 1], f2)
@@ -119,9 +120,11 @@ def test_extend_to_symplectic_basis_frozen_pair():
 
 
 def test_extend_to_symplectic_basis_random_pairs():
-    for seed in range(50):
+    # seeds 50..69 use 8 and 12 modes, the per-side sizes of large pipeline inputs
+    sizes = [None] * 50 + [8] * 10 + [12] * 10
+    for seed, n in enumerate(sizes):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
+        n = n or int(rng.integers(1, 5))
         f1 = rng.normal(size=2 * n)
         f2 = rng.normal(size=2 * n)
         w = skew_product(f1, f2)
@@ -129,10 +132,10 @@ def test_extend_to_symplectic_basis_random_pairs():
             continue
         f2 = -f2 / w  # normalize the pairing to -1
         basis = extend_to_symplectic_basis(f1, f2)
-        S = basis.columns
+        S = basis.entries
         J = form_matrix(n)
-        assert np.max(np.abs(S.T @ J @ S - J)) < 1e-9
-        assert np.allclose(S[:, 0], f1) and np.allclose(S[:, 1], f2)
+        assert np.max(np.abs(S.T @ J @ S - J)) <= 1e-9
+        assert np.array_equal(S[:, 0], f1) and np.array_equal(S[:, 1], f2)
 
 
 def test_extend_to_symplectic_basis_rejects_bad_input():
@@ -144,6 +147,16 @@ def test_extend_to_symplectic_basis_rejects_bad_input():
         extend_to_symplectic_basis(f1, 0.5 * f2)  # pairing -1/2
     with pytest.raises(ValueError):
         extend_to_symplectic_basis(np.ones(3), np.ones(3))  # odd length
+
+
+def test_extend_to_symplectic_basis_degenerate_completion_is_numerics_error():
+    # a NaN passes the pairing check (the comparison is false) and leaves no
+    # positive pairing on the complement: NumericsError, which concentrate
+    # turns into a retry, not a ValueError
+    f1 = np.array([1.0, 0.0, np.nan, 0.0])
+    f2 = np.array([0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NumericsError):
+        extend_to_symplectic_basis(f1, f2)
 
 
 def test_beam_splitter_and_squeezer_are_symplectic():

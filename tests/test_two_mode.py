@@ -191,14 +191,14 @@ def test_wigner_params_frozen():
     assert abs(wp.n_b - np.cosh(1.0)) < 1e-12
     assert abs(wp.k_x - np.sinh(1.0)) < 1e-12
     assert abs(wp.k_p + np.sinh(1.0)) < 1e-12
-    assert wp.d_x == pytest.approx(1.0, abs=1e-10)
-    assert wp.d_p == pytest.approx(1.0, abs=1e-10)
+    assert wp.n_a * wp.n_b - wp.k_x ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert wp.n_a * wp.n_b - wp.k_p ** 2 == pytest.approx(1.0, abs=1e-10)
     # thermal product: occupations invert, correlations stay zero
     g = CorrelationMatrix(entries=np.diag([2.0, 2.0, 4.0, 4.0]), partition=(1, 1))
     wp = wigner_params(g)
     assert (wp.n_a, wp.n_b) == pytest.approx((0.5, 0.25), abs=1e-12)
     assert (wp.k_x, wp.k_p) == pytest.approx((0.0, 0.0), abs=1e-12)
-    assert wp.d_x == pytest.approx(0.125, abs=1e-12)
+    assert wp.n_a * wp.n_b - wp.k_x ** 2 == pytest.approx(0.125, abs=1e-12)
 
 
 def test_rc_value_vacuum_is_zero():
