@@ -27,8 +27,8 @@ from .two_mode import (InseparabilityCheck, RcWitnessResult, StdFormParams,
                        TwoModePhysicality, check_inseparable,
                        check_physical, check_symmetric_inseparable,
                        det_invariants, inseparability_residual, is_symmetric,
-                       rc_value, standard_form_params, standard_form_transform,
-                       tmss_cm, wigner_params)
+                       rc_sweep, rc_value, standard_form_params,
+                       standard_form_transform, tmss_cm, wigner_params)
 from .distill import (NptWitness, PipelineReport, PipelineStageError,
                       StandardFormStage, SymmetrizationReport,
                       VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
@@ -62,7 +62,7 @@ __all__ = [
     "det_invariants", "standard_form_params", "standard_form_transform",
     "check_physical", "check_inseparable", "inseparability_residual",
     "is_symmetric", "check_symmetric_inseparable", "tmss_cm", "wigner_params",
-    "rc_value",
+    "rc_value", "rc_sweep",
     "find_npt_witness", "concentrate", "symmetrize", "distill_pipeline",
     "local_scramble", "random_physical_cm", "random_unphysical_pd",
     "random_state", "random_npt_cm", "random_asymmetric_npt_1x1",

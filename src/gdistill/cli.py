@@ -55,8 +55,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def cmd_validate(args, tol: float) -> int:
+def _load_bipartite(args):
+    """The state in args.path; a StateFileError (exit 1) when a side has no
+    modes, since the NPT test needs both sides."""
     state, _ = load_state(args.path)
+    if state.n_a < 1 or state.n_b < 1:
+        raise StateFileError(
+            f"{args.command} needs at least one mode on each side, got partition "
+            f"{state.gamma.partition}")
+    return state
+
+
+def cmd_validate(args, tol: float) -> int:
+    state = _load_bipartite(args)
     verdict = validate_physical(state.gamma, tol=tol)
     doc = physicality_to_dict(verdict)
     if verdict.physical:
@@ -70,7 +81,7 @@ def cmd_validate(args, tol: float) -> int:
 def cmd_pipeline(args, tol: float) -> int:
     if args.r_max < 1:
         return _fail(f"--r-max must be >= 1, got {args.r_max}", EXIT_PARSE)
-    state, _ = load_state(args.path)
+    state = _load_bipartite(args)
     try:
         report = distill_pipeline(state.gamma, r_max=args.r_max,
                                   seed=args.seed, tol=tol)
@@ -154,7 +165,7 @@ def cmd_symmetrize(args, tol: float) -> int:
 
 
 def cmd_concentrate(args, tol: float) -> int:
-    state, _ = load_state(args.path)
+    state = _load_bipartite(args)
     verdict = is_npt(state.gamma, tol=tol)
     if not verdict.npt:
         raise PreconditionError(

@@ -60,7 +60,7 @@ from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict,
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix)
 from .two_mode import (RcWitnessResult, StdFormParams, inseparability_residual,
-                       rc_value, standard_form_params, standard_form_transform)
+                       rc_sweep, standard_form_params, standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
@@ -315,6 +315,14 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     if not verdict.npt:
         raise PreconditionError(
             f"symmetrization requires an NPT state (margin {verdict.raw_margin:.3e})")
+    return _symmetrize(gamma, tol)[0]
+
+
+def _symmetrize(gamma: CorrelationMatrix,
+                tol: float) -> tuple[SymmetrizationReport, StdFormParams]:
+    """symmetrize for a 1x1 state the caller has decided is NPT (the input is
+    not re-decided; the output checks all run).  Also returns the
+    standard-form parameters of the output."""
     gw = wigner_cm(gamma)
     _, _, gw_std = standard_form_transform(gw)
     residual_in = inseparability_residual(gw_std)
@@ -329,10 +337,11 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
 
     if abs(n_big - n_hot) <= 1e-9:
         gamma_out = wigner_cm(gw_std)
-        return SymmetrizationReport(
+        report = SymmetrizationReport(
             theta=0.0, swapped_sides=False, gamma_out=gamma_out,
             insep_residual_in=residual_in, insep_residual_out=residual_in,
             scale_factor=1.0)
+        return report, standard_form_params(gamma_out)
 
     d_x = n_big * n_hot - k_x ** 2
     numerator = n_big ** 2 - n_hot ** 2
@@ -352,10 +361,11 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     a_tilde = np.diag([c2 * n_big + s2 * d_x, c2 * n_big + s2 * n_big * n_hot]) / nu
     b_tilde = np.diag([n_hot / nu, c2 * n_hot + s2])
     c_tilde = np.diag([c * k_x / nu, c * k_p])
-    gw_out = np.block([[a_tilde, c_tilde], [c_tilde.T, b_tilde]])
+    # swapping the sides of [[A, C], [C^T, B]] gives [[B, C^T], [C, A]]
     if swapped:
-        gw_out = _swap_sides(gw_out)
-    gw_out_cm = CorrelationMatrix(entries=gw_out, partition=(1, 1))
+        gw_out_cm = CorrelationMatrix.from_blocks(b_tilde, a_tilde, c_tilde.T)
+    else:
+        gw_out_cm = CorrelationMatrix.from_blocks(a_tilde, b_tilde, c_tilde)
 
     scale = 1.0 / (n_hot * tan2 + 1.0)
     residual_out = inseparability_residual(gw_out_cm)
@@ -375,10 +385,11 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     if not out_verdict.npt:
         raise NumericsError(
             f"symmetrization lost NPT-ness (margin {out_verdict.raw_margin:.3e})")
-    return SymmetrizationReport(
+    report = SymmetrizationReport(
         theta=theta, swapped_sides=swapped, gamma_out=gamma_out,
         insep_residual_in=residual_in, insep_residual_out=residual_out,
         scale_factor=scale)
+    return report, params_out
 
 
 def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
@@ -419,25 +430,25 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
                                  params=standard_form_params(gamma_std))
 
     std = _in_stage("standard_form", std_stage)
-    sym = _in_stage("symmetrize", symmetrize, std.gamma_std, tol=tol)
+    # the concentrate stage decided gamma_1x1 is NPT, and the standard form
+    # is a local congruence of it, so symmetrize's input is not re-decided
+    sym, final_params = _in_stage("symmetrize", _symmetrize, std.gamma_std, tol)
 
     def rc_stage():
-        final_params = standard_form_params(sym.gamma_out)
         n = np.sqrt(final_params.n_a * final_params.n_b)
         limit = (n - final_params.k_x) * (n + final_params.k_p) - 1.0
         if limit >= tol:
             raise NumericsError(
                 f"symmetric NPT output violates (n - k_x)(n + k_p) < 1: {limit:.3e}")
         _, _, gamma_final_std = standard_form_transform(sym.gamma_out)
-        sweep = tuple(rc_value(gamma_final_std, r=float(r))
-                      for r in range(1, int(r_max) + 1))
+        sweep = rc_sweep(gamma_final_std, range(1, int(r_max) + 1))
         if not sweep[-1].value < 0:
             raise NumericsError(
                 f"reduction-criterion witness is not negative at r={r_max}: "
                 f"{sweep[-1].value:.3e}")
-        return final_params, sweep
+        return sweep
 
-    final_params, sweep = _in_stage("rc_witness", rc_stage)
+    sweep = _in_stage("rc_witness", rc_stage)
     return PipelineReport(
         input_partition=gamma.partition,
         verdict=VERDICT_DISTILLABLE,

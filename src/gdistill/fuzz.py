@@ -36,7 +36,7 @@ from .symplectic import (beam_splitter, direct_sum, embed_pair,
                          is_symplectic, random_symplectic,
                          symplectic_eigenvalues)
 from .two_mode import (check_inseparable, check_symmetric_inseparable,
-                       rc_value, standard_form_params, standard_form_transform,
+                       rc_sweep, standard_form_params, standard_form_transform,
                        wigner_params)
 
 DEFAULT_TOLERANCES = {
@@ -431,12 +431,13 @@ def rc_soundness(t: _Trial):
     else:
         g, _ = t.state(1, 1)
     npt = is_npt(g).npt
-    values = [rc_value(g, r).value for r in (0.5, 2.0, 8.0)]
+    sweep = rc_sweep(g, (0.5, 2.0, 8.0))
+    values = [res.value for res in sweep]
     if min(values) < -1e-9 and not npt:
         raise Violation(
             f"witness went negative ({min(values):.3e}) on a PPT state", state=g)
     if symmetric:
-        res = rc_value(g, 8.0)
+        res = sweep[-1]
         if abs(res.asymptotic_value) >= t.tol["sign_floor"]:
             if np.sign(res.value) != np.sign(res.asymptotic_value):
                 raise Violation(

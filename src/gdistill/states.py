@@ -29,6 +29,7 @@ what the rest of the package exploits constructively.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +120,18 @@ class CorrelationMatrix:
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         C = np.asarray(C, dtype=float)
-        g = np.block([[A, C], [C.T, B]])
-        return cls(entries=g, partition=(A.shape[0] // 2, B.shape[0] // 2))
+        if not (A.ndim == B.ndim == C.ndim == 2
+                and A.shape[0] == A.shape[1] == C.shape[0]
+                and B.shape[0] == B.shape[1] == C.shape[1]):
+            raise ValueError(f"blocks of shapes {A.shape}, {B.shape}, {C.shape} "
+                             "do not form [[A, C], [C^T, B]]")
+        k = A.shape[0]
+        g = np.empty((k + B.shape[0],) * 2)
+        g[:k, :k] = A
+        g[:k, k:] = C
+        g[k:, :k] = C.T
+        g[k:, k:] = B
+        return cls(entries=g, partition=(k // 2, B.shape[0] // 2))
 
 
 @dataclass(frozen=True)
@@ -178,11 +189,15 @@ def pt_sign_vector(n_a: int, n_b: int) -> np.ndarray:
     return lam
 
 
+@functools.lru_cache(maxsize=64)
 def pt_form(n_a: int, n_b: int) -> np.ndarray:
-    """The transposed-side form Jtilde = Lambda J Lambda."""
+    """The read-only transposed-side form Jtilde = Lambda J Lambda, built once
+    per partition and shared by every caller."""
     lam = pt_sign_vector(n_a, n_b)
     J = form_matrix(n_a + n_b)
-    return (lam[:, None] * J) * lam[None, :]
+    Jt = (lam[:, None] * J) * lam[None, :]
+    Jt.flags.writeable = False
+    return Jt
 
 
 def _check_conditioning(w: np.ndarray, what: str):

@@ -270,15 +270,36 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     to a positive factor; a negative value certifies distillability.  The
     determinants come from the Gaussian overlap formula
     tr(rho_1 rho_2) = 2^n / sqrt(det(gamma_1 + gamma_2)).
+
+    Equal to rc_sweep(gamma_rho, (r,))[0]; use rc_sweep for several r.
+    """
+    return rc_sweep(gamma_rho, (r,))[0]
+
+
+def rc_sweep(gamma_rho: CorrelationMatrix, rs) -> tuple[RcWitnessResult, ...]:
+    """rc_value at every probe squeezing in rs, in order.
+
+    The probes gamma_psi (blocks cosh(2r) I and sinh(2r) diag(1, -1), as in
+    tmss_cm) are stacked into one (len(rs), 4, 4) array, so each determinant
+    of rc_value is one stacked np.linalg.det call for the whole sweep, and
+    the asymptotic value is computed once.  Raises ValueError if any r <= 0.
     """
     _require_two_mode(gamma_rho)
-    if r <= 0:
-        raise ValueError(f"probe squeezing must be > 0, got {r}")
-    psi = tmss_cm(r)
-    a_sum = gamma_rho.a_block + psi.a_block
-    g_sum = gamma_rho.entries + psi.entries
-    value = 2.0 / np.sqrt(np.linalg.det(a_sum)) - 4.0 / np.sqrt(np.linalg.det(g_sum))
+    rs = tuple(rs)
+    for r in rs:
+        if r <= 0:
+            raise ValueError(f"probe squeezing must be > 0, got {r}")
+    r_arr = np.array(rs, dtype=float)
+    ch, sh = np.cosh(2.0 * r_arr), np.sinh(2.0 * r_arr)
+    g_sum = np.zeros((r_arr.size, 4, 4))
+    g_sum[:, [0, 1, 2, 3], [0, 1, 2, 3]] = ch[:, None]
+    g_sum[:, [0, 2], [2, 0]] = sh[:, None]
+    g_sum[:, [1, 3], [3, 1]] = -sh[:, None]
+    g_sum += gamma_rho.entries
+    value = (2.0 / np.sqrt(np.linalg.det(g_sum[:, :2, :2]))
+             - 4.0 / np.sqrt(np.linalg.det(g_sum)))
     p = standard_form_params(gamma_rho)
     n = np.sqrt(p.n_a * p.n_b)
-    asymptotic = (n - p.k_x) * (n + p.k_p) - 1.0
-    return RcWitnessResult(r=float(r), value=float(value), asymptotic_value=float(asymptotic))
+    asymptotic = float((n - p.k_x) * (n + p.k_p) - 1.0)
+    return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=asymptotic)
+                 for r, v in zip(r_arr, value))

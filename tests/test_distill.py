@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gdistill.distill as distill_module
+import gdistill.two_mode as two_mode_module
 from gdistill import (
     ConcentrationError,
     NumericsError,
@@ -323,6 +324,29 @@ def test_failed_basis_completion_triggers_a_retry(monkeypatch):
     rep = distill_pipeline(tmss_cm(0.5))
     assert rep.verdict == VERDICT_DISTILLABLE
     assert rep.witness_attempts == 2
+
+
+def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
+    calls = {"is_npt": 0, "tmss_cm": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(distill_module, "is_npt")
+    counting(two_mode_module, "tmss_cm")
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    rep = distill_pipeline(g)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert len(rep.rc_sweep) == 8
+    # npt_check and symmetrize's output postcondition; the symmetrize input
+    # was decided NPT by the concentrate stage
+    assert calls == {"is_npt": 2, "tmss_cm": 0}
 
 
 def test_pipeline_not_distillable():

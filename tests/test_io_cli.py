@@ -212,6 +212,20 @@ def test_cli_pipeline_exits_5_when_the_witness_is_not_negative(tmp_path):
     assert res.stdout == "" and "rc_witness" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "pipeline", "concentrate"])
+def test_cli_one_sided_state_is_refused_without_traceback(tmp_path, command):
+    for n_a, n_b in ((0, 2), (2, 0)):
+        doc = {"schema_version": 1,
+               "state": {"n_a": n_a, "n_b": n_b, "gamma": np.eye(4).tolist()}}
+        path = write_doc(tmp_path, f"one_sided_{n_a}{n_b}.json", doc)
+        res = run_cli(command, path)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.strip().count("\n") == 0
+        assert f"partition ({n_a}, {n_b})" in res.stderr
+
+
 def test_cli_pipeline_json_deterministic(tmp_path):
     path = write_state(tmp_path, "d.json", random_npt_cm(2, 2, seed=11))
     a = run_cli("pipeline", path, "--json")

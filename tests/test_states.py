@@ -18,6 +18,7 @@ from gdistill import (
     partial_transpose,
     pt_form,
     pt_sign_vector,
+    random_physical_cm,
     random_symplectic,
     reduce_to_modes,
     tmss_cm,
@@ -121,6 +122,27 @@ def test_validate_physical_criteria_agree():
 def test_validate_physical_rejects_ill_conditioned():
     with pytest.raises(NumericsError):
         validate_physical(np.diag([1e-13, 1e13, 1.0, 1.0]))
+
+
+def test_from_blocks_matches_np_block():
+    rng = np.random.default_rng(5)
+    for n_a, n_b in ((1, 1), (1, 2), (3, 2), (2, 4)):
+        g = random_physical_cm(n_a, n_b, seed=int(rng.integers(1 << 30))).entries
+        k = 2 * n_a
+        A, B, C = g[:k, :k], g[k:, k:], g[:k, k:]
+        cm = CorrelationMatrix.from_blocks(A, B, C)
+        assert cm.partition == (n_a, n_b)
+        assert np.array_equal(cm.entries, np.block([[A, C], [C.T, B]]))
+    with pytest.raises(ValueError, match="do not form"):
+        CorrelationMatrix.from_blocks(np.eye(2), np.eye(2), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="do not form"):
+        CorrelationMatrix.from_blocks(np.eye(2), np.eye(4), np.zeros((2, 2)))
+
+
+def test_pt_form_is_shared_and_read_only():
+    assert pt_form(2, 3) is pt_form(2, 3)
+    with pytest.raises(ValueError):
+        pt_form(2, 3)[0, 1] = 5.0
 
 
 def test_pt_sign_vector_pattern():

@@ -37,6 +37,13 @@ def test_form_matrix_structure():
         assert np.count_nonzero(off) == 0
 
 
+def test_form_matrix_is_shared_and_read_only():
+    for n in (1, 3, 8):
+        assert form_matrix(n) is form_matrix(n)
+        with pytest.raises(ValueError):
+            form_matrix(n)[0, 1] = 5.0
+
+
 def test_make_form_rejects_bad_mode_count():
     with pytest.raises(ValueError):
         form_matrix(0)

@@ -13,7 +13,10 @@ from gdistill import (
     inseparability_residual,
     is_npt,
     is_symmetric,
+    random_asymmetric_npt_1x1,
+    random_symmetric_two_mode,
     random_symplectic,
+    rc_sweep,
     rc_value,
     standard_form_params,
     standard_form_transform,
@@ -227,6 +230,44 @@ def test_rc_value_validation():
         rc_value(vacuum(1, 1), -1.0)
     with pytest.raises(ValueError):
         rc_value(vacuum(2, 1), 1.0)  # not a two-mode state
+
+
+def _rc_reference(g, r):
+    """rc_value's formula with the probe built as a CorrelationMatrix."""
+    psi = tmss_cm(r)
+    return (2.0 / np.sqrt(np.linalg.det(g.a_block + psi.a_block))
+            - 4.0 / np.sqrt(np.linalg.det(g.entries + psi.entries)))
+
+
+def test_rc_sweep_is_bit_identical_to_the_per_r_formula():
+    states = [random_symmetric_two_mode(seed) for seed in range(25)]
+    states += [standard_form_transform(random_asymmetric_npt_1x1(seed))[2]
+               for seed in range(20)]
+    states += [tmss_cm(r) for r in np.linspace(0.1, 3.0, 10)]
+    assert len(states) >= 50
+    rs = range(1, 9)
+    for g in states:
+        sweep = rc_sweep(g, rs)
+        p = standard_form_params(g)
+        n = np.sqrt(p.n_a * p.n_b)
+        asymptotic = (n - p.k_x) * (n + p.k_p) - 1.0
+        assert [res.r for res in sweep] == [float(r) for r in rs]
+        assert np.array_equal([res.value for res in sweep],
+                              [_rc_reference(g, float(r)) for r in rs])
+        assert np.array_equal([res.asymptotic_value for res in sweep],
+                              [asymptotic] * len(rs))
+        for r in (0.5, 2.0, 8.0):
+            assert rc_value(g, r) == rc_sweep(g, (r,))[0]
+
+
+def test_rc_sweep_validation():
+    with pytest.raises(ValueError, match="probe squeezing must be > 0"):
+        rc_sweep(vacuum(1, 1), (1.0, 0.0, 2.0))
+    with pytest.raises(ValueError, match="probe squeezing must be > 0"):
+        rc_sweep(vacuum(1, 1), [-1.0])
+    with pytest.raises(ValueError):
+        rc_sweep(vacuum(2, 1), (1.0,))
+    assert rc_sweep(vacuum(1, 1), ()) == ()
 
 
 def test_rc_sign_matches_asymptotics_for_symmetric_states():
