@@ -38,11 +38,11 @@ def main():
           f"(residual {check_inseparable(p).residual:.6f})\n")
 
     # constructive version: explicit local symplectics to standard form
-    s_a, s_b, g_std = standard_form_transform(scrambled)
-    S = direct_sum(s_a.entries, s_b.entries)
-    err = np.abs(S.T @ scrambled.entries @ S - g_std.entries).max()
+    sf = standard_form_transform(scrambled)
+    S = direct_sum(sf.s_a.entries, sf.s_b.entries)
+    err = np.abs(S.T @ scrambled.entries @ S - sf.gamma_std.entries).max()
     print("standard form reached by explicit local transforms:")
-    print(g_std.entries.round(9))
+    print(sf.gamma_std.entries.round(9))
     print(f"congruence error: {err:.2e}")
 
 

@@ -23,17 +23,17 @@ from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      condition_on_x_measurement, direct_sum_states, is_npt,
                      is_pure, partial_transpose, pt_form, pt_sign_vector,
                      reduce_to_modes, vacuum, validate_physical, wigner_cm)
-from .two_mode import (InseparabilityCheck, RcWitnessResult, StdFormParams,
-                       TwoModePhysicality, check_inseparable,
+from .two_mode import (InseparabilityCheck, RcWitnessResult, StandardForm,
+                       StdFormParams, TwoModePhysicality, check_inseparable,
                        check_physical, check_symmetric_inseparable,
                        det_invariants, inseparability_residual, is_symmetric,
                        rc_sweep, rc_value, standard_form_params,
                        standard_form_transform, tmss_cm, wigner_params)
 from .distill import (NptWitness, PipelineReport, PipelineStageError,
-                      StandardFormStage, SymmetrizationReport,
-                      VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, concentrate, distill_pipeline,
-                      find_npt_witness, symmetrize)
+                      SymmetrizationReport, VERDICT_BOUNDARY,
+                      VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
+                      concentrate, distill_pipeline, find_npt_witness,
+                      symmetrize)
 from .random_states import (KINDS, local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
@@ -47,7 +47,7 @@ __all__ = [
     "CorrelationMatrix", "GaussianState", "NptVerdict", "PhysicalityVerdict",
     "SymplecticMatrix", "StdFormParams", "TwoModePhysicality",
     "InseparabilityCheck", "RcWitnessResult", "NptWitness", "PipelineReport",
-    "StandardFormStage", "SymmetrizationReport", "FuzzConfig",
+    "StandardForm", "SymmetrizationReport", "FuzzConfig",
     "DistillError", "PreconditionError", "NumericsError", "DegeneracyError",
     "ConcentrationError", "MeasurementError", "PipelineStageError",
     "StateFileError",

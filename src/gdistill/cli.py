@@ -29,11 +29,11 @@ from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
 from .statefile import (StateFileError, dumps, load_state, npt_to_dict,
-                        params_to_dict, physicality_to_dict,
-                        pipeline_report_to_dict, state_to_dict,
+                        physicality_to_dict, pipeline_report_to_dict,
+                        standard_form_to_dict, state_to_dict,
                         symmetrization_to_dict, witness_to_dict)
 from .states import TOL_VERDICT, is_npt, validate_physical
-from .two_mode import standard_form_params, standard_form_transform
+from .two_mode import standard_form_transform
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -103,6 +103,9 @@ def cmd_pipeline(args, tol: float) -> int:
 
 
 def cmd_random(args, tol: float) -> int:
+    if args.modes_a < 1 or args.modes_b < 1:
+        return _fail(f"random needs at least one mode on each side, got "
+                     f"--modes-a {args.modes_a} --modes-b {args.modes_b}", EXIT_PARSE)
     state, meta = random_state(args.kind, args.modes_a, args.modes_b, args.seed)
     print(dumps(state_to_dict(state, metadata=meta)))
     return EXIT_OK
@@ -133,16 +136,11 @@ def cmd_standard_form(args, tol: float) -> int:
     if state.gamma.partition != (1, 1):
         return _fail(f"standard-form needs a 1x1 state, got partition "
                      f"{state.gamma.partition}", EXIT_STAGE_FAILURE)
-    s_a, s_b, gamma_std = standard_form_transform(state.gamma)
-    params = standard_form_params(gamma_std)
+    sf = standard_form_transform(state.gamma)
     if args.json:
-        print(dumps({
-            "params": params_to_dict(params),
-            "s_a": s_a.entries.tolist(),
-            "s_b": s_b.entries.tolist(),
-            "gamma_std": gamma_std.entries.tolist(),
-        }))
+        print(dumps(standard_form_to_dict(sf)))
     else:
+        params = sf.params
         print(f"n_a={params.n_a:.9f} n_b={params.n_b:.9f} "
               f"k_x={params.k_x:.9f} k_p={params.k_p:.9f}")
     return EXIT_OK
@@ -157,7 +155,7 @@ def cmd_symmetrize(args, tol: float) -> int:
     if args.json:
         print(dumps(symmetrization_to_dict(report)))
     else:
-        p = standard_form_params(report.gamma_out)
+        p = report.output_form.params
         print(f"theta={report.theta:.9f} scale_factor={report.scale_factor:.9f} "
               f"swapped={report.swapped_sides}")
         print(f"output params: n={p.n_a:.9f} k_x={p.k_x:.9f} k_p={p.k_p:.9f}")

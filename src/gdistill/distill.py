@@ -59,8 +59,8 @@ from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict,
                      wigner_cm)
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix)
-from .two_mode import (RcWitnessResult, StdFormParams, inseparability_residual,
-                       rc_sweep, standard_form_params, standard_form_transform)
+from .two_mode import (RcWitnessResult, StandardForm, StdFormParams,
+                       inseparability_residual, rc_sweep, standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
@@ -103,14 +103,7 @@ class SymmetrizationReport:
     insep_residual_in: float    # Wigner-picture inseparability residual of the input
     insep_residual_out: float
     scale_factor: float         # residual_out / residual_in = (N_hot tan^2 theta + 1)^{-1}
-
-
-@dataclass(frozen=True)
-class StandardFormStage:
-    s_a: SymplecticMatrix
-    s_b: SymplecticMatrix
-    gamma_std: CorrelationMatrix
-    params: StdFormParams
+    output_form: StandardForm   # standard form of gamma_out
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class PipelineReport:
     s_a: SymplecticMatrix | None = None    # concentration transforms
     s_b: SymplecticMatrix | None = None
     gamma_1x1: CorrelationMatrix | None = None
-    standard_form: StandardFormStage | None = None
+    standard_form: StandardForm | None = None
     symmetrization: SymmetrizationReport | None = None
     final_params: StdFormParams | None = None
     rc: RcWitnessResult | None = None
@@ -291,12 +284,6 @@ def witness_and_concentrate(gamma: CorrelationMatrix, seed: int = 0,
     raise PipelineStageError("concentrate", last_exc)
 
 
-def _swap_sides(g: np.ndarray) -> np.ndarray:
-    """Exchange the two modes of a 4 x 4 (1x1-mode) matrix."""
-    idx = [2, 3, 0, 1]
-    return g[np.ix_(idx, idx)]
-
-
 def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> SymmetrizationReport:
     """Make a 1x1 NPT state symmetric (n_a = n_b) by local operations.
 
@@ -315,33 +302,27 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     if not verdict.npt:
         raise PreconditionError(
             f"symmetrization requires an NPT state (margin {verdict.raw_margin:.3e})")
-    return _symmetrize(gamma, tol)[0]
+    return _symmetrize(gamma, tol)
 
 
-def _symmetrize(gamma: CorrelationMatrix,
-                tol: float) -> tuple[SymmetrizationReport, StdFormParams]:
+def _symmetrize(gamma: CorrelationMatrix, tol: float) -> SymmetrizationReport:
     """symmetrize for a 1x1 state the caller has decided is NPT (the input is
-    not re-decided; the output checks all run).  Also returns the
-    standard-form parameters of the output."""
-    gw = wigner_cm(gamma)
-    _, _, gw_std = standard_form_transform(gw)
-    residual_in = inseparability_residual(gw_std)
+    not re-decided; the output checks all run)."""
+    gw_std = standard_form_transform(wigner_cm(gamma))
+    residual_in = inseparability_residual(gw_std.gamma_std)
 
-    g = gw_std.entries
-    n_big, n_hot = g[0, 0], g[2, 2]
-    swapped = bool(n_big < n_hot)
-    if swapped:
-        g = _swap_sides(g)
-        n_big, n_hot = g[0, 0], g[2, 2]
-    k_x, k_p = g[0, 2], g[1, 3]
+    # a side swap of a standard form only exchanges N_a and N_b
+    p = gw_std.params
+    swapped = bool(p.n_a < p.n_b)
+    n_big, n_hot = (p.n_b, p.n_a) if swapped else (p.n_a, p.n_b)
+    k_x, k_p = p.k_x, p.k_p
 
     if abs(n_big - n_hot) <= 1e-9:
-        gamma_out = wigner_cm(gw_std)
-        report = SymmetrizationReport(
+        gamma_out = wigner_cm(gw_std.gamma_std)
+        return SymmetrizationReport(
             theta=0.0, swapped_sides=False, gamma_out=gamma_out,
             insep_residual_in=residual_in, insep_residual_out=residual_in,
-            scale_factor=1.0)
-        return report, standard_form_params(gamma_out)
+            scale_factor=1.0, output_form=standard_form_transform(gamma_out))
 
     d_x = n_big * n_hot - k_x ** 2
     numerator = n_big ** 2 - n_hot ** 2
@@ -376,7 +357,8 @@ def _symmetrize(gamma: CorrelationMatrix,
             f"expected {expected:.6e}")
 
     gamma_out = wigner_cm(gw_out_cm)
-    params_out = standard_form_params(gamma_out)
+    output_form = standard_form_transform(gamma_out)
+    params_out = output_form.params
     if abs(params_out.n_a - params_out.n_b) > 1e-8:
         raise NumericsError(
             f"symmetrization output is not symmetric: n_a={params_out.n_a!r}, "
@@ -385,11 +367,10 @@ def _symmetrize(gamma: CorrelationMatrix,
     if not out_verdict.npt:
         raise NumericsError(
             f"symmetrization lost NPT-ness (margin {out_verdict.raw_margin:.3e})")
-    report = SymmetrizationReport(
+    return SymmetrizationReport(
         theta=theta, swapped_sides=swapped, gamma_out=gamma_out,
         insep_residual_in=residual_in, insep_residual_out=residual_out,
-        scale_factor=scale)
-    return report, params_out
+        scale_factor=scale, output_form=output_form)
 
 
 def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
@@ -424,24 +405,20 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
     witness, s_a, s_b, gamma_red, attempts = witness_and_concentrate(
         gamma, seed=seed, tol=tol)
 
-    def std_stage():
-        sa2, sb2, gamma_std = standard_form_transform(gamma_red)
-        return StandardFormStage(s_a=sa2, s_b=sb2, gamma_std=gamma_std,
-                                 params=standard_form_params(gamma_std))
-
-    std = _in_stage("standard_form", std_stage)
+    std = _in_stage("standard_form", standard_form_transform, gamma_red)
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
     # is a local congruence of it, so symmetrize's input is not re-decided
-    sym, final_params = _in_stage("symmetrize", _symmetrize, std.gamma_std, tol)
+    sym = _in_stage("symmetrize", _symmetrize, std.gamma_std, tol)
+    final = sym.output_form
 
     def rc_stage():
-        n = np.sqrt(final_params.n_a * final_params.n_b)
-        limit = (n - final_params.k_x) * (n + final_params.k_p) - 1.0
+        p = final.params
+        n = np.sqrt(p.n_a * p.n_b)
+        limit = (n - p.k_x) * (n + p.k_p) - 1.0
         if limit >= tol:
             raise NumericsError(
                 f"symmetric NPT output violates (n - k_x)(n + k_p) < 1: {limit:.3e}")
-        _, _, gamma_final_std = standard_form_transform(sym.gamma_out)
-        sweep = rc_sweep(gamma_final_std, range(1, int(r_max) + 1))
+        sweep = rc_sweep(final.gamma_std, range(1, int(r_max) + 1))
         if not sweep[-1].value < 0:
             raise NumericsError(
                 f"reduction-criterion witness is not negative at r={r_max}: "
@@ -459,7 +436,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         gamma_1x1=gamma_red,
         standard_form=std,
         symmetrization=sym,
-        final_params=final_params,
+        final_params=final.params,
         rc=sweep[-1],
         rc_sweep=sweep,
         witness_attempts=attempts,

@@ -22,8 +22,8 @@ import numpy as np
 from .distill import (BOUNDARY_BAND, MAX_WITNESS_RETRIES, SKEW_FLOOR_FACTOR,
                       SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
                       VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
-                      PipelineStageError, _swap_sides, distill_pipeline,
-                      symmetrize, witness_and_concentrate)
+                      PipelineStageError, distill_pipeline, symmetrize,
+                      witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
@@ -342,20 +342,16 @@ def standard_form_local_invariance(t: _Trial):
         if abs(a - b) > tol * scale:
             raise Violation(f"parameter {name} moved under local symplectics: "
                             f"{a!r} -> {b!r}", state=g)
-    s_a, s_b, g_std = standard_form_transform(g)
-    direct = apply_symplectic(g, direct_sum(s_a.entries, s_b.entries))
-    if _maxdiff(direct.entries, g_std.entries) > 1e-8 * _scale(g):
+    sf = standard_form_transform(g)
+    direct = apply_symplectic(g, direct_sum(sf.s_a.entries, sf.s_b.entries))
+    if _maxdiff(direct.entries, sf.gamma_std.entries) > 1e-8 * _scale(g):
         raise Violation("standard-form transform does not reproduce its own "
                         "output by congruence", state=g)
-    e = g_std.entries
-    structural = max(
-        _maxdiff(e[:2, :2], e[0, 0] * np.eye(2)),
-        _maxdiff(e[2:, 2:], e[2, 2] * np.eye(2)),
-        abs(e[0, 3]), abs(e[1, 2]),
-    )
-    if structural > 1e-9 * _scale(g) or e[0, 2] < abs(e[1, 3]) - 1e-9:
+    k = sf.params
+    if (not np.array_equal(sf.gamma_std.entries, k.matrix().entries)
+            or k.k_x < abs(k.k_p) - 1e-9):
         raise Violation("transform output is not in standard form", state=g)
-    q2 = standard_form_params(g_std)
+    q2 = standard_form_params(sf.gamma_std)
     if (abs(q2.k_x ** 2 + q2.k_p ** 2 - sigma) > tol * max(1.0, sigma)
             or abs(q2.k_x * q2.k_p - p.k_x * p.k_p) > tol * max(1.0, sigma)):
         raise Violation("transform did not preserve the cross-block invariants",
@@ -445,13 +441,18 @@ def rc_soundness(t: _Trial):
                     f"asymptotic value ({res.asymptotic_value:.3e})", state=g)
 
 
+def _swap_sides(g: np.ndarray) -> np.ndarray:
+    """Exchange the two modes of a 4 x 4 (1x1-mode) matrix."""
+    idx = [2, 3, 0, 1]
+    return g[np.ix_(idx, idx)]
+
+
 def symmetrization_oracle(gamma: CorrelationMatrix, theta: float,
                           swapped: bool) -> np.ndarray:
     """Independent reconstruction of the symmetrized companion matrix: couple a
     vacuum ancilla to the hotter side with a beam splitter and condition on a
     q-quadrature measurement of the ancilla (all in the companion picture)."""
-    _, _, gw_std = standard_form_transform(wigner_cm(gamma))
-    g = gw_std.entries
+    g = standard_form_transform(wigner_cm(gamma)).gamma_std.entries
     if swapped:
         g = _swap_sides(g)
     core = CorrelationMatrix(entries=g, partition=(1, 1))

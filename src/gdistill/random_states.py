@@ -26,6 +26,7 @@ import numpy as np
 from .states import (CorrelationMatrix, GaussianState, apply_symplectic,
                      direct_sum_states, is_npt)
 from .symplectic import direct_sum, random_symplectic
+from .two_mode import StdFormParams
 
 KINDS = ("thermal", "entangled", "boundary")
 
@@ -53,10 +54,9 @@ def _thermal_product(n_a: int, n_b: int, rng: np.random.Generator,
     return CorrelationMatrix(entries=np.diag(diag), partition=(n_a, n_b))
 
 
-def _squeezed_thermal_core(a: float, b: float, c: float) -> CorrelationMatrix:
-    """[[a*I, c*Z], [c*Z, b*I]] with Z = diag(1, -1)."""
-    Z = np.diag([1.0, -1.0])
-    return CorrelationMatrix.from_blocks(a * np.eye(2), b * np.eye(2), c * Z)
+def _squeezed_thermal_core(a: float, c: float) -> CorrelationMatrix:
+    """[[a*I, c*Z], [c*Z, a*I]] with Z = diag(1, -1)."""
+    return StdFormParams(n_a=a, n_b=a, k_x=c, k_p=-c).matrix()
 
 
 def _pad_and_scramble(core: CorrelationMatrix, n_a: int, n_b: int,
@@ -112,14 +112,14 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
         nu = rng.uniform(1.0, 1.8)
         ch, sh = np.cosh(2 * r), np.sinh(2 * r)
         a = eta * ch + (1 - eta) * nu
-        core = _squeezed_thermal_core(a, a, eta * sh)
+        core = _squeezed_thermal_core(a, eta * sh)
         g = _pad_and_scramble(core, n_a, n_b, rng, _subseed(seed, 4))
     else:  # boundary
         a = rng.uniform(1.3, 2.2)
         delta = 10.0 ** rng.uniform(-9.0, -6.0)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         c = a - (1.0 + sign * delta)  # PT minimal symplectic eigenvalue = 1 + sign*delta
-        core = _squeezed_thermal_core(a, a, c)
+        core = _squeezed_thermal_core(a, c)
         g = _pad_and_scramble(core, n_a, n_b, rng, _subseed(seed, 5))
     verdict = is_npt(g)
     meta = {
@@ -161,12 +161,12 @@ def random_asymmetric_npt_1x1(seed: int, min_margin: float = 1e-5,
         a = eta * ch + (1 - eta) * nu
         c = eta * sh
         t = rng.uniform(0.45, 0.92)
-        A = a * np.eye(2)
-        B = (t * a + 1.0 - t) * np.eye(2)
-        C = np.sqrt(t) * c * np.diag([1.0, -1.0])
-        g = local_scramble(CorrelationMatrix.from_blocks(A, B, C), _subseed(seed, 41, k))
+        b = t * a + 1.0 - t
+        k_x = np.sqrt(t) * c
+        core = StdFormParams(n_a=a, n_b=b, k_x=k_x, k_p=-k_x).matrix()
+        g = local_scramble(core, _subseed(seed, 41, k))
         verdict = is_npt(g)
-        asym = abs(a - (t * a + 1.0 - t))
+        asym = abs(a - b)
         if verdict.npt and verdict.raw_margin <= -min_margin and asym >= min_asymmetry:
             return g
     raise RuntimeError(f"no asymmetric NPT sample found in {max_tries} tries for seed {seed}")
@@ -188,6 +188,5 @@ def random_symmetric_two_mode(seed: int, min_physicality: float = 1e-6,
         residual = (m - k_x ** 2) * (m - k_p ** 2) + 1.0 - (2.0 * m + 2.0 * k_x * k_p)
         if residual < min_physicality:
             continue
-        return CorrelationMatrix.from_blocks(
-            n * np.eye(2), n * np.eye(2), np.diag([k_x, k_p]))
+        return StdFormParams(n_a=n, n_b=n, k_x=k_x, k_p=k_p).matrix()
     raise RuntimeError(f"no symmetric physical sample found in {max_tries} tries for seed {seed}")

@@ -27,7 +27,7 @@ import numpy as np
 from .distill import PipelineReport, NptWitness, SymmetrizationReport
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict)
-from .two_mode import RcWitnessResult, StdFormParams
+from .two_mode import RcWitnessResult, StandardForm, StdFormParams
 
 SCHEMA_VERSION = 1
 
@@ -90,12 +90,16 @@ def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
                  f"expected shape {(dim,)}, got {d.shape}")
     try:
         cm = CorrelationMatrix(entries=gamma, partition=(n_a, n_b))
-        gs = GaussianState(n_a=n_a, n_b=n_b, gamma=cm, d=d)
     except ValueError as exc:
         raise StateFileError(f"field 'state.gamma': {exc}")
-    metadata = doc.get("metadata") or {}
-    _require(isinstance(metadata, dict), "metadata", "expected a JSON object")
-    return gs, metadata
+    try:
+        gs = GaussianState(n_a=n_a, n_b=n_b, gamma=cm, d=d)
+    except ValueError as exc:
+        raise StateFileError(f"field 'state.d': {exc}")
+    metadata = doc.get("metadata")
+    _require(metadata is None or isinstance(metadata, dict), "metadata",
+             f"expected a JSON object, got {metadata!r}")
+    return gs, {} if metadata is None else metadata
 
 
 def load_state(path: str) -> tuple[GaussianState, dict]:
@@ -144,6 +148,15 @@ def params_to_dict(p: StdFormParams) -> dict:
     return {"n_a": p.n_a, "n_b": p.n_b, "k_x": p.k_x, "k_p": p.k_p}
 
 
+def standard_form_to_dict(sf: StandardForm) -> dict:
+    return {
+        "s_a": sf.s_a.entries.tolist(),
+        "s_b": sf.s_b.entries.tolist(),
+        "gamma_std": sf.gamma_std.entries.tolist(),
+        "params": params_to_dict(sf.params),
+    }
+
+
 def witness_to_dict(w: NptWitness) -> dict:
     return {
         "z_real": np.asarray(w.z).real.tolist(),
@@ -185,12 +198,7 @@ def pipeline_report_to_dict(rep: PipelineReport) -> dict:
             "gamma_1x1": rep.gamma_1x1.entries.tolist(),
         }
     if rep.standard_form is not None:
-        stages["standard_form"] = {
-            "s_a": rep.standard_form.s_a.entries.tolist(),
-            "s_b": rep.standard_form.s_b.entries.tolist(),
-            "gamma_std": rep.standard_form.gamma_std.entries.tolist(),
-            "params": params_to_dict(rep.standard_form.params),
-        }
+        stages["standard_form"] = standard_form_to_dict(rep.standard_form)
     if rep.symmetrization is not None:
         stages["symmetrize"] = symmetrization_to_dict(rep.symmetrization)
     if rep.rc is not None:

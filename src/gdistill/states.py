@@ -53,10 +53,11 @@ class CorrelationMatrix:
     """Symmetric positive definite correlation matrix with an A|B partition.
 
     ``entries`` is the 2(n_a+n_b) x 2(n_a+n_b) matrix; ``partition`` is
-    (n_a, n_b) with side A first.  Symmetry and positive definiteness are
-    checked on construction and the stored array is made read-only.
-    Positive definiteness does not imply physicality: partial transposes of
-    NPT states and Wigner-form companions are representable on purpose.
+    (n_a, n_b) with side A first.  Finiteness, symmetry and positive
+    definiteness are checked on construction and the stored array is made
+    read-only.  Positive definiteness does not imply physicality: partial
+    transposes of NPT states and Wigner-form companions are representable on
+    purpose.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -71,6 +72,8 @@ class CorrelationMatrix:
         if g.shape != (dim, dim):
             raise ValueError(
                 f"entries shape {g.shape} does not match partition {self.partition}")
+        if not np.isfinite(g).all():
+            raise ValueError("correlation matrix entries must be finite")
         scale = max(1.0, float(np.abs(g).max()))
         if np.abs(g - g.T).max() > 1e-8 * scale:
             raise ValueError("correlation matrix must be symmetric")
@@ -152,6 +155,8 @@ class GaussianState:
         d = np.array(d, dtype=float)
         if d.shape != (self.gamma.dim,):
             raise ValueError(f"displacement shape {d.shape}, expected ({self.gamma.dim},)")
+        if not np.isfinite(d).all():
+            raise ValueError("displacement entries must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
 

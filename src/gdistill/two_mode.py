@@ -63,6 +63,24 @@ class StdFormParams:
     k_x: float
     k_p: float
 
+    def matrix(self) -> CorrelationMatrix:
+        """[[n_a I, K], [K, n_b I]] with K = diag(k_x, k_p): the one place that
+        knows where each parameter sits in a standard-form matrix."""
+        return CorrelationMatrix.from_blocks(self.n_a * np.eye(2), self.n_b * np.eye(2),
+                                             np.diag([self.k_x, self.k_p]))
+
+
+@dataclass(frozen=True)
+class StandardForm:
+    """A two-mode matrix gamma brought to standard form by local symplectics:
+    gamma_std = params.matrix() = (s_a (+) s_b)^T gamma (s_a (+) s_b) within
+    rounding."""
+
+    s_a: SymplecticMatrix
+    s_b: SymplecticMatrix
+    gamma_std: CorrelationMatrix
+    params: StdFormParams
+
 
 @dataclass(frozen=True)
 class TwoModePhysicality:
@@ -120,10 +138,12 @@ def _clamped_sqrt(x: float, scale: float, what: str) -> float:
 def standard_form_params(gamma: CorrelationMatrix) -> StdFormParams:
     """Extract (n_a, n_b, k_x, k_p) from the block-determinant invariants.
 
-    Accepts any positive definite two-mode matrix (physicality is not
-    required; Wigner-form companions are a supported input).  Raises
-    NumericsError if the root extraction turns up complex values beyond
-    rounding tolerance, which would mean the invariants are inconsistent.
+    The invariant route, independent of standard_form_transform: at the
+    double root k_x = |k_p| (squeezed-thermal cores) the discriminant
+    vanishes and k_x, k_p carry about sqrt(machine epsilon) relative error.
+    Accepts any positive definite two-mode matrix (Wigner-form companions
+    included).  Raises NumericsError if the root extraction turns up complex
+    values beyond rounding tolerance (inconsistent invariants).
     """
     det_a, det_b, det_c, det_g = det_invariants(gamma)
     n_a = float(np.sqrt(det_a))
@@ -147,19 +167,16 @@ def _spd_inverse_root(M: np.ndarray, target: float) -> np.ndarray:
     return np.sqrt(target) * (Q @ np.diag(w ** -0.5) @ Q.T)
 
 
-def standard_form_transform(
-    gamma: CorrelationMatrix,
-) -> tuple[SymplecticMatrix, SymplecticMatrix, CorrelationMatrix]:
+def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     """Construct local symplectics (S_A, S_B) bringing gamma to standard form.
 
-    Returns (S_A, S_B, gamma_std) with
-    gamma_std = (S_A (+) S_B)^T gamma (S_A (+) S_B) equal to the standard
-    form within rounding.  The A and B blocks are equalized by the symmetric
-    determinant-1 congruences sqrt(n) * block^{-1/2}; the cross block is then
-    diagonalized by a rotation pair from its singular value decomposition,
-    with signs arranged so both rotations are proper (det +1, hence
-    symplectic) and sign(k_p) follows det C.  Degenerate cross blocks
-    (both singular values zero) are fine: any rotation pair works.
+    The A and B blocks are equalized by the symmetric determinant-1
+    congruences sqrt(n) * block^{-1/2}, n = sqrt(det block); the cross block
+    is then diagonalized by a rotation pair from its SVD, with signs arranged
+    so both rotations are proper (det +1, hence symplectic) and sign(k_p)
+    follows det C.  params holds the two n and the two signed singular
+    values; gamma_std = params.matrix() equals the congruence within
+    rounding.  Degenerate cross blocks are fine: any rotation pair works.
     """
     _require_two_mode(gamma)
     g = gamma.entries
@@ -177,15 +194,10 @@ def standard_form_transform(
     if np.linalg.det(Vt) < 0:
         Vt[1, :] *= -1.0
         s[1] *= -1.0
-    SA = MA @ U
-    SB = MB @ Vt.T
-    gamma_std = CorrelationMatrix.from_blocks(
-        n_a * np.eye(2), n_b * np.eye(2), np.diag(s))
-    return (
-        SymplecticMatrix(n=1, entries=SA),
-        SymplecticMatrix(n=1, entries=SB),
-        gamma_std,
-    )
+    params = StdFormParams(n_a=n_a, n_b=n_b, k_x=float(s[0]), k_p=float(s[1]))
+    return StandardForm(s_a=SymplecticMatrix(n=1, entries=MA @ U),
+                        s_b=SymplecticMatrix(n=1, entries=MB @ Vt.T),
+                        gamma_std=params.matrix(), params=params)
 
 
 def check_physical(p: StdFormParams, tol: float = 1e-9) -> TwoModePhysicality:
@@ -249,8 +261,7 @@ def tmss_cm(r: float) -> CorrelationMatrix:
     if r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    return CorrelationMatrix.from_blocks(
-        ch * np.eye(2), ch * np.eye(2), sh * np.diag([1.0, -1.0]))
+    return StdFormParams(n_a=ch, n_b=ch, k_x=sh, k_p=-sh).matrix()
 
 
 def wigner_params(gamma: CorrelationMatrix) -> StdFormParams:

@@ -8,6 +8,7 @@ from gdistill import (
     NumericsError,
     PipelineStageError,
     PreconditionError,
+    StdFormParams,
     VERDICT_BOUNDARY,
     VERDICT_DISTILLABLE,
     VERDICT_NOT_DISTILLABLE,
@@ -178,8 +179,7 @@ def test_symmetrize_matches_measurement_oracle():
     for seed in range(25):
         g = lossy_squeezed_pair(r=0.4 + 0.02 * seed, theta=0.3 + 0.02 * seed)
         rep = symmetrize(g)
-        _, _, gw_std = standard_form_transform(wigner_cm(g))
-        e = gw_std.entries
+        e = standard_form_transform(wigner_cm(g)).gamma_std.entries
         if rep.swapped_sides:
             perm = [2, 3, 0, 1]
             e = e[np.ix_(perm, perm)]
@@ -199,9 +199,8 @@ def test_symmetrize_scale_factor_formula():
     for seed in range(25):
         g = lossy_squeezed_pair(r=0.35 + 0.025 * seed, theta=0.25 + 0.025 * seed)
         rep = symmetrize(g)
-        _, _, gw_std = standard_form_transform(wigner_cm(g))
-        n_a, n_b = gw_std.entries[0, 0], gw_std.entries[2, 2]
-        n_hot = min(n_a, n_b)
+        p = standard_form_transform(wigner_cm(g)).params
+        n_hot = min(p.n_a, p.n_b)
         expect = 1.0 / (n_hot * np.tan(rep.theta) ** 2 + 1.0)
         assert rep.scale_factor == pytest.approx(expect, rel=1e-8)
         # residual itself shrinks but stays positive
@@ -347,6 +346,65 @@ def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
     # npt_check and symmetrize's output postcondition; the symmetrize input
     # was decided NPT by the concentrate stage
     assert calls == {"is_npt": 2, "tmss_cm": 0}
+
+
+def _params_in(g):
+    """The standard-form parameters read off the entries of g."""
+    e = g.entries
+    return StdFormParams(n_a=e[0, 0], n_b=e[2, 2], k_x=e[0, 2], k_p=e[1, 3])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tmss_cm(0.5),
+    lambda: local_scramble(tmss_cm(2.0), 5),
+    lambda: local_scramble(random_npt_cm(3, 2, seed=7), seed=7),
+], ids=["squeezed", "scrambled_squeezed", "scrambled_3x2"])
+def test_report_params_are_the_entries_of_the_certified_forms(make, monkeypatch):
+    received = []
+    real = distill_module.rc_sweep
+
+    def recording(g, rs):
+        received.append(g)
+        return real(g, rs)
+
+    monkeypatch.setattr(distill_module, "rc_sweep", recording)
+    rep = distill_pipeline(make())
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert rep.standard_form.params == _params_in(rep.standard_form.gamma_std)
+    [certified] = received
+    assert rep.final_params == _params_in(certified)
+
+
+def test_pipeline_takes_each_standard_form_once(monkeypatch):
+    transformed = []
+    extractions = {"distill": 0, "two_mode": 0}
+    real_transform = distill_module.standard_form_transform
+    real_params = two_mode_module.standard_form_params
+
+    def transform(g):
+        transformed.append(g)
+        return real_transform(g)
+
+    def counted(where):
+        def params(g):
+            extractions[where] += 1
+            return real_params(g)
+        return params
+
+    monkeypatch.setattr(distill_module, "standard_form_transform", transform)
+    monkeypatch.setattr(distill_module, "standard_form_params", counted("distill"),
+                        raising=False)
+    monkeypatch.setattr(two_mode_module, "standard_form_params", counted("two_mode"))
+    rep = distill_pipeline(local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
+    assert rep.verdict == VERDICT_DISTILLABLE
+    # the reduced state, the Wigner companion of its standard form, and the
+    # symmetrized output; rc_sweep's asymptotic value is the one extraction
+    assert len(transformed) == 3
+    assert transformed[0] is rep.gamma_1x1
+    assert np.array_equal(transformed[1].entries,
+                          wigner_cm(rep.standard_form.gamma_std).entries)
+    assert transformed[2] is rep.symmetrization.gamma_out
+    assert extractions == {"distill": 0, "two_mode": 1}
 
 
 def test_pipeline_not_distillable():

@@ -98,6 +98,28 @@ def test_state_from_dict_field_diagnostics():
         state_from_dict(["not", "an", "object"])
 
 
+def test_state_from_dict_rejects_non_finite_numbers():
+    good = json.dumps(state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1))))
+    inf_diag, nan_pair, nan_d = (json.loads(good) for _ in range(3))
+    inf_diag["state"]["gamma"][1][1] = float("inf")
+    nan_pair["state"]["gamma"][0][3] = nan_pair["state"]["gamma"][3][0] = float("nan")
+    nan_d["state"]["d"][2] = float("nan")
+    for doc, field in ((inf_diag, "state.gamma"), (nan_pair, "state.gamma"),
+                       (nan_d, "state.d")):
+        with pytest.raises(StateFileError, match=f"field '{field}'.*finite"):
+            state_from_dict(doc)
+
+
+def test_state_from_dict_metadata_must_be_an_object():
+    good = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1)))
+    assert state_from_dict(good)[1] == {}
+    assert state_from_dict({**good, "metadata": None})[1] == {}
+    assert state_from_dict({**good, "metadata": {}})[1] == {}
+    for bad in ([], 0, "", False, [1], "x", 3.5):
+        with pytest.raises(StateFileError, match="field 'metadata'"):
+            state_from_dict({**good, "metadata": bad})
+
+
 def test_load_state_errors(tmp_path):
     with pytest.raises(StateFileError):
         load_state(str(tmp_path / "missing.json"))
@@ -224,6 +246,33 @@ def test_cli_one_sided_state_is_refused_without_traceback(tmp_path, command):
         assert "Traceback" not in res.stderr
         assert res.stderr.strip().count("\n") == 0
         assert f"partition ({n_a}, {n_b})" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline", "standard-form"])
+def test_cli_non_finite_state_is_refused_without_traceback(tmp_path, command):
+    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)))
+    doc["state"]["gamma"][2][2] = float("inf")
+    bad_gamma = write_doc(tmp_path, "inf.json", doc)
+    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)))
+    doc["state"]["d"][0] = float("nan")
+    bad_d = write_doc(tmp_path, "nan_d.json", doc)
+    for path, field in ((bad_gamma, "state.gamma"), (bad_d, "state.d")):
+        res = run_cli(command, path)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.strip().count("\n") == 0
+        assert f"field '{field}'" in res.stderr
+
+
+def test_cli_random_refuses_empty_sides_without_traceback():
+    for flags in (("--modes-a", "0"), ("--modes-b", "0"), ("--modes-a", "-2")):
+        res = run_cli("random", *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.strip().count("\n") == 0
+        assert "at least one mode on each side" in res.stderr
 
 
 def test_cli_pipeline_json_deterministic(tmp_path):

@@ -55,6 +55,19 @@ def test_correlation_matrix_validation():
         cm.entries[0, 0] = 9.0
 
 
+def test_non_finite_entries_are_rejected():
+    inf_diag = np.eye(4)
+    inf_diag[2, 2] = np.inf
+    nan_pair = np.eye(4)
+    nan_pair[0, 3] = nan_pair[3, 0] = np.nan
+    for bad in (inf_diag, nan_pair):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationMatrix(entries=bad, partition=(1, 1))
+    for d in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1), d=d)
+
+
 def test_correlation_matrix_blocks():
     g = tmss_cm(0.5)
     assert g.n_a == 1 and g.n_b == 1 and g.n_modes == 2 and g.dim == 4

@@ -79,10 +79,11 @@ def test_standard_form_params_recovery_under_scrambling():
 def test_standard_form_transform_congruence_and_signs():
     for seed in range(40):
         g = scrambled(REF, seed)
-        s_a, s_b, g_std = standard_form_transform(g)
-        S = direct_sum(s_a.entries, s_b.entries)
-        assert np.abs(S.T @ g.entries @ S - g_std.entries).max() < 1e-10
-        e = g_std.entries
+        sf = standard_form_transform(g)
+        S = direct_sum(sf.s_a.entries, sf.s_b.entries)
+        assert np.abs(S.T @ g.entries @ S - sf.gamma_std.entries).max() < 1e-10
+        e = sf.gamma_std.entries
+        assert np.array_equal(e, sf.params.matrix().entries)
         # diagonal blocks proportional to the identity, cross block diagonal
         assert np.abs(e[:2, :2] - e[0, 0] * np.eye(2)).max() < 1e-10
         assert np.abs(e[2:, 2:] - e[2, 2] * np.eye(2)).max() < 1e-10
@@ -97,6 +98,18 @@ def test_standard_form_transform_congruence_and_signs():
         assert abs(e[2, 2] - p.n_b) < 1e-9
         assert abs(e[0, 2] - p.k_x) < 1e-9
         assert abs(e[1, 3] - p.k_p) < 1e-9
+
+
+def test_std_form_params_matrix_layout():
+    g = StdFormParams(n_a=2.0, n_b=1.5, k_x=0.8, k_p=-0.3).matrix()
+    assert g.partition == (1, 1)
+    assert np.array_equal(g.entries, [[2.0, 0.0, 0.8, 0.0], [0.0, 2.0, 0.0, -0.3],
+                                      [0.8, 0.0, 1.5, 0.0], [0.0, -0.3, 0.0, 1.5]])
+    # the squeezed vacuum is built through it, bit-identical to its blocks
+    for r in (0.0, 0.25, 1.0, 3.0):
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        assert np.array_equal(tmss_cm(r).entries, CorrelationMatrix.from_blocks(
+            ch * np.eye(2), ch * np.eye(2), sh * np.diag([1.0, -1.0])).entries)
 
 
 def test_check_physical_frozen():
@@ -241,7 +254,7 @@ def _rc_reference(g, r):
 
 def test_rc_sweep_is_bit_identical_to_the_per_r_formula():
     states = [random_symmetric_two_mode(seed) for seed in range(25)]
-    states += [standard_form_transform(random_asymmetric_npt_1x1(seed))[2]
+    states += [standard_form_transform(random_asymmetric_npt_1x1(seed)).gamma_std
                for seed in range(20)]
     states += [tmss_cm(r) for r in np.linspace(0.1, 3.0, 10)]
     assert len(states) >= 50
