@@ -155,7 +155,7 @@ def cmd_symmetrize(args, tol: float) -> int:
     if args.json:
         print(dumps(symmetrization_to_dict(report)))
     else:
-        p = report.output_form.params
+        p = report.output_params
         print(f"theta={report.theta:.9f} scale_factor={report.scale_factor:.9f} "
               f"swapped={report.swapped_sides}")
         print(f"output params: n={p.n_a:.9f} k_x={p.k_x:.9f} k_p={p.k_p:.9f}")

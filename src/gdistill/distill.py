@@ -21,10 +21,16 @@ concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              mode of each side only, so tracing out every other mode leaves
              a two-mode state that inherits the witness: it is NPT.
 
-symmetrize   Work on the Wigner-form companion matrix, brought to standard
-             form with parameters (N_a, N_b, K_x, K_p).  The side with the
-             smaller companion parameter is the hotter one; mixing it with a
-             vacuum ancilla on a beam splitter of transmittivity cos^2(theta),
+symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
+             standard form (n_a, n_b, k_x, k_p) its standard-form parameters
+             are, in closed form (StdFormParams.companion),
+
+                 (N_a, N_b, K_x, K_p) = (n_b, n_a, k_x, k_p) / sqrt(d_x d_p),
+                 d_x = n_a n_b - k_x^2,   d_p = n_a n_b - k_p^2.
+
+             The side with the smaller companion parameter is the hotter
+             one; mixing it with a vacuum ancilla on a beam splitter of
+             transmittivity cos^2(theta),
 
                  tan^2(theta) = (N_a^2 - N_b^2) / (N_b - D_x N_a),
                  D_x = N_a N_b - K_x^2,   (N_b the hotter side's parameter)
@@ -40,6 +46,11 @@ symmetrize   Work on the Wigner-form companion matrix, brought to standard
              reproduce homodyne conditioning of the actual joint state to
              machine precision, and the inseparability residual is scaled by
              exactly (N_b tan^2(theta) + 1)^{-1} > 0, so NPT is preserved.
+             A symmetric input (N_a = N_b within 1e-9, e.g. a squeezed pair)
+             takes the same formulas with tan^2(theta) = 0: the output has
+             the input's standard-form parameters and an unscaled residual.
+             The blocks are diagonal, so gamma_out, its standard form and
+             every postcondition are 2x2 algebra on these parameters.
 
 The final symmetric state satisfies (n - k_x)(n + k_p) < 1 in standard-form
 parameters, which makes the reduction-criterion witness negative for large
@@ -48,6 +59,7 @@ probe squeezing: distillability is certified by an explicit protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +67,12 @@ import numpy as np
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError, PreconditionError)
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict,
-                     apply_symplectic, is_npt, pt_form, reduce_to_modes,
-                     wigner_cm)
+                     apply_symplectic, is_npt, pt_form, reduce_to_modes)
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix)
 from .two_mode import (RcWitnessResult, StandardForm, StdFormParams,
-                       inseparability_residual, rc_sweep, standard_form_transform)
+                       check_inseparable, check_symmetric_inseparable, rc_sweep,
+                       standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
@@ -103,7 +115,7 @@ class SymmetrizationReport:
     insep_residual_in: float    # Wigner-picture inseparability residual of the input
     insep_residual_out: float
     scale_factor: float         # residual_out / residual_in = (N_hot tan^2 theta + 1)^{-1}
-    output_form: StandardForm   # standard form of gamma_out
+    output_params: StdFormParams  # standard-form parameters of gamma_out
 
 
 @dataclass(frozen=True)
@@ -302,75 +314,73 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     if not verdict.npt:
         raise PreconditionError(
             f"symmetrization requires an NPT state (margin {verdict.raw_margin:.3e})")
-    return _symmetrize(gamma, tol)
+    return _symmetrize(standard_form_transform(gamma).params, tol)
 
 
-def _symmetrize(gamma: CorrelationMatrix, tol: float) -> SymmetrizationReport:
-    """symmetrize for a 1x1 state the caller has decided is NPT (the input is
-    not re-decided; the output checks all run)."""
-    gw_std = standard_form_transform(wigner_cm(gamma))
-    residual_in = inseparability_residual(gw_std.gamma_std)
-
+def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
+    """symmetrize for the standard form p of a 1x1 state the caller has
+    decided is NPT (the input is not re-decided; the output checks all run)."""
+    w = p.companion()
+    residual_in = check_inseparable(w).residual
+    symmetric = abs(w.n_a - w.n_b) <= 1e-9
     # a side swap of a standard form only exchanges N_a and N_b
-    p = gw_std.params
-    swapped = bool(p.n_a < p.n_b)
-    n_big, n_hot = (p.n_b, p.n_a) if swapped else (p.n_a, p.n_b)
-    k_x, k_p = p.k_x, p.k_p
-
-    if abs(n_big - n_hot) <= 1e-9:
-        gamma_out = wigner_cm(gw_std.gamma_std)
-        return SymmetrizationReport(
-            theta=0.0, swapped_sides=False, gamma_out=gamma_out,
-            insep_residual_in=residual_in, insep_residual_out=residual_in,
-            scale_factor=1.0, output_form=standard_form_transform(gamma_out))
-
-    d_x = n_big * n_hot - k_x ** 2
-    numerator = n_big ** 2 - n_hot ** 2
-    denominator = n_hot - d_x * n_big
-    if denominator <= 0.0 or numerator <= 0.0:
-        raise NumericsError(
-            "beam-splitter angle formula degenerated "
-            f"(numerator {numerator:.3e}, denominator {denominator:.3e}); "
-            "the input sits on the physicality boundary")
-    tan2 = numerator / denominator
-    theta = float(np.arctan(np.sqrt(tan2)))
+    swapped = not symmetric and w.n_a < w.n_b
+    n_big, n_hot = (w.n_b, w.n_a) if swapped else (w.n_a, w.n_b)
+    d_x = n_big * n_hot - w.k_x ** 2
+    if symmetric:
+        tan2 = 0.0
+    else:
+        numerator = n_big ** 2 - n_hot ** 2
+        denominator = n_hot - d_x * n_big
+        if denominator <= 0.0 or numerator <= 0.0:
+            raise NumericsError(
+                "beam-splitter angle formula degenerated "
+                f"(numerator {numerator:.3e}, denominator {denominator:.3e}); "
+                "the input sits on the physicality boundary")
+        tan2 = numerator / denominator
+    theta = math.atan(math.sqrt(tan2))
     c2 = 1.0 / (1.0 + tan2)
     s2 = 1.0 - c2
-    c = np.sqrt(c2)
+    c = math.sqrt(c2)
     nu = s2 * n_hot + c2
 
-    a_tilde = np.diag([c2 * n_big + s2 * d_x, c2 * n_big + s2 * n_big * n_hot]) / nu
-    b_tilde = np.diag([n_hot / nu, c2 * n_hot + s2])
-    c_tilde = np.diag([c * k_x / nu, c * k_p])
-    # swapping the sides of [[A, C], [C^T, B]] gives [[B, C^T], [C, A]]
+    # (x, p) diagonals of the output blocks A~, B~, C~
+    a = ((c2 * n_big + s2 * d_x) / nu, (c2 * n_big + s2 * n_big * n_hot) / nu)
+    b = (n_hot / nu, c2 * n_hot + s2)
+    k = (c * w.k_x / nu, c * w.k_p)
     if swapped:
-        gw_out_cm = CorrelationMatrix.from_blocks(b_tilde, a_tilde, c_tilde.T)
-    else:
-        gw_out_cm = CorrelationMatrix.from_blocks(a_tilde, b_tilde, c_tilde)
-
+        a, b = b, a
+    w_out = StdFormParams.of_diagonal_blocks(a, b, k)
     scale = 1.0 / (n_hot * tan2 + 1.0)
-    residual_out = inseparability_residual(gw_out_cm)
+    residual_out = check_inseparable(w_out).residual
     expected = residual_in * scale
     if abs(residual_out - expected) > 1e-8 * abs(expected) + 1e-14:
         raise NumericsError(
             f"inseparability residual scaling violated: got {residual_out:.6e}, "
             f"expected {expected:.6e}")
 
-    gamma_out = wigner_cm(gw_out_cm)
-    output_form = standard_form_transform(gamma_out)
-    params_out = output_form.params
+    # J^T (.)^{-1} J: the inverses of the x and p 2x2 blocks, exchanged by J
+    det_x, det_p = a[0] * b[0] - k[0] ** 2, a[1] * b[1] - k[1] ** 2
+    gamma_out = CorrelationMatrix.from_blocks(
+        np.diag([b[1] / det_p, b[0] / det_x]), np.diag([a[1] / det_p, a[0] / det_x]),
+        np.diag([-k[1] / det_p, -k[0] / det_x]))
+    params_out = w_out.companion()
     if abs(params_out.n_a - params_out.n_b) > 1e-8:
         raise NumericsError(
             f"symmetrization output is not symmetric: n_a={params_out.n_a!r}, "
             f"n_b={params_out.n_b!r}")
-    out_verdict = is_npt(gamma_out, tol=tol)
-    if not out_verdict.npt:
+    # the symmetric form of Simon's criterion: its residual is linear in the
+    # distance to the PPT boundary, the general one quadratic (16 r^2 for
+    # tmss_cm(r)), too small for tol on certifiable near-boundary states
+    out_check = check_symmetric_inseparable(
+        math.sqrt(params_out.n_a * params_out.n_b), params_out.k_x, params_out.k_p, tol)
+    if not out_check.inseparable:
         raise NumericsError(
-            f"symmetrization lost NPT-ness (margin {out_verdict.raw_margin:.3e})")
+            f"symmetrization lost NPT-ness (residual {out_check.residual:.3e})")
     return SymmetrizationReport(
         theta=theta, swapped_sides=swapped, gamma_out=gamma_out,
         insep_residual_in=residual_in, insep_residual_out=residual_out,
-        scale_factor=scale, output_form=output_form)
+        scale_factor=scale, output_params=params_out)
 
 
 def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
@@ -408,17 +418,15 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
     std = _in_stage("standard_form", standard_form_transform, gamma_red)
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
     # is a local congruence of it, so symmetrize's input is not re-decided
-    sym = _in_stage("symmetrize", _symmetrize, std.gamma_std, tol)
-    final = sym.output_form
+    sym = _in_stage("symmetrize", _symmetrize, std.params, tol)
+    final = sym.output_params
 
     def rc_stage():
-        p = final.params
-        n = np.sqrt(p.n_a * p.n_b)
-        limit = (n - p.k_x) * (n + p.k_p) - 1.0
+        sweep = rc_sweep(final, range(1, int(r_max) + 1))
+        limit = sweep[-1].asymptotic_value
         if limit >= tol:
             raise NumericsError(
                 f"symmetric NPT output violates (n - k_x)(n + k_p) < 1: {limit:.3e}")
-        sweep = rc_sweep(final.gamma_std, range(1, int(r_max) + 1))
         if not sweep[-1].value < 0:
             raise NumericsError(
                 f"reduction-criterion witness is not negative at r={r_max}: "
@@ -436,7 +444,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         gamma_1x1=gamma_red,
         standard_form=std,
         symmetrization=sym,
-        final_params=final.params,
+        final_params=final,
         rc=sweep[-1],
         rc_sweep=sweep,
         witness_attempts=attempts,

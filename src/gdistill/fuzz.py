@@ -35,8 +35,9 @@ from .symplectic import (beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
                          is_symplectic, random_symplectic,
                          symplectic_eigenvalues)
-from .two_mode import (check_inseparable, check_symmetric_inseparable,
-                       rc_sweep, standard_form_params, standard_form_transform,
+from .two_mode import (StdFormParams, check_inseparable,
+                       check_symmetric_inseparable, rc_sweep, rc_value,
+                       standard_form_params, standard_form_transform,
                        wigner_params)
 
 DEFAULT_TOLERANCES = {
@@ -427,8 +428,12 @@ def rc_soundness(t: _Trial):
     else:
         g, _ = t.state(1, 1)
     npt = is_npt(g).npt
-    sweep = rc_sweep(g, (0.5, 2.0, 8.0))
+    sweep = [rc_value(g, r) for r in (0.5, 2.0, 8.0)]
     values = [res.value for res in sweep]
+    # a symmetric draw is a standard form: (n_a, n_b, k_x, k_p) are its entries
+    if symmetric and any(abs(c.value - v) > 1e-9 * abs(v) for c, v in zip(rc_sweep(
+            StdFormParams(*g.entries[[0, 2, 0, 1], [0, 2, 2, 3]]), (0.5, 2.0)), values)):
+        raise Violation("closed-form rc_sweep disagrees with rc_value", state=g)
     if min(values) < -1e-9 and not npt:
         raise Violation(
             f"witness went negative ({min(values):.3e}) on a PPT state", state=g)

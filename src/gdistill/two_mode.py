@@ -37,6 +37,7 @@ require physicality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,35 @@ class StdFormParams:
         knows where each parameter sits in a standard-form matrix."""
         return CorrelationMatrix.from_blocks(self.n_a * np.eye(2), self.n_b * np.eye(2),
                                              np.diag([self.k_x, self.k_p]))
+
+    def companion(self) -> "StdFormParams":
+        """Standard-form parameters of the Wigner-form companion J^T gamma^{-1} J
+        of self.matrix(): (n_b, n_a, k_x, k_p) / sqrt(D_x D_p) with
+        D_x = n_a n_b - k_x^2, D_p = n_a n_b - k_p^2.
+
+        The inverse decouples into x and p 2x2 blocks, which J exchanges; a
+        local squeeze, a quarter-turn and a sign flip bring it back to
+        standard form (Serafini, Quantum Continuous Variables, 2017).  An
+        involution.  Raises NumericsError unless self.matrix() is positive
+        definite."""
+        m = self.n_a * self.n_b
+        d_x = m - self.k_x ** 2
+        if not (self.n_a > 0 and d_x > 0 and m - self.k_p ** 2 > 0):
+            raise NumericsError(f"no Wigner-form companion: {self} is not positive definite")
+        f = 1.0 / math.sqrt(d_x * (m - self.k_p ** 2))
+        return StdFormParams(self.n_b * f, self.n_a * f, self.k_x * f, self.k_p * f)
+
+    @classmethod
+    def of_diagonal_blocks(cls, a, b, c) -> "StdFormParams":
+        """Standard-form parameters of [[diag(a), diag(c)], [diag(c), diag(b)]]
+        (pairs in (x, p) order, a and b positive): the local squeezes that
+        equalize each diagonal block turn c into (c_x t, c_p / t) with
+        t^4 = a_p b_p / (a_x b_x), and a quarter-turn and a sign flip put the
+        larger magnitude in k_x."""
+        t = (a[1] * b[1] / (a[0] * b[0])) ** 0.25
+        u, v = c[0] * t, c[1] / t
+        return cls(n_a=math.sqrt(a[0] * a[1]), n_b=math.sqrt(b[0] * b[1]),
+                   k_x=max(abs(u), abs(v)), k_p=math.copysign(min(abs(u), abs(v)), u * v))
 
 
 @dataclass(frozen=True)
@@ -272,8 +302,8 @@ def wigner_params(gamma: CorrelationMatrix) -> StdFormParams:
 def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     """Reduction-criterion witness value against a squeezed probe at r.
 
-    For a state rho with correlation matrix gamma_rho (standard form,
-    displacements zero) and the pure probe psi = two-mode squeezed vacuum,
+    For a state rho with correlation matrix gamma_rho (displacements zero)
+    and the pure probe psi = two-mode squeezed vacuum tmss_cm(r),
 
         value = 2 / sqrt(det(A_rho + A_psi)) - 4 / sqrt(det(gamma_rho + gamma_psi)),
 
@@ -282,35 +312,50 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     determinants come from the Gaussian overlap formula
     tr(rho_1 rho_2) = 2^n / sqrt(det(gamma_1 + gamma_2)).
 
-    Equal to rc_sweep(gamma_rho, (r,))[0]; use rc_sweep for several r.
-    """
-    return rc_sweep(gamma_rho, (r,))[0]
-
-
-def rc_sweep(gamma_rho: CorrelationMatrix, rs) -> tuple[RcWitnessResult, ...]:
-    """rc_value at every probe squeezing in rs, in order.
-
-    The probes gamma_psi (blocks cosh(2r) I and sinh(2r) diag(1, -1), as in
-    tmss_cm) are stacked into one (len(rs), 4, 4) array, so each determinant
-    of rc_value is one stacked np.linalg.det call for the whole sweep, and
-    the asymptotic value is computed once.  Raises ValueError if any r <= 0.
+    For any two-mode gamma_rho; the reference rc_sweep is tested against.
+    det(gamma_rho + gamma_psi) cancels cosh^2(2r) - sinh^2(2r) = 1 at the
+    scale of cosh^2(2r): up to 1e-3 relative error at r = 8 on squeezed
+    states, where rc_sweep on standard-form parameters keeps about 1e-12.
     """
     _require_two_mode(gamma_rho)
+    if r <= 0:
+        raise ValueError(f"probe squeezing must be > 0, got {r}")
+    g = gamma_rho.entries + tmss_cm(r).entries
+    value = 2.0 / np.sqrt(np.linalg.det(g[:2, :2])) - 4.0 / np.sqrt(np.linalg.det(g))
+    return RcWitnessResult(r=float(r), value=float(value),
+                           asymptotic_value=_rc_limit(standard_form_params(gamma_rho)))
+
+
+def _rc_limit(p: StdFormParams) -> float:
+    n = math.sqrt(p.n_a * p.n_b)
+    return (n - p.k_x) * (n + p.k_p) - 1.0
+
+
+def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
+    """rc_value of params.matrix() at every probe squeezing in rs, in order.
+
+    The x and p quadratures decouple, so with e = exp(2r), ch = (e + 1/e)/2,
+    s = n_a + n_b, D_x = n_a n_b - k_x^2 and D_p = n_a n_b - k_p^2,
+
+        value = 2 / (n_a + ch) - 4 / sqrt(X P),
+        X = D_x + 1 + ((s - 2 k_x) e + (s + 2 k_x) / e) / 2,
+        P = D_p + 1 + ((s + 2 k_p) e + (s - 2 k_p) / e) / 2,
+
+    where cosh^2 - sinh^2 = 1 holds exactly: the values match exact rational
+    arithmetic to about 1e-12 relative at r = 1..8.  The asymptotic value
+    (n - k_x)(n + k_p) - 1, n = sqrt(n_a n_b), is of the same params.
+    Raises ValueError if any r <= 0.
+    """
     rs = tuple(rs)
     for r in rs:
         if r <= 0:
             raise ValueError(f"probe squeezing must be > 0, got {r}")
-    r_arr = np.array(rs, dtype=float)
-    ch, sh = np.cosh(2.0 * r_arr), np.sinh(2.0 * r_arr)
-    g_sum = np.zeros((r_arr.size, 4, 4))
-    g_sum[:, [0, 1, 2, 3], [0, 1, 2, 3]] = ch[:, None]
-    g_sum[:, [0, 2], [2, 0]] = sh[:, None]
-    g_sum[:, [1, 3], [3, 1]] = -sh[:, None]
-    g_sum += gamma_rho.entries
-    value = (2.0 / np.sqrt(np.linalg.det(g_sum[:, :2, :2]))
-             - 4.0 / np.sqrt(np.linalg.det(g_sum)))
-    p = standard_form_params(gamma_rho)
-    n = np.sqrt(p.n_a * p.n_b)
-    asymptotic = float((n - p.k_x) * (n + p.k_p) - 1.0)
+    p = params
+    e = np.exp(2.0 * np.array(rs, dtype=float))
+    m, s = p.n_a * p.n_b, p.n_a + p.n_b
+    x = m - p.k_x ** 2 + 1.0 + 0.5 * ((s - 2.0 * p.k_x) * e + (s + 2.0 * p.k_x) / e)
+    q = m - p.k_p ** 2 + 1.0 + 0.5 * ((s + 2.0 * p.k_p) * e + (s - 2.0 * p.k_p) / e)
+    value = 2.0 / (p.n_a + 0.5 * (e + 1.0 / e)) - 4.0 / np.sqrt(x * q)
+    asymptotic = _rc_limit(p)
     return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=asymptotic)
-                 for r, v in zip(r_arr, value))
+                 for r, v in zip(rs, value))

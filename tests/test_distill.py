@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,10 @@ from gdistill import (
     local_scramble,
     pipeline_report_to_dict,
     pt_form,
+    random_asymmetric_npt_1x1,
     random_npt_cm,
     random_state,
+    random_symmetric_two_mode,
     reduce_to_modes,
     skew_product,
     standard_form_params,
@@ -220,6 +224,53 @@ def test_symmetrize_symmetric_input_is_untouched():
         assert abs(p_in.k_x - p_out.k_x) < 1e-10
 
 
+def matrix_path_symmetrize(g):
+    """The 4x4 route to symmetrize's output, as a reference for the scalar
+    one: the companion's standard form by transforming wigner_cm, the
+    closed-form blocks of the module docstring assembled as matrices, and
+    wigner_cm of the result.  Returns (companion params, gamma_out)."""
+    w = standard_form_transform(wigner_cm(g)).params
+    if abs(w.n_a - w.n_b) <= 1e-9:
+        return w, wigner_cm(w.matrix())
+    swapped = w.n_a < w.n_b
+    n_big, n_hot = (w.n_b, w.n_a) if swapped else (w.n_a, w.n_b)
+    d_x = n_big * n_hot - w.k_x ** 2
+    tan2 = (n_big ** 2 - n_hot ** 2) / (n_hot - d_x * n_big)
+    c2 = 1.0 / (1.0 + tan2)
+    s2, c = 1.0 - c2, np.sqrt(c2)
+    nu = s2 * n_hot + c2
+    a = np.diag([c2 * n_big + s2 * d_x, c2 * n_big + s2 * n_big * n_hot]) / nu
+    b = np.diag([n_hot / nu, c2 * n_hot + s2])
+    if swapped:
+        a, b = b, a
+    return w, wigner_cm(CorrelationMatrix.from_blocks(a, b, np.diag([c * w.k_x / nu, c * w.k_p])))
+
+
+def _params_close(p, q, rel):
+    u, v = np.array(astuple(p)), np.array(astuple(q))
+    return np.abs(u - v).max() <= rel * np.abs(v).max()
+
+
+def test_scalar_symmetrize_matches_the_matrix_path():
+    states = [random_symmetric_two_mode(seed) for seed in range(25)]
+    states += [random_asymmetric_npt_1x1(seed) for seed in range(20)]
+    states += [tmss_cm(r) for r in np.linspace(0.1, 3.0, 10)]
+    symmetrized = 0
+    for g in states:
+        p = standard_form_transform(g).params
+        w_ref, gamma_ref = matrix_path_symmetrize(p.matrix())
+        assert _params_close(p.companion(), w_ref, 1e-10)
+        if not is_npt(g).npt:
+            continue
+        rep = symmetrize(g)
+        scale = np.abs(gamma_ref.entries).max()
+        assert np.abs(rep.gamma_out.entries - gamma_ref.entries).max() <= 1e-10 * scale
+        assert _params_close(rep.output_params,
+                             standard_form_transform(rep.gamma_out).params, 1e-10)
+        symmetrized += 1
+    assert symmetrized >= 30
+
+
 def test_symmetrize_validates_input():
     with pytest.raises(PreconditionError):
         symmetrize(vacuum(1, 1))
@@ -255,6 +306,16 @@ def test_pipeline_strongly_squeezed_pairs():
         rep = distill_pipeline(local_scramble(tmss_cm(3.0), k), seed=k)
         assert rep.verdict == VERDICT_DISTILLABLE
         assert rep.rc.value < 0
+
+
+def test_pipeline_certifies_pairs_near_the_ppt_boundary():
+    # NPT margins of 2e-7 to 1e-5: Simon's general residual is ~1e-13 here
+    # (quadratic in the margin), so the output check must be the linear one
+    core = StdFormParams(1.0001, 1.0001, 1.0001 - (1.0 - 3e-7), (1.0 - 3e-7) - 1.0001)
+    for g in (tmss_cm(1e-7), tmss_cm(1e-6), core.matrix()):
+        rep = distill_pipeline(local_scramble(direct_sum_states(g, vacuum(1, 1)), 5))
+        assert rep.verdict == VERDICT_DISTILLABLE
+        assert rep.rc.value < 0 and rep.rc.asymptotic_value < 0
 
 
 def test_pipeline_refuses_a_certificate_that_is_not_negative():
@@ -343,9 +404,9 @@ def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
     rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     assert len(rep.rc_sweep) == 8
-    # npt_check and symmetrize's output postcondition; the symmetrize input
-    # was decided NPT by the concentrate stage
-    assert calls == {"is_npt": 2, "tmss_cm": 0}
+    # npt_check only: the concentrate stage decided the symmetrize input NPT,
+    # and the output postcondition is Simon's criterion on its parameters
+    assert calls == {"is_npt": 1, "tmss_cm": 0}
 
 
 def _params_in(g):
@@ -354,57 +415,77 @@ def _params_in(g):
     return StdFormParams(n_a=e[0, 0], n_b=e[2, 2], k_x=e[0, 2], k_p=e[1, 3])
 
 
-@pytest.mark.parametrize("make", [
+CERTIFIED_INPUTS = pytest.mark.parametrize("make", [
     lambda: tmss_cm(0.5),
     lambda: local_scramble(tmss_cm(2.0), 5),
     lambda: local_scramble(random_npt_cm(3, 2, seed=7), seed=7),
 ], ids=["squeezed", "scrambled_squeezed", "scrambled_3x2"])
+
+
+@CERTIFIED_INPUTS
 def test_report_params_are_the_entries_of_the_certified_forms(make, monkeypatch):
     received = []
     real = distill_module.rc_sweep
 
-    def recording(g, rs):
-        received.append(g)
-        return real(g, rs)
+    def recording(params, rs):
+        received.append(params)
+        return real(params, rs)
 
     monkeypatch.setattr(distill_module, "rc_sweep", recording)
     rep = distill_pipeline(make())
     assert rep.verdict == VERDICT_DISTILLABLE
     assert rep.standard_form.params == _params_in(rep.standard_form.gamma_std)
     [certified] = received
-    assert rep.final_params == _params_in(certified)
+    assert certified is rep.final_params
+    assert certified is rep.symmetrization.output_params
+
+
+@CERTIFIED_INPUTS
+def test_rc_limit_is_the_limit_of_the_final_params(make):
+    rep = distill_pipeline(make())
+    assert rep.verdict == VERDICT_DISTILLABLE
+    p = rep.final_params
+    n = np.sqrt(p.n_a * p.n_b)
+    for res in rep.rc_sweep:
+        assert res.asymptotic_value == (n - p.k_x) * (n + p.k_p) - 1.0
 
 
 def test_pipeline_takes_each_standard_form_once(monkeypatch):
     transformed = []
-    extractions = {"distill": 0, "two_mode": 0}
+    calls = {"standard_form_params": 0, "wigner_cm": 0, "is_npt": 0, "det_4x4": 0}
     real_transform = distill_module.standard_form_transform
-    real_params = two_mode_module.standard_form_params
 
     def transform(g):
         transformed.append(g)
         return real_transform(g)
 
-    def counted(where):
-        def params(g):
-            extractions[where] += 1
-            return real_params(g)
-        return params
+    def counting(module, name):
+        real = getattr(module, name, None)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted, raising=False)
+
+    real_det = np.linalg.det
+
+    def det(a):
+        calls["det_4x4"] += np.shape(a)[-1] >= 4
+        return real_det(a)
 
     monkeypatch.setattr(distill_module, "standard_form_transform", transform)
-    monkeypatch.setattr(distill_module, "standard_form_params", counted("distill"),
-                        raising=False)
-    monkeypatch.setattr(two_mode_module, "standard_form_params", counted("two_mode"))
+    for module in (distill_module, two_mode_module):
+        counting(module, "standard_form_params")
+        counting(module, "wigner_cm")
+    counting(distill_module, "is_npt")
+    monkeypatch.setattr(np.linalg, "det", det)
     rep = distill_pipeline(local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
     assert rep.verdict == VERDICT_DISTILLABLE
-    # the reduced state, the Wigner companion of its standard form, and the
-    # symmetrized output; rc_sweep's asymptotic value is the one extraction
-    assert len(transformed) == 3
+    # the reduced state only: symmetrize and the rc sweep work on its params
+    assert len(transformed) == 1
     assert transformed[0] is rep.gamma_1x1
-    assert np.array_equal(transformed[1].entries,
-                          wigner_cm(rep.standard_form.gamma_std).entries)
-    assert transformed[2] is rep.symmetrization.gamma_out
-    assert extractions == {"distill": 0, "two_mode": 1}
+    assert calls == {"standard_form_params": 0, "wigner_cm": 0, "is_npt": 1, "det_4x4": 0}
 
 
 def test_pipeline_not_distillable():

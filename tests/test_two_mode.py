@@ -1,19 +1,27 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from gdistill import (
     CorrelationMatrix,
     StdFormParams,
+    VERDICT_DISTILLABLE,
     apply_symplectic,
     check_inseparable,
     check_physical,
     check_symmetric_inseparable,
     det_invariants,
     direct_sum,
+    direct_sum_states,
+    distill_pipeline,
     inseparability_residual,
     is_npt,
     is_symmetric,
+    local_scramble,
     random_asymmetric_npt_1x1,
+    random_npt_cm,
     random_symmetric_two_mode,
     random_symplectic,
     rc_sweep,
@@ -245,42 +253,76 @@ def test_rc_value_validation():
         rc_value(vacuum(2, 1), 1.0)  # not a two-mode state
 
 
-def _rc_reference(g, r):
-    """rc_value's formula with the probe built as a CorrelationMatrix."""
-    psi = tmss_cm(r)
-    return (2.0 / np.sqrt(np.linalg.det(g.a_block + psi.a_block))
-            - 4.0 / np.sqrt(np.linalg.det(g.entries + psi.entries)))
+def padded_core(a, nu_t, pad_a, pad_b, seed):
+    """A squeezed-thermal core [[a I, c Z], [c Z, a I]], c = a - nu_t, padded
+    with thermal modes of the given nu per side and locally scrambled."""
+    core = StdFormParams(a, a, a - nu_t, nu_t - a).matrix()
+    pad = CorrelationMatrix(entries=np.diag(np.repeat(pad_a + pad_b, 2)),
+                            partition=(len(pad_a), len(pad_b)))
+    return local_scramble(direct_sum_states(core, pad), seed)
 
 
-def test_rc_sweep_is_bit_identical_to_the_per_r_formula():
+def _decimal(q):
+    return Decimal(q.numerator) / q.denominator
+
+
+def exact_rc(p, r):
+    """rc_sweep's value for params p at probe squeezing r in exact arithmetic:
+    the probe is rational (t = exp(2r) as a float, ch = (t + 1/t)/2, sh =
+    (t - 1/t)/2), the determinants are closed-form rationals, and only the
+    final square root is rounded (50 digits)."""
+    n_a, n_b, k_x, k_p = (Fraction(v) for v in (p.n_a, p.n_b, p.k_x, p.k_p))
+    t = Fraction(float(np.exp(2.0 * r)))
+    ch, sh = (t + 1 / t) / 2, (t - 1 / t) / 2
+    det_x = (n_a + ch) * (n_b + ch) - (k_x + sh) ** 2
+    det_p = (n_a + ch) * (n_b + ch) - (k_p - sh) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(2 / _decimal(n_a + ch) - 4 / _decimal(det_x * det_p).sqrt())
+
+
+def _rc_relative_error(p, rs):
+    exact = [exact_rc(p, r) for r in rs]
+    return max(abs(res.value - x) / abs(x) for res, x in zip(rc_sweep(p, rs), exact))
+
+
+def test_rc_sweep_matches_exact_arithmetic():
     states = [random_symmetric_two_mode(seed) for seed in range(25)]
     states += [standard_form_transform(random_asymmetric_npt_1x1(seed)).gamma_std
                for seed in range(20)]
     states += [tmss_cm(r) for r in np.linspace(0.1, 3.0, 10)]
-    assert len(states) >= 50
+    assert len(states) == 55
     rs = range(1, 9)
     for g in states:
-        sweep = rc_sweep(g, rs)
-        p = standard_form_params(g)
-        n = np.sqrt(p.n_a * p.n_b)
-        asymptotic = (n - p.k_x) * (n + p.k_p) - 1.0
+        e = g.entries
+        p = StdFormParams(n_a=e[0, 0], n_b=e[2, 2], k_x=e[0, 2], k_p=e[1, 3])
+        assert np.array_equal(p.matrix().entries, e)
+        sweep = rc_sweep(p, rs)
         assert [res.r for res in sweep] == [float(r) for r in rs]
-        assert np.array_equal([res.value for res in sweep],
-                              [_rc_reference(g, float(r)) for r in rs])
-        assert np.array_equal([res.asymptotic_value for res in sweep],
-                              [asymptotic] * len(rs))
-        for r in (0.5, 2.0, 8.0):
-            assert rc_value(g, r) == rc_sweep(g, (r,))[0]
+        assert _rc_relative_error(p, rs) <= 1e-9
+        n = np.sqrt(p.n_a * p.n_b)
+        assert [res.asymptotic_value for res in sweep] == \
+            [(n - p.k_x) * (n + p.k_p) - 1.0] * len(rs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: local_scramble(random_npt_cm(3, 2, seed=7), seed=7),
+    lambda: padded_core(a=1.6, nu_t=0.4, pad_a=(), pad_b=(1.3,), seed=3),
+    lambda: padded_core(a=2.4, nu_t=0.7, pad_a=(1.1,), pad_b=(1.9,), seed=4),
+], ids=["scrambled_3x2", "core_1x2", "core_2x2"])
+def test_pipeline_rc_sweep_matches_exact_arithmetic(make):
+    rep = distill_pipeline(make())
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert _rc_relative_error(rep.final_params, range(1, 9)) <= 1e-7
 
 
 def test_rc_sweep_validation():
+    p = standard_form_params(vacuum(1, 1))
     with pytest.raises(ValueError, match="probe squeezing must be > 0"):
-        rc_sweep(vacuum(1, 1), (1.0, 0.0, 2.0))
+        rc_sweep(p, (1.0, 0.0, 2.0))
     with pytest.raises(ValueError, match="probe squeezing must be > 0"):
-        rc_sweep(vacuum(1, 1), [-1.0])
-    with pytest.raises(ValueError):
-        rc_sweep(vacuum(2, 1), (1.0,))
-    assert rc_sweep(vacuum(1, 1), ()) == ()
+        rc_sweep(p, [-1.0])
+    assert rc_sweep(p, ()) == ()
 
 
 def test_rc_sign_matches_asymptotics_for_symmetric_states():
