@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run the invariant campaign")
     p.add_argument("config", nargs="?", default=None,
-                   help="fuzz config JSON (defaults apply when omitted)")
+                   help="JSON object with integer keys seed and trials (default 0, 1000)")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("standard-form", help="standard form of a 1x1 state")

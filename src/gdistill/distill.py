@@ -6,13 +6,19 @@ chain implemented here turns any decisively NPT state into a symmetric NPT
 1x1-mode state on which a reduction-criterion witness can be evaluated.
 
 witness      An NPT state has a complex vector z with z^dag (gamma -
-             i*Jtilde) z <= -eps < 0.  The minimal eigenvector of the
-             Hermitian matrix gamma - i*Jtilde supplies one; if either
-             side's skew product Re(z)^T J Im(z) vanishes (degenerate
-             eigenspaces produce this), deterministic perturbations of size
-             1e-4 restore it while keeping the quadratic form below -eps/2.
-             A global phase rotation of z provably leaves the skew products
-             unchanged, which is why additive perturbations are used.
+             i*Jtilde) z <= -eps < 0: the minimal eigenvector of the
+             Hermitian matrix gamma - i*Jtilde.  Its skew products
+             s = Re(z)^T J Im(z) per side are bounded away from zero.  For
+             unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
+             m = z^dag (gamma - i*Jtilde) z = q + 2 (s_A - s_B), while
+             physicality (gamma - iJ >= -tol) applied to z and conj(z) gives
+             q +- 2 (s_A + s_B) >= -tol; so for m < 0, s_B >= (|m| - tol)/4
+             and s_A <= -(|m| - tol)/4.  The raw eigenvector (m = -eps)
+             clears the skew floor 1e-8 once eps > 4e-8 + tol, which the
+             boundary band 1e-7 guarantees; perturbations of size 1e-4 (form
+             kept below -eps/2) run only as retries after a failed
+             concentration.  A global phase rotation of z provably leaves
+             the skew products unchanged, so the perturbations are additive.
 
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              a canonical pair (f1^T J f2 = -1) spanning the same plane as
@@ -49,6 +55,9 @@ symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              A symmetric input (N_a = N_b within 1e-9, e.g. a squeezed pair)
              takes the same formulas with tan^2(theta) = 0: the output has
              the input's standard-form parameters and an unscaled residual.
+             The denominator of tan^2(theta) cancels near the degenerate
+             family, so it is evaluated in the input's parameters as
+             (n_lo - n_hi / d_p) / sqrt(d_x d_p), n_lo the hotter side's n.
              The blocks are diagonal, so gamma_out, its standard form and
              every postcondition are 2x2 algebra on these parameters.
 
@@ -80,6 +89,8 @@ PERTURBATION_SIZE = 1e-4    # witness de-degeneration step, times |z|
 MAX_WITNESS_RETRIES = 32
 MAX_PIPELINE_ATTEMPTS = 8   # fresh witness seeds tried after concentration failures
 SUPPORT_LEAKAGE_LIMIT = 1e-6
+SYMMETRY_TOL = 1e-8         # |n_a - n_b| allowed in symmetrize's output
+SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
 VERDICT_DISTILLABLE = "DISTILLABLE"
 VERDICT_NOT_DISTILLABLE = "NOT_DISTILLABLE"
@@ -153,11 +164,11 @@ def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT,
     """Find a unit vector z with z^dag (gamma - i*Jtilde) z < 0 and nonzero
     skew products Re(z)^T J Im(z) on both sides.
 
-    The minimal eigenvector of the Hermitian matrix gamma - i*Jtilde is the
-    starting point.  When a skew product vanishes (within 1e-8), the vector
-    is nudged by deterministic pseudo-random perturbations of relative size
-    1e-4, keeping the quadratic form below half its optimal value.  At most
-    32 perturbations are tried before giving up with a DegeneracyError.
+    The minimal eigenvector of gamma - i*Jtilde is returned with retries 0
+    when its skew products clear 1e-8, which the bound in the module
+    docstring guarantees for physical gamma and eps > 4e-8 + tol.  Otherwise it is nudged by
+    deterministic perturbations of relative size 1e-4, keeping the form
+    below -eps/2; after 32 a DegeneracyError is raised.
 
     Raises PreconditionError when the state is not NPT.
     """
@@ -331,7 +342,11 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
         tan2 = 0.0
     else:
         numerator = n_big ** 2 - n_hot ** 2
-        denominator = n_hot - d_x * n_big
+        # N_hot - D_x N_big with N = f n, D_x = 1/d_p: no cancellation
+        n_lo, n_hi = (p.n_b, p.n_a) if swapped else (p.n_a, p.n_b)
+        m = p.n_a * p.n_b
+        d_p = m - p.k_p ** 2
+        denominator = (n_lo - n_hi / d_p) / math.sqrt((m - p.k_x ** 2) * d_p)
         if denominator <= 0.0 or numerator <= 0.0:
             raise NumericsError(
                 "beam-splitter angle formula degenerated "
@@ -354,7 +369,7 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
     scale = 1.0 / (n_hot * tan2 + 1.0)
     residual_out = check_inseparable(w_out).residual
     expected = residual_in * scale
-    if abs(residual_out - expected) > 1e-8 * abs(expected) + 1e-14:
+    if abs(residual_out - expected) > SCALING_REL_TOL * abs(expected) + 1e-14:
         raise NumericsError(
             f"inseparability residual scaling violated: got {residual_out:.6e}, "
             f"expected {expected:.6e}")
@@ -365,7 +380,7 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
         np.diag([b[1] / det_p, b[0] / det_x]), np.diag([a[1] / det_p, a[0] / det_x]),
         np.diag([-k[1] / det_p, -k[0] / det_x]))
     params_out = w_out.companion()
-    if abs(params_out.n_a - params_out.n_b) > 1e-8:
+    if abs(params_out.n_a - params_out.n_b) > SYMMETRY_TOL:
         raise NumericsError(
             f"symmetrization output is not symmetric: n_a={params_out.n_a!r}, "
             f"n_b={params_out.n_b!r}")

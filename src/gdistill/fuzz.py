@@ -9,29 +9,32 @@ streams.
 
 Violations are collected, never raised: an unexpected exception inside an
 invariant is itself recorded as a violation with the reproduction seed, so a
-misconfigured tolerance degrades into reported failures instead of a crash.
+broken invariant degrades into reported failures instead of a crash.  Only
+the seed and the trial count are settable: no config loosens DEFAULT_TOLERANCES.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
-from .distill import (BOUNDARY_BAND, MAX_WITNESS_RETRIES, SKEW_FLOOR_FACTOR,
-                      SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
-                      VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
-                      PipelineStageError, distill_pipeline, symmetrize,
-                      witness_and_concentrate)
+from .distill import (BOUNDARY_BAND, MAX_WITNESS_RETRIES, SCALING_REL_TOL,
+                      SKEW_FLOOR_FACTOR, SUPPORT_LEAKAGE_LIMIT, SYMMETRY_TOL,
+                      VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
+                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
+                      distill_pipeline, symmetrize, witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
-from .states import (CorrelationMatrix, apply_symplectic,
-                     condition_on_x_measurement, direct_sum_states, is_npt,
-                     is_pure, partial_transpose, pt_form, reduce_to_modes,
-                     vacuum, validate_physical, wigner_cm)
-from .symplectic import (beam_splitter, direct_sum, embed_pair,
+from .states import (PURITY_TOL, WIGNER_INVOLUTION_TOL, CorrelationMatrix,
+                     apply_symplectic, condition_on_x_measurement,
+                     direct_sum_states, is_npt, is_pure, partial_transpose,
+                     pt_form, reduce_to_modes, vacuum, validate_physical,
+                     wigner_cm)
+from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
                          is_symplectic, random_symplectic,
                          symplectic_eigenvalues)
@@ -40,77 +43,52 @@ from .two_mode import (StdFormParams, check_inseparable,
                        standard_form_params, standard_form_transform,
                        wigner_params)
 
-DEFAULT_TOLERANCES = {
+MAX_MODES = 4              # modes per side of a drawn state, 1..MAX_MODES
+NPT_FRACTION = 0.5         # share of draws from the entangled kind
+
+# The campaign's bounds; an entry that repeats a library guard reads it.
+DEFAULT_TOLERANCES = MappingProxyType({
     "spectrum_rel": 1e-8,      # symplectic spectrum under congruence
     "params_rel": 1e-8,        # standard-form parameters under local scrambles
-    "involution": 1e-10,       # double Wigner-form companion
-    "purity": 1e-8,
-    "pairing": 1e-9,           # basis extension / symplectic group checks
-    "verdict_band": 1e-7,      # |NPT margin| below this: verdicts not compared
+    "involution": WIGNER_INVOLUTION_TOL,   # double Wigner-form companion
+    "purity": PURITY_TOL,
+    "pairing": TOL_SYMPLECTIC,  # basis extension / symplectic group checks
+    "verdict_band": BOUNDARY_BAND,  # |NPT margin| below this: verdicts not compared
     "residual_floor": 1e-9,    # |inequality residual| below this: not compared
     "oracle": 1e-10,           # closed-form blocks vs measurement oracle
-    "symmetry": 1e-8,          # |n_a - n_b| after symmetrization
-    "scaling_rel": 1e-8,       # residual scaling law
+    "symmetry": SYMMETRY_TOL,  # |n_a - n_b| after symmetrization
+    "scaling_rel": SCALING_REL_TOL,  # residual scaling law
     "leakage": SUPPORT_LEAKAGE_LIMIT,
     "form_identity": 1e-10,    # witness quadratic form under restriction
     "sign_floor": 1e-3,        # |asymptotic| needed before comparing signs
-}
-
-_CONFIG_FIELDS = {"seed", "trials", "max_modes_a", "max_modes_b",
-                  "npt_fraction_target", "tolerances"}
+})
 
 
 @dataclass(frozen=True)
 class FuzzConfig:
     seed: int = 0
     trials: int = 1000
-    max_modes_a: int = 4
-    max_modes_b: int = 4
-    npt_fraction_target: float = 0.5
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
+        if self.seed < 0:  # SeedSequence entropy must be non-negative
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.max_modes_a < 1 or self.max_modes_b < 1:
-            raise ValueError("max_modes_a and max_modes_b must be positive")
-        if not 0.0 <= self.npt_fraction_target <= 1.0:
-            raise ValueError(
-                f"npt_fraction_target must lie in [0, 1], got {self.npt_fraction_target}")
-        merged = dict(DEFAULT_TOLERANCES)
-        for key, value in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ValueError(f"unknown tolerance {key!r}; known: "
-                                 f"{sorted(DEFAULT_TOLERANCES)}")
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"tolerance {key!r} must be a positive number")
-            merged[key] = float(value)
-        object.__setattr__(self, "tolerances", merged)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FuzzConfig":
         if not isinstance(doc, dict):
             raise ValueError("fuzz config must be a JSON object")
-        unknown = set(doc) - _CONFIG_FIELDS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown fuzz config fields: {sorted(unknown)}")
-        for key in ("seed", "trials", "max_modes_a", "max_modes_b"):
-            if key in doc and not (isinstance(doc[key], int)
-                                   and not isinstance(doc[key], bool)):
+        for key, value in doc.items():
+            if not (isinstance(value, int) and not isinstance(value, bool)):
                 raise ValueError(f"config field {key!r} must be an integer")
-        if "tolerances" in doc and not isinstance(doc["tolerances"], dict):
-            raise ValueError("config field 'tolerances' must be an object")
         return cls(**doc)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "max_modes_a": self.max_modes_a,
-            "max_modes_b": self.max_modes_b,
-            "npt_fraction_target": self.npt_fraction_target,
-            "tolerances": dict(self.tolerances),
-        }
+        return asdict(self)
 
 
 class Violation(Exception):
@@ -124,26 +102,23 @@ class Violation(Exception):
 class _Trial:
     """Per-trial randomness and drawing helpers for one invariant."""
 
-    def __init__(self, config: FuzzConfig, index: int, trial: int):
-        self.config = config
-        self.entropy = (config.seed, index, trial)
+    def __init__(self, seed: int, index: int, trial: int):
+        self.entropy = (seed, index, trial)
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=self.entropy))
-        self.tol = config.tolerances
 
     def seed(self, salt: int = 0) -> int:
         ss = np.random.SeedSequence(entropy=self.entropy + (salt,))
         return int(ss.generate_state(1)[0])
 
     def partition(self) -> tuple[int, int]:
-        return (int(self.rng.integers(1, self.config.max_modes_a + 1)),
-                int(self.rng.integers(1, self.config.max_modes_b + 1)))
+        return (int(self.rng.integers(1, MAX_MODES + 1)),
+                int(self.rng.integers(1, MAX_MODES + 1)))
 
     def kind(self) -> str:
         u = self.rng.random()
-        target = self.config.npt_fraction_target
-        if u < target:
+        if u < NPT_FRACTION:
             return "entangled"
-        return "thermal" if (u - target) < 0.75 * (1.0 - target) else "boundary"
+        return "thermal" if (u - NPT_FRACTION) < 0.75 * (1.0 - NPT_FRACTION) else "boundary"
 
     def state(self, n_a: int | None = None, n_b: int | None = None):
         if n_a is None:
@@ -179,7 +154,7 @@ def form_matrix_structure(t: _Trial):
 def symplectic_group_closure(t: _Trial):
     """Inverse, transpose and products of symplectics stay symplectic."""
     n = int(t.rng.integers(1, 5))
-    tol = t.tol["pairing"]
+    tol = DEFAULT_TOLERANCES["pairing"]
     s1 = random_symplectic(n, t.seed(1)).entries
     s2 = random_symplectic(n, t.seed(2)).entries
     for label, cand in (("inverse", np.linalg.inv(s1)), ("transpose", s1.T),
@@ -196,7 +171,7 @@ def symplectic_spectrum_congruence_invariance(t: _Trial):
     before = symplectic_eigenvalues(g.entries)
     after = symplectic_eigenvalues(S.T @ g.entries @ S)
     rel = float(np.max(np.abs(after - before) / before))
-    if rel > t.tol["spectrum_rel"]:
+    if rel > DEFAULT_TOLERANCES["spectrum_rel"]:
         raise Violation(f"symplectic spectrum moved by {rel:.3e} under congruence",
                         state=g)
     if before[0] < 1.0 - 1e-9:
@@ -220,7 +195,7 @@ def basis_extension_pairing(t: _Trial):
     f2 = -v / s  # f1^T J f2 = -1
     S = extend_to_symplectic_basis(f1, f2).entries
     resid = _maxdiff(S.T @ J @ S, J)
-    if resid > t.tol["pairing"]:
+    if resid > DEFAULT_TOLERANCES["pairing"]:
         raise Violation(f"extended basis violates pairing relations by {resid:.3e}")
     if _maxdiff(S[:, 0], f1) > 0 or _maxdiff(S[:, 1], f2) > 0:
         raise Violation("extended basis does not start with the given pair")
@@ -234,7 +209,7 @@ def physicality_criteria_agree(t: _Trial):
     else:
         g = random_unphysical_pd(n_a, n_b, t.seed(2))
     v = validate_physical(g)
-    if abs(v.min_symplectic_eigenvalue - 1.0) < t.tol["verdict_band"]:
+    if abs(v.min_symplectic_eigenvalue - 1.0) < DEFAULT_TOLERANCES["verdict_band"]:
         return  # too close to the boundary for the two tolerances to align
     by_margin = v.margin >= -1e-9
     by_spectrum = v.min_symplectic_eigenvalue >= 1.0 - 1e-9
@@ -267,11 +242,12 @@ def wigner_involution_and_purity(t: _Trial):
     scale = _scale(g)
     gw = wigner_cm(g)
     back = _maxdiff(wigner_cm(gw).entries, g.entries)
-    if back > t.tol["involution"] * scale ** 2:
+    if back > DEFAULT_TOLERANCES["involution"] * scale ** 2:
         raise Violation(f"double companion moved gamma by {back:.3e}", state=g)
-    fixed_point = _maxdiff(gw.entries, g.entries) <= t.tol["purity"] * scale ** 2
+    purity = DEFAULT_TOLERANCES["purity"]
+    fixed_point = _maxdiff(gw.entries, g.entries) <= purity * scale ** 2
     nus = symplectic_eigenvalues(g.entries)
-    unit_spectrum = float(np.max(np.abs(nus - 1.0))) <= t.tol["purity"]
+    unit_spectrum = float(np.max(np.abs(nus - 1.0))) <= purity
     if not (is_pure(g) == fixed_point == unit_spectrum == pure_sample):
         raise Violation(
             f"purity characterizations disagree (constructed pure: {pure_sample}, "
@@ -283,7 +259,7 @@ def npt_local_invariance(t: _Trial):
     """The NPT verdict is unchanged by local symplectics on either side."""
     g, meta = t.state()
     before = is_npt(g)
-    if abs(before.raw_margin) < t.tol["verdict_band"]:
+    if abs(before.raw_margin) < DEFAULT_TOLERANCES["verdict_band"]:
         return
     after = is_npt(local_scramble(g, t.seed(3)))
     if after.npt != before.npt:
@@ -315,8 +291,9 @@ def two_mode_equivalence(t: _Trial):
     g, meta = t.state(1, 1)
     verdict = is_npt(g)
     check = check_inseparable(standard_form_params(g))
-    decisive = (abs(verdict.raw_margin) >= t.tol["verdict_band"]
-                and abs(check.residual) >= t.tol["residual_floor"] * _scale(g) ** 2)
+    floor = DEFAULT_TOLERANCES["residual_floor"] * _scale(g) ** 2
+    decisive = (abs(verdict.raw_margin) >= DEFAULT_TOLERANCES["verdict_band"]
+                and abs(check.residual) >= floor)
     if decisive and check.inseparable != verdict.npt:
         raise Violation(
             f"inseparability ({check.residual:.3e}) and PPT ({verdict.raw_margin:.3e}) "
@@ -333,7 +310,7 @@ def standard_form_local_invariance(t: _Trial):
     g, _ = t.state(1, 1)
     p = standard_form_params(g)
     q = standard_form_params(local_scramble(g, t.seed(3)))
-    tol = t.tol["params_rel"]
+    tol = DEFAULT_TOLERANCES["params_rel"]
     sigma = p.k_x ** 2 + p.k_p ** 2
     pairs = (("n_a", p.n_a, q.n_a, max(1.0, p.n_a)),
              ("n_b", p.n_b, q.n_b, max(1.0, p.n_b)),
@@ -364,7 +341,7 @@ def inseparable_kxkp_negative(t: _Trial):
     g, _ = t.state(1, 1)
     p = standard_form_params(g)
     check = check_inseparable(p)
-    if check.inseparable and check.residual > t.tol["residual_floor"]:
+    if check.inseparable and check.residual > DEFAULT_TOLERANCES["residual_floor"]:
         if not p.k_x * p.k_p < 0:
             raise Violation(
                 f"inseparable sample with k_x*k_p = {p.k_x * p.k_p!r} >= 0", state=g)
@@ -384,7 +361,8 @@ def symmetric_specialization(t: _Trial):
         raise Violation(
             f"residual factorization broke: general {general.residual:.3e}, "
             f"special*(u+v) {expected:.3e}", state=g)
-    if (min(abs(general.residual), abs(special.residual)) > t.tol["residual_floor"]
+    floor = DEFAULT_TOLERANCES["residual_floor"]
+    if (min(abs(general.residual), abs(special.residual)) > floor
             and general.inseparable != special.inseparable):
         raise Violation("symmetric and general inseparability verdicts disagree",
                         state=g)
@@ -439,7 +417,7 @@ def rc_soundness(t: _Trial):
             f"witness went negative ({min(values):.3e}) on a PPT state", state=g)
     if symmetric:
         res = sweep[-1]
-        if abs(res.asymptotic_value) >= t.tol["sign_floor"]:
+        if abs(res.asymptotic_value) >= DEFAULT_TOLERANCES["sign_floor"]:
             if np.sign(res.value) != np.sign(res.asymptotic_value):
                 raise Violation(
                     f"witness sign at r=8 ({res.value:.3e}) disagrees with the "
@@ -478,17 +456,18 @@ def symmetrization_invariants(t: _Trial):
     oracle = symmetrization_oracle(g, rep.theta, rep.swapped_sides)
     got = wigner_cm(rep.gamma_out).entries
     dev = _maxdiff(got, oracle)
-    if dev > t.tol["oracle"] * _scale(rep.gamma_out):
+    if dev > DEFAULT_TOLERANCES["oracle"] * _scale(rep.gamma_out):
         raise Violation(f"closed-form blocks deviate from the measurement "
                         f"oracle by {dev:.3e}", state=g)
     p = standard_form_params(rep.gamma_out)
-    if abs(p.n_a - p.n_b) > t.tol["symmetry"]:
+    if abs(p.n_a - p.n_b) > DEFAULT_TOLERANCES["symmetry"]:
         raise Violation(f"output not symmetric: n_a={p.n_a!r}, n_b={p.n_b!r}",
                         state=g)
     if not is_npt(rep.gamma_out).npt:
         raise Violation("symmetrization lost NPT-ness", state=g)
     expected = rep.insep_residual_in * rep.scale_factor
-    if abs(rep.insep_residual_out - expected) > t.tol["scaling_rel"] * abs(expected) + 1e-14:
+    bound = DEFAULT_TOLERANCES["scaling_rel"] * abs(expected) + 1e-14
+    if abs(rep.insep_residual_out - expected) > bound:
         raise Violation(
             f"residual scaling law violated: {rep.insep_residual_out:.6e} vs "
             f"{expected:.6e}", state=g)
@@ -520,14 +499,14 @@ def concentration_invariants(t: _Trial):
                             np.linalg.solve(s_b.entries, zb)])
     leak = max(float(np.abs(z_hat[2: 2 * n_a]).max(initial=0.0)),
                float(np.abs(z_hat[2 * n_a + 2:]).max(initial=0.0)))
-    if leak > t.tol["leakage"]:
+    if leak > DEFAULT_TOLERANCES["leakage"]:
         raise Violation(f"witness support leaked {leak:.3e}", state=g)
     g_hat = apply_symplectic(g, direct_sum(s_a.entries, s_b.entries))
     form_in = _witness_form(g.entries, n_a, n_b, z)
     form_hat = _witness_form(g_hat.entries, n_a, n_b, z_hat)
     z_kept = np.concatenate([z_hat[:2], z_hat[2 * n_a: 2 * n_a + 2]])
     form_red = _witness_form(g_red.entries, 1, 1, z_kept)
-    tol = t.tol["form_identity"] * _scale(g)
+    tol = DEFAULT_TOLERANCES["form_identity"] * _scale(g)
     if abs(form_hat - form_in) > tol:
         raise Violation(f"quadratic form moved under the local congruence: "
                         f"{form_in:.6e} -> {form_hat:.6e}", state=g)
@@ -609,40 +588,28 @@ def run_fuzz(config: FuzzConfig) -> dict:
     """Run every registered invariant over the trial stream; returns the
     summary dict (JSON types only).  Never raises on violations."""
     started = time.perf_counter()
-    counts = {name: {"checked": 0, "violations": 0} for name, _ in REGISTRY}
+    counts = {name: {"checked": config.trials, "violations": 0} for name, _ in REGISTRY}
     dumps: list[dict] = []
-    total = 0
     for index, (name, fn) in enumerate(REGISTRY):
         for trial in range(config.trials):
-            t = _Trial(config, index, trial)
+            t = _Trial(config.seed, index, trial)
             try:
                 fn(t)
-            except Violation as v:
-                record = {"invariant": name, "trial": trial,
-                          "seed_entropy": list(t.entropy), "message": str(v)}
-                if v.state is not None and len(dumps) < _VIOLATION_DUMP_LIMIT:
-                    record["state"] = {
-                        "n_a": v.state.n_a, "n_b": v.state.n_b,
-                        "gamma": v.state.entries.tolist(),
-                    }
-                total += 1
+            except Exception as exc:  # a broken invariant must not crash the run
                 counts[name]["violations"] += 1
-                if len(dumps) < _VIOLATION_DUMP_LIMIT:
-                    dumps.append(record)
-            except Exception as exc:  # degraded tolerances must not crash the run
-                total += 1
-                counts[name]["violations"] += 1
-                if len(dumps) < _VIOLATION_DUMP_LIMIT:
-                    dumps.append({
-                        "invariant": name, "trial": trial,
-                        "seed_entropy": list(t.entropy),
-                        "message": f"unexpected {type(exc).__name__}: {exc}",
-                    })
-            counts[name]["checked"] += 1
+                if len(dumps) == _VIOLATION_DUMP_LIMIT:
+                    continue
+                dumps.append({"invariant": name, "trial": trial,
+                              "seed_entropy": list(t.entropy), "message": str(exc)})
+                if not isinstance(exc, Violation):
+                    dumps[-1]["message"] = f"unexpected {type(exc).__name__}: {exc}"
+                elif exc.state is not None:
+                    dumps[-1]["state"] = {"n_a": exc.state.n_a, "n_b": exc.state.n_b,
+                                          "gamma": exc.state.entries.tolist()}
     return {
         "config": config.to_dict(),
         "invariants": counts,
         "violations": dumps,
-        "total_violations": total,
+        "total_violations": sum(c["violations"] for c in counts.values()),
         "elapsed_seconds": time.perf_counter() - started,
     }

@@ -30,6 +30,12 @@ from .two_mode import StdFormParams
 
 KINDS = ("thermal", "entangled", "boundary")
 
+MAX_TRIES = 64              # rejection-sampling draws before a generator gives up
+NPT_MIN_MARGIN = 1e-6       # random_npt_cm: NPT margin <= -NPT_MIN_MARGIN
+ASYM_MIN_MARGIN = 1e-5      # random_asymmetric_npt_1x1: NPT margin <= -this
+ASYM_MIN_ASYMMETRY = 1e-3   #   and |n_a - n_b| >= this
+SYM_MIN_PHYSICALITY = 1e-6  # random_symmetric_two_mode: physicality residual floor
+
 
 def _rng(seed: int, *salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + salt))
@@ -132,19 +138,16 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
     return GaussianState(n_a=n_a, n_b=n_b, gamma=g), meta
 
 
-def random_npt_cm(n_a: int, n_b: int, seed: int,
-                  min_margin: float = 1e-6, max_tries: int = 64) -> CorrelationMatrix:
-    """Random decisively NPT state (|margin| >= min_margin), by rejection."""
-    for k in range(max_tries):
+def random_npt_cm(n_a: int, n_b: int, seed: int) -> CorrelationMatrix:
+    """Random decisively NPT state (|margin| >= NPT_MIN_MARGIN), by rejection."""
+    for k in range(MAX_TRIES):
         state, meta = random_state("entangled", n_a, n_b, _subseed(seed, 30, k))
-        if meta["npt"] and meta["npt_margin"] <= -min_margin:
+        if meta["npt"] and meta["npt_margin"] <= -NPT_MIN_MARGIN:
             return state.gamma
-    raise RuntimeError(f"no NPT sample found in {max_tries} tries for seed {seed}")
+    raise RuntimeError(f"no NPT sample found in {MAX_TRIES} tries for seed {seed}")
 
 
-def random_asymmetric_npt_1x1(seed: int, min_margin: float = 1e-5,
-                              min_asymmetry: float = 1e-3,
-                              max_tries: int = 64) -> CorrelationMatrix:
+def random_asymmetric_npt_1x1(seed: int) -> CorrelationMatrix:
     """Random 1x1 NPT state with decisively different local purities.
 
     A noisy two-mode squeezed core is attenuated on side B (beam splitter
@@ -152,7 +155,7 @@ def random_asymmetric_npt_1x1(seed: int, min_margin: float = 1e-5,
     B -> t*B + (1-t)*I, C -> sqrt(t)*C.  Local scrambling keeps the
     invariants while moving the matrix away from standard form.
     """
-    for k in range(max_tries):
+    for k in range(MAX_TRIES):
         rng = _rng(seed, 40, k)
         r = rng.uniform(0.35, 1.1)
         eta = rng.uniform(0.6, 0.97)
@@ -166,27 +169,26 @@ def random_asymmetric_npt_1x1(seed: int, min_margin: float = 1e-5,
         core = StdFormParams(n_a=a, n_b=b, k_x=k_x, k_p=-k_x).matrix()
         g = local_scramble(core, _subseed(seed, 41, k))
         verdict = is_npt(g)
-        asym = abs(a - b)
-        if verdict.npt and verdict.raw_margin <= -min_margin and asym >= min_asymmetry:
+        if (verdict.npt and verdict.raw_margin <= -ASYM_MIN_MARGIN
+                and abs(a - b) >= ASYM_MIN_ASYMMETRY):
             return g
-    raise RuntimeError(f"no asymmetric NPT sample found in {max_tries} tries for seed {seed}")
+    raise RuntimeError(f"no asymmetric NPT sample found in {MAX_TRIES} tries for seed {seed}")
 
 
-def random_symmetric_two_mode(seed: int, min_physicality: float = 1e-6,
-                              max_tries: int = 64) -> CorrelationMatrix:
+def random_symmetric_two_mode(seed: int) -> CorrelationMatrix:
     """Random symmetric (n_a = n_b) two-mode state in standard form.
 
     Mix of separable and NPT samples; physicality residual bounded away
     from zero so verdicts are decisive.
     """
-    for k in range(max_tries):
+    for k in range(MAX_TRIES):
         rng = _rng(seed, 50, k)
         n = rng.uniform(1.02, 2.8)
         k_x = rng.uniform(0.0, 0.98 * np.sqrt(n * n - 1.0))
         k_p = rng.uniform(-k_x, k_x) if k_x > 0 else 0.0
         m = n * n
         residual = (m - k_x ** 2) * (m - k_p ** 2) + 1.0 - (2.0 * m + 2.0 * k_x * k_p)
-        if residual < min_physicality:
+        if residual < SYM_MIN_PHYSICALITY:
             continue
         return StdFormParams(n_a=n, n_b=n, k_x=k_x, k_p=k_p).matrix()
-    raise RuntimeError(f"no symmetric physical sample found in {max_tries} tries for seed {seed}")
+    raise RuntimeError(f"no symmetric physical sample found in {MAX_TRIES} tries for seed {seed}")

@@ -16,7 +16,12 @@ every symplectic eigenvalue is >= 1.  Physicality is decided as
 gamma - iJ >= 0: the margin is the smallest eigenvalue of gamma - iJ.  The
 symplectic spectrum is reported alongside but takes no part in the verdict;
 its rounding error grows with cond(gamma), while the margin's stays at
-machine precision times |gamma|.
+machine precision times |gamma|.  In exact arithmetic the verdicts agree:
+by Williamson, gamma - iJ = S^T (D - iJ) S with S symplectic, and by
+Sylvester's law of inertia it has as many negative eigenvalues as gamma has
+symplectic eigenvalues below 1 (each mode of D - iJ has eigenvalues nu +- 1);
+likewise gamma - i*Jtilde and the partial transpose's spectrum.  The fuzz
+invariant physicality_criteria_agree checks the agreement on samples.
 
 Partial transposition on side B flips the sign of every B-side momentum:
 gamma -> Lambda gamma Lambda with Lambda = diag(1,...,1, 1,-1,...,1,-1).

@@ -20,10 +20,10 @@ i*sqrt(gamma)*J*sqrt(gamma) for numerical symmetry.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericsError
 
@@ -189,8 +189,17 @@ def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     scale = 0.45 / np.sqrt(n)
     G = rng.normal(0.0, scale, size=(2 * n, 2 * n))
     H = 0.5 * (G + G.T)
-    S = expm(form_matrix(n) @ H)
+    S = sys.modules[__name__].expm(form_matrix(n) @ H)
     return SymplecticMatrix(n=n, entries=S)
+
+
+def __getattr__(name: str):
+    """scipy.linalg.expm, imported on first use so that importing the package
+    does not load scipy; random_symplectic reads it here, so rebinding works."""
+    if name != "expm":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import expm
+    return expm
 
 
 def direct_sum(*blocks) -> np.ndarray:

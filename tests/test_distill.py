@@ -1,4 +1,7 @@
+import decimal
+import math
 from dataclasses import astuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from gdistill import (
     vacuum,
     wigner_cm,
 )
+from gdistill.states import TOL_VERDICT
 from gdistill.statefile import dumps
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
@@ -100,6 +104,20 @@ def test_find_npt_witness_on_padded_states():
         assert w.margin < -0.5 * w.eps
         assert min(abs(w.skew_a), abs(w.skew_b)) > 1e-8
         assert w.retries <= 32
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed, r=r: local_scramble(tmss_cm(r), seed) for r in (1e-5, 0.5, 3.0)),
+    *(lambda seed, n=n: random_npt_cm(*n, seed) for n in ((3, 2), (4, 4), (1, 6))),
+], ids=["tmss_1e-5", "tmss_0.5", "tmss_3", "npt_3x2", "npt_4x4", "npt_1x6"])
+def test_raw_witness_skews_obey_the_physicality_bound(make):
+    # for physical gamma, skew_b >= (eps - tol)/4 and skew_a <= -(eps - tol)/4
+    # (distill module docstring): the raw eigenvector never needs a retry
+    for seed in range(5):
+        w = find_npt_witness(make(seed), seed=seed)
+        assert w.retries == 0
+        assert w.skew_a < 0 < w.skew_b
+        assert min(-w.skew_a, w.skew_b) >= (w.eps - TOL_VERDICT) / 4
 
 
 def test_concentrate_recovers_unscrambled_embedded_pair():
@@ -269,6 +287,53 @@ def test_scalar_symmetrize_matches_the_matrix_path():
                              standard_form_transform(rep.gamma_out).params, 1e-10)
         symmetrized += 1
     assert symmetrized >= 30
+
+
+def symmetrize_decimal(p: StdFormParams, digits: int = 50):
+    """The closed form of the module docstring in `digits`-digit decimal
+    arithmetic, from the exact binary values of p: (tan^2 theta, output
+    params as a tuple)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        n_a, n_b, k_x, k_p = map(Decimal, astuple(p))
+
+        def companion(n_a, n_b, k_x, k_p):
+            m = n_a * n_b
+            f = 1 / ((m - k_x ** 2) * (m - k_p ** 2)).sqrt()
+            return n_b * f, n_a * f, k_x * f, k_p * f
+
+        w_a, w_b, w_kx, w_kp = companion(n_a, n_b, k_x, k_p)
+        swapped = w_a < w_b
+        big, hot = (w_b, w_a) if swapped else (w_a, w_b)
+        d_x = big * hot - w_kx ** 2
+        tan2 = (big ** 2 - hot ** 2) / (hot - d_x * big)
+        c2 = 1 / (1 + tan2)
+        s2 = 1 - c2
+        nu = s2 * hot + c2
+        a = ((c2 * big + s2 * d_x) / nu, (c2 * big + s2 * big * hot) / nu)
+        b = (hot / nu, c2 * hot + s2)
+        k = (c2.sqrt() * w_kx / nu, c2.sqrt() * w_kp)
+        if swapped:
+            a, b = b, a
+        t = (a[1] * b[1] / (a[0] * b[0])).sqrt().sqrt()
+        u, v = k[0] * t, k[1] / t
+        k_min = min(abs(u), abs(v)) * (1 if u * v > 0 else -1)
+        out = companion((a[0] * a[1]).sqrt(), (b[0] * b[1]).sqrt(),
+                        max(abs(u), abs(v)), k_min)
+        return tan2, out
+
+
+def test_symmetrize_angle_is_accurate_near_the_degenerate_family():
+    # N_hot - D_x N_big is 1.6e-7 from O(1) terms in companion parameters
+    # here; evaluated in the input's parameters it keeps ~1e-11 accuracy
+    p = StdFormParams(1.0004790640655243, 1.0004087976138665,
+                      0.02859690463718892, -0.02859480153139564)
+    rep = distill_module._symmetrize(p, 1e-9)
+    tan2, want = symmetrize_decimal(p)
+    theta = math.atan(math.sqrt(float(tan2)))
+    assert rep.theta == pytest.approx(theta, rel=1e-10, abs=0)
+    for got, ref in zip(astuple(rep.output_params), want):
+        assert got == pytest.approx(float(ref), rel=1e-10, abs=0)
 
 
 def test_symmetrize_validates_input():

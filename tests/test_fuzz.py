@@ -1,41 +1,70 @@
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
-from gdistill import DEFAULT_TOLERANCES, FuzzConfig, run_fuzz
-from gdistill.fuzz import REGISTRY
+from gdistill import (DEFAULT_TOLERANCES, FuzzConfig, cli, distill, fuzz,
+                      run_fuzz, states, symplectic, vacuum)
+from gdistill.fuzz import REGISTRY, Violation
+
+
+# every setting FuzzConfig dropped: the partition range, the kind mix and the
+# 13 bounds, which are now module constants
+REMOVED_KEYS = ["max_modes_a", "max_modes_b", "npt_fraction_target",
+                *DEFAULT_TOLERANCES]
 
 
 def test_config_defaults_and_overrides():
+    # seed and trials are the only settings
+    assert [f.name for f in dataclasses.fields(FuzzConfig)] == ["seed", "trials"]
     cfg = FuzzConfig()
     assert cfg.trials == 1000 and cfg.seed == 0
-    assert cfg.tolerances == DEFAULT_TOLERANCES
-    cfg = FuzzConfig(trials=10, tolerances={"purity": 1e-6})
-    assert cfg.tolerances["purity"] == 1e-6
-    assert cfg.tolerances["pairing"] == DEFAULT_TOLERANCES["pairing"]
+    cfg = FuzzConfig(seed=3, trials=42)
+    assert cfg.seed == 3 and cfg.trials == 42
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FuzzConfig(trials=0)
-    with pytest.raises(ValueError):
-        FuzzConfig(max_modes_a=0)
-    with pytest.raises(ValueError):
-        FuzzConfig(npt_fraction_target=1.5)
-    with pytest.raises(ValueError):
-        FuzzConfig(tolerances={"no_such_knob": 1e-9})
-    with pytest.raises(ValueError):
-        FuzzConfig(tolerances={"purity": -1.0})
+    for bad in ({"trials": "many"}, {"seed": 1.5}, {"trials": True}, {"seed": -1},
+                [1, 2], {"trials": 5, "bogus_field": 1}, {"tolerances": {}}):
+        with pytest.raises(ValueError):
+            FuzzConfig.from_dict(bad)
 
 
 def test_config_dict_roundtrip():
-    cfg = FuzzConfig(seed=3, trials=42, max_modes_b=2, tolerances={"oracle": 1e-9})
-    back = FuzzConfig.from_dict(cfg.to_dict())
-    assert back == cfg
-    with pytest.raises(ValueError):
-        FuzzConfig.from_dict({"trials": 5, "bogus_field": 1})
-    with pytest.raises(ValueError):
-        FuzzConfig.from_dict({"trials": "many"})
-    with pytest.raises(ValueError):
-        FuzzConfig.from_dict([1, 2])
+    cfg = FuzzConfig(seed=3, trials=42)
+    assert cfg.to_dict() == {"seed": 3, "trials": 42}
+    assert FuzzConfig.from_dict(cfg.to_dict()) == cfg
+    assert FuzzConfig.from_dict({}) == FuzzConfig()
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_config_keys_are_rejected(key, tmp_path, capsys):
+    doc = {"trials": 5, key: 1}
+    with pytest.raises(ValueError, match=key):
+        FuzzConfig.from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["fuzz", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and key in err
+
+
+def test_default_tolerances_are_read_only_library_guards():
+    with pytest.raises(TypeError):
+        DEFAULT_TOLERANCES["purity"] = 1.0
+    assert len(DEFAULT_TOLERANCES) == 13 and len(REMOVED_KEYS) == 16
+    guards = {"verdict_band": distill.BOUNDARY_BAND,
+              "pairing": symplectic.TOL_SYMPLECTIC,
+              "purity": states.PURITY_TOL,
+              "involution": states.WIGNER_INVOLUTION_TOL,
+              "leakage": distill.SUPPORT_LEAKAGE_LIMIT,
+              "symmetry": distill.SYMMETRY_TOL,
+              "scaling_rel": distill.SCALING_REL_TOL}
+    for name, guard in guards.items():
+        assert DEFAULT_TOLERANCES[name] == guard, name
 
 
 def test_registry_names_are_stable():
@@ -65,12 +94,23 @@ def test_run_fuzz_reproducible():
     assert a == b
 
 
-def test_run_fuzz_records_violations_without_crashing():
-    # impossibly tight tolerances turn rounding noise into reported
-    # violations; the campaign must finish and count them
-    tight = {name: 1e-300 for name in DEFAULT_TOLERANCES}
-    summary = run_fuzz(FuzzConfig(trials=3, seed=0, tolerances=tight))
-    assert summary["total_violations"] > 0
-    assert len(summary["violations"]) > 0
-    rec = summary["violations"][0]
-    assert {"invariant", "trial", "seed_entropy", "message"} <= set(rec)
+def test_run_fuzz_records_violations_without_crashing(monkeypatch):
+    # one invariant fails with a state, one raises unexpectedly; the campaign
+    # must finish and record both, the state dumped with the first
+    def fails(t):
+        raise Violation("deliberate", state=vacuum(1, 1))
+
+    def crashes(t):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(fuzz, "REGISTRY", (("fails", fails), ("crashes", crashes)))
+    summary = run_fuzz(FuzzConfig(trials=3, seed=0))
+    assert summary["total_violations"] == 6
+    assert summary["invariants"] == {"fails": {"checked": 3, "violations": 3},
+                                     "crashes": {"checked": 3, "violations": 3}}
+    first, last = summary["violations"][0], summary["violations"][-1]
+    assert {"invariant", "trial", "seed_entropy", "message"} <= set(first)
+    assert first["seed_entropy"] == [0, 0, 0]
+    assert first["state"] == {"n_a": 1, "n_b": 1, "gamma": np.eye(4).tolist()}
+    assert last["invariant"] == "crashes" and "state" not in last
+    assert last["message"] == "unexpected RuntimeError: boom"

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gdistill.symplectic as symplectic_module
 from gdistill import (
     NumericsError,
     apply_symplectic,
@@ -190,6 +194,22 @@ def test_direct_sum():
     assert np.array_equal(M[:2, :2], A)
     assert M[2, 2] == 5.0
     assert np.count_nonzero(M[:2, 2:]) == 0
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    code = "import sys, gdistill.cli; assert 'scipy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_random_symplectic_reads_expm_from_the_module(monkeypatch):
+    # expm is loaded lazily but stays a rebindable module attribute
+    calls = []
+    expm = symplectic_module.expm
+    plain = random_symplectic(2, seed=4).entries
+    monkeypatch.setattr(symplectic_module, "expm",
+                        lambda m: calls.append(m.shape) or expm(m))
+    assert np.array_equal(random_symplectic(2, seed=4).entries, plain)
+    assert calls == [(4, 4)]
 
 
 def test_embed_pair_acts_only_on_selected_modes():
