@@ -14,16 +14,14 @@ from gdistill import (CorrelationMatrix, distill_pipeline, local_scramble,
 import numpy as np
 
 
-def show(name, gamma, seed=0):
+def show(name, gamma):
     print(f"--- {name} ---")
-    rep = distill_pipeline(gamma, seed=seed)
+    rep = distill_pipeline(gamma)
     print(f"verdict     : {rep.verdict}")
     print(f"NPT margin  : {rep.npt.raw_margin:+.6e}")
     if rep.verdict == "DISTILLABLE":
         p = rep.final_params
-        print(f"witness     : form value {rep.witness.margin:+.6f}, "
-              f"{rep.witness.retries} retries, "
-              f"{rep.witness_attempts} attempt(s)")
+        print(f"witness     : form value {rep.witness.margin:+.6f}")
         print(f"symmetrize  : theta = {rep.symmetrization.theta:.6f}, "
               f"residual scale {rep.symmetrization.scale_factor:.6f}")
         print(f"final state : n = {p.n_a:.6f}, k_x = {p.k_x:.6f}, "
@@ -37,7 +35,7 @@ def show(name, gamma, seed=0):
 
 def main():
     g = local_scramble(random_npt_cm(2, 3, seed=11), seed=11)
-    show("random entangled state on 2x3 modes", g, seed=11)
+    show("random entangled state on 2x3 modes", g)
 
     thermal = CorrelationMatrix(
         entries=np.diag([2.0, 2.0, 1.4, 1.4, 1.1, 1.1]), partition=(1, 2))

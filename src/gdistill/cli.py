@@ -83,8 +83,7 @@ def cmd_pipeline(args, tol: float) -> int:
         return _fail(f"--r-max must be >= 1, got {args.r_max}", EXIT_PARSE)
     state = _load_bipartite(args)
     try:
-        report = distill_pipeline(state.gamma, r_max=args.r_max,
-                                  seed=args.seed, tol=tol)
+        report = distill_pipeline(state.gamma, r_max=args.r_max, tol=tol)
     except PipelineStageError as exc:
         return _fail(f"stage failure: {exc}", EXIT_STAGE_FAILURE)
     if args.json:
@@ -94,7 +93,6 @@ def cmd_pipeline(args, tol: float) -> int:
         print(f"npt margin: {report.npt.raw_margin:.6e}")
         if report.verdict == VERDICT_DISTILLABLE:
             p = report.final_params
-            print(f"witness attempts: {report.witness_attempts}")
             print(f"final symmetric params: n={p.n_a:.6f} "
                   f"k_x={p.k_x:.6f} k_p={p.k_p:.6f}")
             print(f"rc value at r={report.rc.r:g}: {report.rc.value:.6e} "
@@ -106,6 +104,8 @@ def cmd_random(args, tol: float) -> int:
     if args.modes_a < 1 or args.modes_b < 1:
         return _fail(f"random needs at least one mode on each side, got "
                      f"--modes-a {args.modes_a} --modes-b {args.modes_b}", EXIT_PARSE)
+    if args.seed < 0:
+        return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_PARSE)
     state, meta = random_state(args.kind, args.modes_a, args.modes_b, args.seed)
     print(dumps(state_to_dict(state, metadata=meta)))
     return EXIT_OK
@@ -168,8 +168,7 @@ def cmd_concentrate(args, tol: float) -> int:
     if not verdict.npt:
         raise PreconditionError(
             f"concentration requires an NPT state (margin {verdict.raw_margin:.3e})")
-    witness, s_a, s_b, gamma_red, _ = witness_and_concentrate(
-        state.gamma, seed=args.seed, tol=tol)
+    witness, s_a, s_b, gamma_red = witness_and_concentrate(state.gamma, tol=tol)
     red = is_npt(gamma_red, tol=tol)
     if args.json:
         print(dumps({
@@ -180,13 +179,21 @@ def cmd_concentrate(args, tol: float) -> int:
             "npt_margin_1x1": red.raw_margin,
         }))
     else:
-        print(f"reduced 1x1 npt margin: {red.raw_margin:.6e} "
-              f"(witness retries {witness.retries})")
+        print(f"reduced 1x1 npt margin: {red.raw_margin:.6e}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits EXIT_PARSE on a usage error: its own code, 2, is
+    EXIT_UNPHYSICAL and EXIT_VIOLATIONS here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gdistill",
         description="Distillability analysis of bipartite Gaussian states "
                     "at the correlation-matrix level.")
@@ -200,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="state file (JSON)")
     p.add_argument("--json", action="store_true", help="print the full report as JSON")
     p.add_argument("--r-max", type=int, default=8, help="probe squeezing sweep limit")
-    p.add_argument("--seed", type=int, default=0, help="witness retry seed")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("random", help="generate a random state file on stdout")
@@ -227,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concentrate", help="concentrate an NPT state to one mode pair")
     p.add_argument("path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_concentrate)
     return parser

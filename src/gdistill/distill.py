@@ -15,10 +15,9 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              q +- 2 (s_A + s_B) >= -tol; so for m < 0, s_B >= (|m| - tol)/4
              and s_A <= -(|m| - tol)/4.  The raw eigenvector (m = -eps)
              clears the skew floor 1e-8 once eps > 4e-8 + tol, which the
-             boundary band 1e-7 guarantees; perturbations of size 1e-4 (form
-             kept below -eps/2) run only as retries after a failed
-             concentration.  A global phase rotation of z provably leaves
-             the skew products unchanged, so the perturbations are additive.
+             boundary band 1e-7 guarantees.  This bound is why there is no
+             retry: the eigenvector is the witness, and a witness below the
+             floor or a failed concentration is a stage failure.
 
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              a canonical pair (f1^T J f2 = -1) spanning the same plane as
@@ -85,9 +84,6 @@ from .two_mode import (RcWitnessResult, StandardForm, StdFormParams,
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
-PERTURBATION_SIZE = 1e-4    # witness de-degeneration step, times |z|
-MAX_WITNESS_RETRIES = 32
-MAX_PIPELINE_ATTEMPTS = 8   # fresh witness seeds tried after concentration failures
 SUPPORT_LEAKAGE_LIMIT = 1e-6
 SYMMETRY_TOL = 1e-8         # |n_a - n_b| allowed in symmetrize's output
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
@@ -108,14 +104,14 @@ class PipelineStageError(DistillError):
 
 @dataclass(frozen=True)
 class NptWitness:
-    """Witness vector z with z^dag (gamma - i*Jtilde) z = margin <= -eps."""
+    """Witness vector z with z^dag (gamma - i*Jtilde) z = margin (= -eps up
+    to rounding)."""
 
     z: np.ndarray = field(repr=False)
     margin: float
-    eps: float        # |minimal eigenvalue| of gamma - i*Jtilde before perturbation
+    eps: float        # |minimal eigenvalue| of gamma - i*Jtilde
     skew_a: float     # Re(z_A)^T J Im(z_A)
     skew_b: float
-    retries: int      # perturbation steps taken (0 = raw eigenvector worked)
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,6 @@ class PipelineReport:
     final_params: StdFormParams | None = None
     rc: RcWitnessResult | None = None
     rc_sweep: tuple[RcWitnessResult, ...] = ()
-    witness_attempts: int = 0
 
 
 def _side_split(z: np.ndarray, n_a: int):
@@ -159,65 +154,44 @@ def _side_skews(z: np.ndarray, n_a: int, n_b: int) -> tuple[float, float]:
     )
 
 
-def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT,
-                     seed: int = 0) -> NptWitness:
+def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptWitness:
     """Find a unit vector z with z^dag (gamma - i*Jtilde) z < 0 and nonzero
-    skew products Re(z)^T J Im(z) on both sides.
+    skew products Re(z)^T J Im(z) on both sides: the minimal eigenvector of
+    gamma - i*Jtilde.
 
-    The minimal eigenvector of gamma - i*Jtilde is returned with retries 0
-    when its skew products clear 1e-8, which the bound in the module
-    docstring guarantees for physical gamma and eps > 4e-8 + tol.  Otherwise it is nudged by
-    deterministic perturbations of relative size 1e-4, keeping the form
-    below -eps/2; after 32 a DegeneracyError is raised.
-
-    Raises PreconditionError when the state is not NPT.
+    Raises PreconditionError when the state is not NPT, and DegeneracyError
+    when the form is not negative or a skew product does not clear 1e-8,
+    which the bound in the module docstring excludes for physical gamma and
+    eps > 4e-8 + tol.
     """
     verdict = is_npt(gamma, tol=tol)
     if not verdict.npt:
         raise PreconditionError(
             f"witness search requires an NPT state (margin {verdict.raw_margin:.3e})")
-    return _search_witness(gamma, *_minimal_eigenvector(gamma), seed=seed, first=0)
+    return _witness(gamma)
 
 
-def _minimal_eigenvector(gamma: CorrelationMatrix):
-    """(gamma - i*Jtilde, eps = -lambda_min, unit eigenvector in canonical phase)."""
+def _witness(gamma: CorrelationMatrix) -> NptWitness:
+    """The unit minimal eigenvector of gamma - i*Jtilde in canonical phase,
+    checked for a negative form and skew products above the floor."""
     herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
     w, V = np.linalg.eigh(herm)
-    z0 = V[:, 0]
+    z = V[:, 0]
     # canonical phase: make the largest component real positive, so results
     # do not depend on the eigensolver's phase choice
-    pivot = int(np.argmax(np.abs(z0)))
-    z0 = z0 * (np.conj(z0[pivot]) / abs(z0[pivot]))
-    return herm, float(-w[0]), z0 / np.linalg.norm(z0)
-
-
-def _search_witness(gamma: CorrelationMatrix, herm: np.ndarray, eps: float,
-                    z0: np.ndarray, seed: int, first: int) -> NptWitness:
-    """First usable witness among z0 (step 0) and its seeded perturbations
-    (steps 1..32), starting at step ``first``."""
-    floor = SKEW_FLOOR_FACTOR  # |z| = 1 throughout
-    best = None
-    for k in range(first, MAX_WITNESS_RETRIES + 1):
-        if k == 0:
-            z = z0
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), k)))
-            u = rng.normal(size=z0.shape) + 1j * rng.normal(size=z0.shape)
-            u /= np.linalg.norm(u)
-            z = z0 + PERTURBATION_SIZE * u
-            z /= np.linalg.norm(z)
-        margin = float(np.real(np.conj(z) @ herm @ z))
-        skew_a, skew_b = _side_skews(z, gamma.n_a, gamma.n_b)
-        if best is None or min(abs(skew_a), abs(skew_b)) > best[0]:
-            best = (min(abs(skew_a), abs(skew_b)), margin)
-        if margin < -0.5 * eps and min(abs(skew_a), abs(skew_b)) > floor:
-            z = z.copy()
-            z.flags.writeable = False
-            return NptWitness(z=z, margin=margin, eps=eps,
-                              skew_a=skew_a, skew_b=skew_b, retries=k)
-    raise DegeneracyError(
-        f"no perturbation produced usable skew products after {MAX_WITNESS_RETRIES} "
-        f"retries (best min-skew {best[0]:.3e}, eps {eps:.3e})")
+    pivot = int(np.argmax(np.abs(z)))
+    z = z * (np.conj(z[pivot]) / abs(z[pivot]))
+    z = z / np.linalg.norm(z)
+    eps = float(-w[0])
+    margin = float(np.real(np.conj(z) @ herm @ z))
+    skew_a, skew_b = _side_skews(z, gamma.n_a, gamma.n_b)
+    min_skew = min(abs(skew_a), abs(skew_b))
+    if not (margin < 0 and min_skew > SKEW_FLOOR_FACTOR):
+        raise DegeneracyError(
+            f"minimal eigenvector is not a usable witness (margin {margin:.3e}, "
+            f"min skew {min_skew:.3e}, eps {eps:.3e})")
+    z.flags.writeable = False
+    return NptWitness(z=z, margin=margin, eps=eps, skew_a=skew_a, skew_b=skew_b)
 
 
 def _canonical_pair(z_side: np.ndarray):
@@ -243,10 +217,9 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     kept modes, the quadratic form value is unchanged, and the reduced
     two-mode state is NPT.  gamma must be physical (it is not re-checked).
 
-    Returns (S_A, S_B, gamma_red).  Raises ConcentrationError when witness
-    support leaks beyond the kept modes (> 1e-6) or the reduced state comes
-    out PPT; both indicate a degenerate witness and the caller should retry
-    with a fresh perturbation seed (see witness_and_concentrate).
+    Returns (S_A, S_B, gamma_red).  Raises ConcentrationError when the basis
+    extension fails, witness support leaks beyond the kept modes (> 1e-6) or
+    the reduced state comes out PPT.
     """
     n_a, n_b = gamma.partition
     if n_a < 1 or n_b < 1:
@@ -284,27 +257,14 @@ def _in_stage(stage: str, fn, *args, **kwargs):
         raise PipelineStageError(stage, exc) from exc
 
 
-def witness_and_concentrate(gamma: CorrelationMatrix, seed: int = 0,
-                            tol: float = TOL_VERDICT):
+def witness_and_concentrate(gamma: CorrelationMatrix, tol: float = TOL_VERDICT):
     """The witness and concentrate stages, for a state the caller has decided
-    is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Attempt
-    k < 8 searches with perturbation seed seed * 8 + k, starting from a
-    perturbation when k > 0 (the raw eigenvector already failed); a
-    ConcentrationError moves on to the next attempt.  Returns (witness, S_A,
-    S_B, gamma_1x1, attempts); raises PipelineStageError naming the stage.
+    is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Returns
+    (witness, S_A, S_B, gamma_1x1); raises PipelineStageError naming the
+    stage that failed.
     """
-    start = _minimal_eigenvector(gamma)
-    for attempt in range(MAX_PIPELINE_ATTEMPTS):
-        witness = _in_stage("witness", _search_witness, gamma, *start,
-                            seed=seed * MAX_PIPELINE_ATTEMPTS + attempt,
-                            first=min(attempt, 1))
-        try:
-            return (witness, *concentrate(gamma, witness, tol=tol), attempt + 1)
-        except ConcentrationError as exc:
-            last_exc = exc
-        except DistillError as exc:
-            raise PipelineStageError("concentrate", exc) from exc
-    raise PipelineStageError("concentrate", last_exc)
+    witness = _in_stage("witness", _witness, gamma)
+    return (witness, *_in_stage("concentrate", concentrate, gamma, witness, tol=tol))
 
 
 def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> SymmetrizationReport:
@@ -398,7 +358,7 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
         scale_factor=scale, output_params=params_out)
 
 
-def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
+def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
                      tol: float = TOL_VERDICT) -> PipelineReport:
     """Decide distillability and construct the certifying protocol.
 
@@ -412,7 +372,6 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
     product state sits exactly at margin zero and is decisively not
     distillable.)
 
-    Concentration failures trigger fresh witness seeds, up to 8 attempts.
     Any stage failure raises PipelineStageError naming the stage; the
     rc_witness stage fails when the witness is not negative at r = r_max.
     Raises ValueError for r_max < 1.
@@ -427,8 +386,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_BOUNDARY, npt=npt_verdict)
 
-    witness, s_a, s_b, gamma_red, attempts = witness_and_concentrate(
-        gamma, seed=seed, tol=tol)
+    witness, s_a, s_b, gamma_red = witness_and_concentrate(gamma, tol=tol)
 
     std = _in_stage("standard_form", standard_form_transform, gamma_red)
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
@@ -462,5 +420,4 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8, seed: int = 0,
         final_params=final,
         rc=sweep[-1],
         rc_sweep=sweep,
-        witness_attempts=attempts,
     )

@@ -2,9 +2,9 @@
 
 Plain ``ValueError`` is raised for malformed arguments (wrong shapes, bad mode
 counts).  The classes below mark failures with domain meaning, so callers can
-react to them individually: the distillation pipeline retries the witness
-search on a ConcentrationError, and the command line maps each class to a
-distinct exit code.
+react to them individually: the distillation pipeline reports them as stage
+failures (PipelineStageError, naming the stage), and the command line exits
+with its stage-failure code on them.
 """
 
 
@@ -22,8 +22,8 @@ class NumericsError(DistillError):
 
 
 class DegeneracyError(NumericsError):
-    """Witness de-degeneration failed: no perturbation in the retry schedule
-    produced nonzero symplectic skew products on both sides."""
+    """The minimal eigenvector of gamma - i*Jtilde is not a usable witness:
+    its form is not negative or a symplectic skew product is below the floor."""
 
 
 class ConcentrationError(NumericsError):

@@ -21,19 +21,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distill import (BOUNDARY_BAND, MAX_WITNESS_RETRIES, SCALING_REL_TOL,
-                      SKEW_FLOOR_FACTOR, SUPPORT_LEAKAGE_LIMIT, SYMMETRY_TOL,
-                      VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
+from .distill import (BOUNDARY_BAND, SCALING_REL_TOL, SKEW_FLOOR_FACTOR,
+                      SUPPORT_LEAKAGE_LIMIT, SYMMETRY_TOL, VERDICT_BOUNDARY,
+                      VERDICT_DISTILLABLE,
                       VERDICT_NOT_DISTILLABLE, PipelineStageError,
                       distill_pipeline, symmetrize, witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
-from .states import (PURITY_TOL, WIGNER_INVOLUTION_TOL, CorrelationMatrix,
-                     apply_symplectic, condition_on_x_measurement,
-                     direct_sum_states, is_npt, is_pure, partial_transpose,
-                     pt_form, reduce_to_modes, vacuum, validate_physical,
-                     wigner_cm)
+from .states import (PURITY_TOL, TOL_VERDICT, WIGNER_INVOLUTION_TOL,
+                     CorrelationMatrix, apply_symplectic,
+                     condition_on_x_measurement, direct_sum_states, is_npt,
+                     is_pure, partial_transpose, pt_form, reduce_to_modes,
+                     vacuum, validate_physical, wigner_cm)
 from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
                          is_symplectic, random_symplectic,
@@ -174,7 +174,7 @@ def symplectic_spectrum_congruence_invariance(t: _Trial):
     if rel > DEFAULT_TOLERANCES["spectrum_rel"]:
         raise Violation(f"symplectic spectrum moved by {rel:.3e} under congruence",
                         state=g)
-    if before[0] < 1.0 - 1e-9:
+    if before[0] < 1.0 - TOL_VERDICT:
         raise Violation(
             f"physical sample has symplectic eigenvalue {before[0]!r} < 1", state=g)
 
@@ -211,8 +211,8 @@ def physicality_criteria_agree(t: _Trial):
     v = validate_physical(g)
     if abs(v.min_symplectic_eigenvalue - 1.0) < DEFAULT_TOLERANCES["verdict_band"]:
         return  # too close to the boundary for the two tolerances to align
-    by_margin = v.margin >= -1e-9
-    by_spectrum = v.min_symplectic_eigenvalue >= 1.0 - 1e-9
+    by_margin = v.margin >= -TOL_VERDICT
+    by_spectrum = v.min_symplectic_eigenvalue >= 1.0 - TOL_VERDICT
     if by_margin != by_spectrum or v.physical != by_margin:
         raise Violation(
             f"physicality criteria disagree: margin {v.margin:.3e}, "
@@ -486,11 +486,9 @@ def concentration_invariants(t: _Trial):
     n_a, n_b = t.partition()
     g = random_npt_cm(n_a, n_b, t.seed(1))
     try:
-        witness, s_a, s_b, g_red, _ = witness_and_concentrate(g, seed=t.seed(2))
+        witness, s_a, s_b, g_red = witness_and_concentrate(g)
     except PipelineStageError as exc:
         raise Violation(str(exc), state=g)
-    if witness.retries > MAX_WITNESS_RETRIES:
-        raise Violation(f"witness took {witness.retries} retries")
     if min(abs(witness.skew_a), abs(witness.skew_b)) <= SKEW_FLOOR_FACTOR:
         raise Violation("witness skew products below the floor")
     z = np.asarray(witness.z)
@@ -528,7 +526,7 @@ def pipeline_equivalence(t: _Trial):
     such); on DISTILLABLE runs every stage artifact is present and NPT."""
     g, meta = t.state()
     verdict = is_npt(g)
-    rep = distill_pipeline(g, seed=t.seed(9))
+    rep = distill_pipeline(g)
     if not verdict.npt:
         want = VERDICT_NOT_DISTILLABLE
     elif abs(verdict.raw_margin) < BOUNDARY_BAND:
@@ -552,7 +550,7 @@ def pipeline_equivalence(t: _Trial):
             raise Violation(f"{label} stage output missing or not NPT", state=g)
     p = rep.final_params
     n = np.sqrt(p.n_a * p.n_b)
-    if (n - p.k_x) * (n + p.k_p) - 1.0 >= 1e-9:
+    if (n - p.k_x) * (n + p.k_p) - 1.0 >= TOL_VERDICT:
         raise Violation("final symmetric state violates the witness limit "
                         "inequality", state=g)
     if len(rep.rc_sweep) != 8 or rep.rc is not rep.rc_sweep[-1]:

@@ -165,7 +165,6 @@ def witness_to_dict(w: NptWitness) -> dict:
         "eps": w.eps,
         "skew_a": w.skew_a,
         "skew_b": w.skew_b,
-        "retries": w.retries,
     }
 
 
@@ -210,6 +209,5 @@ def pipeline_report_to_dict(rep: PipelineReport) -> dict:
     return {
         "input_partition": list(rep.input_partition),
         "verdict": rep.verdict,
-        "witness_attempts": rep.witness_attempts,
         "stages": stages,
     }

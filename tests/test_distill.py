@@ -6,10 +6,12 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import gdistill.cli as cli
 import gdistill.distill as distill_module
 import gdistill.two_mode as two_mode_module
 from gdistill import (
     ConcentrationError,
+    DegeneracyError,
     NumericsError,
     PipelineStageError,
     PreconditionError,
@@ -18,6 +20,7 @@ from gdistill import (
     VERDICT_DISTILLABLE,
     VERDICT_NOT_DISTILLABLE,
     CorrelationMatrix,
+    GaussianState,
     apply_symplectic,
     beam_splitter,
     concentrate,
@@ -37,6 +40,7 @@ from gdistill import (
     random_state,
     random_symmetric_two_mode,
     reduce_to_modes,
+    save_state,
     skew_product,
     standard_form_params,
     standard_form_transform,
@@ -71,7 +75,6 @@ def witness_form_value(g, z):
 
 def test_find_npt_witness_squeezed_frozen():
     w = find_npt_witness(tmss_cm(0.5))
-    assert w.retries == 0  # raw eigenvector already has healthy skews
     assert w.eps == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
     assert w.margin == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-12)
     assert np.linalg.norm(w.z) == pytest.approx(1.0, abs=1e-12)
@@ -97,13 +100,12 @@ def test_find_npt_witness_requires_npt():
 def test_find_npt_witness_on_padded_states():
     for seed in range(20):
         g = padded_squeezed_pair(3, 2, seed)
-        w = find_npt_witness(g, seed=seed)
+        w = find_npt_witness(g)
         herm = g.entries - 1j * pt_form(3, 2)
         val = float(np.real(np.conj(w.z) @ herm @ w.z))
         assert val == pytest.approx(w.margin, abs=1e-12)
         assert w.margin < -0.5 * w.eps
         assert min(abs(w.skew_a), abs(w.skew_b)) > 1e-8
-        assert w.retries <= 32
 
 
 @pytest.mark.parametrize("make", [
@@ -112,10 +114,9 @@ def test_find_npt_witness_on_padded_states():
 ], ids=["tmss_1e-5", "tmss_0.5", "tmss_3", "npt_3x2", "npt_4x4", "npt_1x6"])
 def test_raw_witness_skews_obey_the_physicality_bound(make):
     # for physical gamma, skew_b >= (eps - tol)/4 and skew_a <= -(eps - tol)/4
-    # (distill module docstring): the raw eigenvector never needs a retry
+    # (distill module docstring): the raw eigenvector is the witness
     for seed in range(5):
-        w = find_npt_witness(make(seed), seed=seed)
-        assert w.retries == 0
+        w = find_npt_witness(make(seed))
         assert w.skew_a < 0 < w.skew_b
         assert min(-w.skew_a, w.skew_b) >= (w.eps - TOL_VERDICT) / 4
 
@@ -140,7 +141,7 @@ def test_concentrate_padded_scrambled_states():
     # different NPT state; what is preserved is the witness form value
     for seed in range(15):
         g = padded_squeezed_pair(3, 2, seed)
-        w = find_npt_witness(g, seed=seed)
+        w = find_npt_witness(g)
         s_a, s_b, g_red = concentrate(g, w)
         assert g_red.partition == (1, 1)
         red_verdict = is_npt(g_red)
@@ -162,7 +163,7 @@ def test_concentrate_padded_scrambled_states():
 def test_concentrate_witness_columns():
     # first basis columns on each side span (Re z, Im z) with pairing -1
     g = padded_squeezed_pair(2, 2, seed=7)
-    w = find_npt_witness(g, seed=7)
+    w = find_npt_witness(g)
     s_a, s_b, _ = concentrate(g, w)
     za, zb = w.z[:4], w.z[4:]
     for side, z in ((s_a, za), (s_b, zb)):
@@ -348,7 +349,6 @@ def test_pipeline_distillable_squeezed():
     assert rep.verdict == VERDICT_DISTILLABLE
     assert rep.input_partition == (1, 1)
     assert rep.npt.raw_margin == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-12)
-    assert rep.witness_attempts == 1
     for stage in (rep.witness, rep.s_a, rep.s_b, rep.gamma_1x1,
                   rep.standard_form, rep.symmetrization, rep.final_params, rep.rc):
         assert stage is not None
@@ -368,7 +368,7 @@ def test_pipeline_strongly_squeezed_pairs():
     # pure pairs squeezed far beyond the random populations are decided NPT
     # and certified, not refused as unphysical
     for k in range(3):
-        rep = distill_pipeline(local_scramble(tmss_cm(3.0), k), seed=k)
+        rep = distill_pipeline(local_scramble(tmss_cm(3.0), k))
         assert rep.verdict == VERDICT_DISTILLABLE
         assert rep.rc.value < 0
 
@@ -413,42 +413,41 @@ def test_pipeline_wraps_concentrate_stage_errors(monkeypatch):
     assert isinstance(err.value.cause, NumericsError)
 
 
-def test_pipeline_retry_starts_from_a_perturbation(monkeypatch):
-    # after a concentration failure the raw eigenvector is not tried again
-    real = distill_module.concentrate
-    seen = []
-
-    def fails_once(gamma, witness, tol):
-        seen.append(witness)
-        if len(seen) == 1:
-            raise ConcentrationError("injected")
-        return real(gamma, witness, tol=tol)
-
-    monkeypatch.setattr(distill_module, "concentrate", fails_once)
-    rep = distill_pipeline(tmss_cm(0.5))
-    assert rep.verdict == VERDICT_DISTILLABLE
-    assert rep.witness_attempts == 2
-    assert seen[0].retries == 0 and seen[1].retries >= 1
-    assert not np.array_equal(seen[0].z, seen[1].z)
-    assert rep.witness is seen[1]
+def test_witness_below_the_skew_floor_is_a_witness_stage_failure():
+    # unphysical on side A only: the minimal eigenvector of gamma - i*Jtilde
+    # lives on side A, so side B's skew product is zero
+    g = CorrelationMatrix(entries=np.diag([0.1, 0.1, 1.0, 1.0]), partition=(1, 1))
+    with pytest.raises(PipelineStageError) as err:
+        distill_module.witness_and_concentrate(g)
+    assert err.value.stage == "witness"
+    assert isinstance(err.value.cause, DegeneracyError)
 
 
-def test_failed_basis_completion_triggers_a_retry(monkeypatch):
+def test_failed_basis_completion_is_a_concentrate_stage_failure(monkeypatch, tmp_path):
     # a completion that fails validation raises NumericsError; concentrate
-    # turns it into ConcentrationError, so the pipeline retries
-    real = distill_module.extend_to_symplectic_basis
+    # turns it into ConcentrationError, and nothing retries it
+    real_concentrate = distill_module.concentrate
     calls = []
 
-    def fails_first(f1, f2):
-        calls.append(f1)
-        if len(calls) == 1:
-            raise NumericsError("injected")
-        return real(f1, f2)
+    def fails(f1, f2):
+        raise NumericsError("injected")
 
-    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis", fails_first)
-    rep = distill_pipeline(tmss_cm(0.5))
-    assert rep.verdict == VERDICT_DISTILLABLE
-    assert rep.witness_attempts == 2
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_concentrate(*args, **kwargs)
+
+    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis", fails)
+    monkeypatch.setattr(distill_module, "concentrate", counted)
+    with pytest.raises(PipelineStageError) as err:
+        distill_pipeline(tmss_cm(0.5))
+    assert err.value.stage == "concentrate"
+    assert isinstance(err.value.cause, ConcentrationError)
+    assert len(calls) == 1
+
+    path = tmp_path / "d.json"
+    save_state(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)), str(path))
+    for command in ("pipeline", "concentrate"):
+        assert cli.main([command, str(path)]) == 5
 
 
 def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
@@ -577,7 +576,7 @@ def test_pipeline_padded_asymmetric_state():
     core = lossy_squeezed_pair()
     g = local_scramble(direct_sum_states(core, vacuum(2, 1)), seed=13)
     assert g.partition == (3, 2)
-    rep = distill_pipeline(g, seed=13)
+    rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     assert rep.symmetrization.theta > 0.1
     p = rep.final_params
@@ -589,7 +588,7 @@ def test_pipeline_padded_asymmetric_state():
 def test_pipeline_transforms_compose():
     # the reported transforms really map the input to the reported 1x1 state
     g = random_npt_cm(2, 2, seed=5)
-    rep = distill_pipeline(g, seed=5)
+    rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     moved = apply_symplectic(g, direct_sum(rep.s_a.entries, rep.s_b.entries))
     red = reduce_to_modes(moved, [0], [0])
@@ -602,8 +601,8 @@ def test_pipeline_transforms_compose():
 
 def test_pipeline_report_deterministic():
     g = random_npt_cm(2, 1, seed=21)
-    a = dumps(pipeline_report_to_dict(distill_pipeline(g, seed=3)))
-    b = dumps(pipeline_report_to_dict(distill_pipeline(g, seed=3)))
+    a = dumps(pipeline_report_to_dict(distill_pipeline(g)))
+    b = dumps(pipeline_report_to_dict(distill_pipeline(g)))
     assert a == b
 
 
@@ -614,7 +613,7 @@ def test_pipeline_verdict_matches_ppt_test():
         st, meta = random_state(kind, 1 + seed % 3, 1 + (seed // 2) % 2, seed)
         if abs(meta["npt_margin"]) < 1e-7:
             continue
-        rep = distill_pipeline(st.gamma, seed=seed)
+        rep = distill_pipeline(st.gamma)
         want = VERDICT_DISTILLABLE if meta["npt"] else VERDICT_NOT_DISTILLABLE
         assert rep.verdict == want
         if rep.verdict == VERDICT_DISTILLABLE:

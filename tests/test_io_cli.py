@@ -143,13 +143,15 @@ def test_report_serializers():
     w = witness_to_dict(find_npt_witness(tmss_cm(0.5)))
     z = np.array(w["z_real"]) + 1j * np.array(w["z_imag"])
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
-    assert w["retries"] == 0 and w["margin"] < 0
+    assert w["margin"] < 0
+    assert set(w) == {"z_real", "z_imag", "margin", "eps", "skew_a", "skew_b"}
 
 
 def test_pipeline_report_dict_shape():
     doc = pipeline_report_to_dict(distill_pipeline(tmss_cm(0.5)))
     assert doc["verdict"] == "DISTILLABLE"
     assert doc["input_partition"] == [1, 1]
+    assert set(doc) == {"input_partition", "verdict", "stages"}
     assert set(doc["stages"]) == {"npt_check", "witness", "concentrate",
                                   "standard_form", "symmetrize", "rc_witness"}
     assert len(doc["stages"]["rc_witness"]["sweep"]) == 8
@@ -275,6 +277,26 @@ def test_cli_random_refuses_empty_sides_without_traceback():
         assert "at least one mode on each side" in res.stderr
 
 
+def test_cli_random_refuses_a_negative_seed_without_traceback():
+    res = run_cli("random", "--seed", "-1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.strip().count("\n") == 0
+    assert "--seed must be non-negative" in res.stderr
+
+
+def test_cli_usage_errors_exit_1(tmp_path):
+    # argparse's own usage code is 2, which is validate's "unphysical"
+    path = write_state(tmp_path, "d.json", tmss_cm(0.5))
+    for args in (("pipeline", path, "--seed", "3"), ("validate", path, "--bogus")):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert res.stdout == "" and "usage: gdistill" in res.stderr
+    res = run_cli("--help")
+    assert res.returncode == 0 and "usage: gdistill" in res.stdout
+
+
 def test_cli_pipeline_json_deterministic(tmp_path):
     path = write_state(tmp_path, "d.json", random_npt_cm(2, 2, seed=11))
     a = run_cli("pipeline", path, "--json")
@@ -342,7 +364,7 @@ def test_cli_concentrate(tmp_path):
     doc = json.loads(res.stdout)
     assert doc["npt_margin_1x1"] < 0
     assert len(doc["gamma_1x1"]) == 4
-    assert doc["witness"]["retries"] <= 32
+    assert doc["witness"]["margin"] < 0
 
 
 def test_cli_fuzz_small_run(tmp_path):
@@ -376,4 +398,4 @@ def test_cli_tolerance_env(tmp_path):
 
 def test_cli_no_subcommand_fails():
     res = run_cli()
-    assert res.returncode != 0
+    assert res.returncode == 1

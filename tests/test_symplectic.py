@@ -163,7 +163,7 @@ def test_extend_to_symplectic_basis_rejects_bad_input():
 def test_extend_to_symplectic_basis_degenerate_completion_is_numerics_error():
     # a NaN passes the pairing check (the comparison is false) and leaves no
     # positive pairing on the complement: NumericsError, which concentrate
-    # turns into a retry, not a ValueError
+    # turns into a ConcentrationError, not a ValueError
     f1 = np.array([1.0, 0.0, np.nan, 0.0])
     f2 = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(NumericsError):
