@@ -7,7 +7,8 @@
 # both sides, so the raw eigenvector is used as is.  Building a local
 # symplectic basis whose first canonical pair spans (Re z, Im z) on each
 # side and discarding every other mode leaves a 1x1 state that inherits the
-# witness -- so it is NPT, and two-mode methods finish the job.
+# witness -- so it is NPT, and two-mode methods finish the job.  That state
+# is the projection F^T gamma F onto the two kept canonical pairs.
 #
 import numpy as np
 
@@ -26,15 +27,16 @@ def main():
     print(f"  side skew products   : {w.skew_a:+.6f}, {w.skew_b:+.6f}")
     print("  (both nonzero, so each side yields a canonical basis pair)\n")
 
-    s_a, s_b, g_red = concentrate(g, w)
+    conc = concentrate(g, w)
+    s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
     print(f"local transforms: S_A is {s_a.entries.shape}, "
           f"S_B is {s_b.entries.shape}")
-    print("reduced state (one mode pair):")
+    print("reduced state (one mode pair), F^T gamma F with F the first "
+          "canonical pairs:")
     print(g_red.entries.round(6))
 
-    red = is_npt(g_red)
     p = standard_form_params(g_red)
-    print(f"\nreduced NPT margin : {red.raw_margin:+.6f}")
+    print(f"\nreduced NPT margin : {conc.npt_margin:+.6f}")
     print(f"reduced parameters : n_a = {p.n_a:.6f}, n_b = {p.n_b:.6f}, "
           f"k_x = {p.k_x:.6f}, k_p = {p.k_p:.6f}")
 

@@ -29,11 +29,11 @@ from .two_mode import (InseparabilityCheck, RcWitnessResult, StandardForm,
                        det_invariants, inseparability_residual, is_symmetric,
                        rc_sweep, rc_value, standard_form_params,
                        standard_form_transform, tmss_cm, wigner_params)
-from .distill import (NptWitness, PipelineReport, PipelineStageError,
-                      SymmetrizationReport, VERDICT_BOUNDARY,
-                      VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
-                      concentrate, distill_pipeline, find_npt_witness,
-                      symmetrize)
+from .distill import (Concentration, NptWitness, PipelineReport,
+                      PipelineStageError, SymmetrizationReport,
+                      VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
+                      VERDICT_NOT_DISTILLABLE, concentrate, distill_pipeline,
+                      find_npt_witness, symmetrize)
 from .random_states import (KINDS, local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
@@ -47,7 +47,7 @@ __all__ = [
     "CorrelationMatrix", "GaussianState", "NptVerdict", "PhysicalityVerdict",
     "SymplecticMatrix", "StdFormParams", "TwoModePhysicality",
     "InseparabilityCheck", "RcWitnessResult", "NptWitness", "PipelineReport",
-    "StandardForm", "SymmetrizationReport", "FuzzConfig",
+    "StandardForm", "Concentration", "SymmetrizationReport", "FuzzConfig",
     "DistillError", "PreconditionError", "NumericsError", "DegeneracyError",
     "ConcentrationError", "MeasurementError", "PipelineStageError",
     "StateFileError",

@@ -4,7 +4,8 @@ Subcommands: validate, pipeline, random, fuzz, standard-form, symmetrize,
 concentrate.  State files are JSON (see statefile module).  All randomized
 commands are deterministic for fixed flags: identical invocations produce
 identical bytes on stdout.  The environment variable GDISTILL_TOL overrides
-the default verdict tolerance.
+the default verdict tolerance; it must lie in (0, 6e-8), where the witness
+skew bound of the distill module holds.
 
 Exit codes:
     0  success (validate: physical; pipeline: DISTILLABLE)
@@ -22,18 +23,18 @@ import json
 import os
 import sys
 
-from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
+from .distill import (TOL_LIMIT, VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
                       VERDICT_NOT_DISTILLABLE, PipelineStageError,
                       distill_pipeline, symmetrize, witness_and_concentrate)
 from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
-from .statefile import (StateFileError, dumps, load_state, npt_to_dict,
-                        physicality_to_dict, pipeline_report_to_dict,
-                        standard_form_to_dict, state_to_dict,
-                        symmetrization_to_dict, witness_to_dict)
+from .statefile import (StateFileError, concentration_to_dict, dumps,
+                        load_state, npt_to_dict, physicality_to_dict,
+                        pipeline_report_to_dict, standard_form_to_dict,
+                        state_to_dict, symmetrization_to_dict, witness_to_dict)
 from .states import TOL_VERDICT, is_npt, validate_physical
-from .two_mode import standard_form_transform
+from .two_mode import MAX_PROBE_R, standard_form_transform
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -79,8 +80,9 @@ def cmd_validate(args, tol: float) -> int:
 
 
 def cmd_pipeline(args, tol: float) -> int:
-    if args.r_max < 1:
-        return _fail(f"--r-max must be >= 1, got {args.r_max}", EXIT_PARSE)
+    if not 1 <= args.r_max <= MAX_PROBE_R:
+        return _fail(f"--r-max must be >= 1 and <= {MAX_PROBE_R}, got {args.r_max}",
+                     EXIT_PARSE)
     state = _load_bipartite(args)
     try:
         report = distill_pipeline(state.gamma, r_max=args.r_max, tol=tol)
@@ -168,18 +170,12 @@ def cmd_concentrate(args, tol: float) -> int:
     if not verdict.npt:
         raise PreconditionError(
             f"concentration requires an NPT state (margin {verdict.raw_margin:.3e})")
-    witness, s_a, s_b, gamma_red = witness_and_concentrate(state.gamma, tol=tol)
-    red = is_npt(gamma_red, tol=tol)
+    witness, conc = witness_and_concentrate(state.gamma, tol=tol)
     if args.json:
-        print(dumps({
-            "witness": witness_to_dict(witness),
-            "s_a": s_a.entries.tolist(),
-            "s_b": s_b.entries.tolist(),
-            "gamma_1x1": gamma_red.entries.tolist(),
-            "npt_margin_1x1": red.raw_margin,
-        }))
+        print(dumps({"witness": witness_to_dict(witness), **concentration_to_dict(conc),
+                     "npt_margin_1x1": conc.npt_margin}))
     else:
-        print(f"reduced 1x1 npt margin: {red.raw_margin:.6e}")
+        print(f"reduced 1x1 npt margin: {conc.npt_margin:.6e}")
     return EXIT_OK
 
 
@@ -206,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full distillability pipeline")
     p.add_argument("path", help="state file (JSON)")
     p.add_argument("--json", action="store_true", help="print the full report as JSON")
-    p.add_argument("--r-max", type=int, default=8, help="probe squeezing sweep limit")
+    p.add_argument("--r-max", type=int, default=8,
+                   help=f"probe squeezing sweep limit, 1..{MAX_PROBE_R}")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("random", help="generate a random state file on stdout")
@@ -245,11 +242,11 @@ def main(argv=None) -> int:
     if raw is not None:
         try:
             tol = float(raw)
-            if not tol > 0:
+            if not 0 < tol < TOL_LIMIT:
                 raise ValueError
         except ValueError:
-            return _fail(f"GDISTILL_TOL must be a positive number, got {raw!r}",
-                         EXIT_PARSE)
+            return _fail(f"GDISTILL_TOL must be a number in (0, {TOL_LIMIT:g}), "
+                         f"got {raw!r}", EXIT_PARSE)
     try:
         return args.func(args, tol)
     except StateFileError as exc:

@@ -22,9 +22,14 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              a canonical pair (f1^T J f2 = -1) spanning the same plane as
              (Re z, Im z).  Completing each pair to a symplectic basis gives
-             local transformations after which z is supported on the first
-             mode of each side only, so tracing out every other mode leaves
-             a two-mode state that inherits the witness: it is NPT.
+             local transformations S_A, S_B after which z is supported on
+             the first mode of each side only, so tracing out every other
+             mode leaves a two-mode state that inherits the witness: it is
+             NPT.  The kept mode pair depends only on the first canonical
+             pairs, so the reduced state is the projection
+             gamma_1x1 = F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2] (2n x 4),
+             with no 2n x 2n congruence.  S_A and S_B are still completed:
+             the leakage guard solves with them, and the report carries them.
 
 symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              standard form (n_a, n_b, k_x, k_p) its standard-form parameters
@@ -74,18 +79,20 @@ import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError, PreconditionError)
-from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict,
-                     apply_symplectic, is_npt, pt_form, reduce_to_modes)
+from .states import TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix)
-from .two_mode import (RcWitnessResult, StandardForm, StdFormParams,
-                       check_inseparable, check_symmetric_inseparable, rc_sweep,
+from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
+                       StdFormParams, check_inseparable,
+                       check_symmetric_inseparable, is_symmetric, rc_sweep,
                        standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
 SUPPORT_LEAKAGE_LIMIT = 1e-6
-SYMMETRY_TOL = 1e-8         # |n_a - n_b| allowed in symmetrize's output
+# the witness skew bound (module docstring) holds for every eps outside the
+# band only when tol is below this, 6e-8
+TOL_LIMIT = BOUNDARY_BAND - 4 * SKEW_FLOOR_FACTOR
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
 VERDICT_DISTILLABLE = "DISTILLABLE"
@@ -115,6 +122,17 @@ class NptWitness:
 
 
 @dataclass(frozen=True)
+class Concentration:
+    """concentrate's result: the local symplectics, the kept pair's state
+    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) < -tol."""
+
+    s_a: SymplecticMatrix
+    s_b: SymplecticMatrix
+    gamma_1x1: CorrelationMatrix
+    npt_margin: float
+
+
+@dataclass(frozen=True)
 class SymmetrizationReport:
     theta: float
     swapped_sides: bool
@@ -131,9 +149,7 @@ class PipelineReport:
     verdict: str                           # DISTILLABLE / NOT_DISTILLABLE / INCONCLUSIVE_BOUNDARY
     npt: NptVerdict
     witness: NptWitness | None = None
-    s_a: SymplecticMatrix | None = None    # concentration transforms
-    s_b: SymplecticMatrix | None = None
-    gamma_1x1: CorrelationMatrix | None = None
+    concentration: Concentration | None = None
     standard_form: StandardForm | None = None
     symmetrization: SymmetrizationReport | None = None
     final_params: StdFormParams | None = None
@@ -208,18 +224,19 @@ def _canonical_pair(z_side: np.ndarray):
 
 
 def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
-                tol: float = TOL_VERDICT):
+                tol: float = TOL_VERDICT) -> Concentration:
     """Concentrate the witnessed entanglement into one mode pair.
 
-    Builds local symplectic bases whose first canonical pairs span
-    (Re z, Im z) on each side, transforms gamma, and keeps only the first
-    mode of each side.  The transformed witness is then supported on the
-    kept modes, the quadratic form value is unchanged, and the reduced
-    two-mode state is NPT.  gamma must be physical (it is not re-checked).
+    Builds local symplectic bases S_A, S_B whose first canonical pairs span
+    (Re z, Im z) on each side; the kept pair's state is the projection
+    F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2], and the full bases serve the
+    leakage guard and the report (see the module docstring).  The witness
+    form value carries over, so the reduced two-mode state is NPT.  gamma
+    must be physical (it is not re-checked).
 
-    Returns (S_A, S_B, gamma_red).  Raises ConcentrationError when the basis
-    extension fails, witness support leaks beyond the kept modes (> 1e-6) or
-    the reduced state comes out PPT.
+    Raises ConcentrationError when the basis extension fails, witness
+    support leaks beyond the kept modes (> 1e-6) or the reduced state comes
+    out PPT.
     """
     n_a, n_b = gamma.partition
     if n_a < 1 or n_b < 1:
@@ -230,7 +247,6 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
         sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
     except NumericsError as exc:
         raise ConcentrationError(f"basis extension failed: {exc}") from exc
-    gamma_hat = apply_symplectic(gamma, direct_sum(sa, sb))
     z_hat = np.concatenate([np.linalg.solve(sa.entries, za),
                             np.linalg.solve(sb.entries, zb)])
     leak = max(
@@ -240,13 +256,14 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     if leak > SUPPORT_LEAKAGE_LIMIT:
         raise ConcentrationError(
             f"witness support leaked {leak:.3e} beyond the first mode pair")
-    gamma_red = reduce_to_modes(gamma_hat, [0], [0])
+    F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
+    gamma_red = CorrelationMatrix(entries=F.T @ gamma.entries @ F, partition=(1, 1))
     # congruence and reduction keep gamma physical: only NPT is left to check
     raw = float(np.linalg.eigvalsh(gamma_red.entries - 1j * pt_form(1, 1))[0])
     if not raw < -tol:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
-    return sa, sb, gamma_red
+    return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red, npt_margin=raw)
 
 
 def _in_stage(stage: str, fn, *args, **kwargs):
@@ -260,11 +277,11 @@ def _in_stage(stage: str, fn, *args, **kwargs):
 def witness_and_concentrate(gamma: CorrelationMatrix, tol: float = TOL_VERDICT):
     """The witness and concentrate stages, for a state the caller has decided
     is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Returns
-    (witness, S_A, S_B, gamma_1x1); raises PipelineStageError naming the
-    stage that failed.
+    (witness, concentration); raises PipelineStageError naming the stage
+    that failed.
     """
     witness = _in_stage("witness", _witness, gamma)
-    return (witness, *_in_stage("concentrate", concentrate, gamma, witness, tol=tol))
+    return witness, _in_stage("concentrate", concentrate, gamma, witness, tol=tol)
 
 
 def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> SymmetrizationReport:
@@ -340,10 +357,10 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
         np.diag([b[1] / det_p, b[0] / det_x]), np.diag([a[1] / det_p, a[0] / det_x]),
         np.diag([-k[1] / det_p, -k[0] / det_x]))
     params_out = w_out.companion()
-    if abs(params_out.n_a - params_out.n_b) > SYMMETRY_TOL:
+    if not is_symmetric(params_out):
         raise NumericsError(
-            f"symmetrization output is not symmetric: n_a={params_out.n_a!r}, "
-            f"n_b={params_out.n_b!r}")
+            f"symmetrization output is not symmetric within {SYMMETRY_TOL:.0e}: "
+            f"n_a={params_out.n_a!r}, n_b={params_out.n_b!r}")
     # the symmetric form of Simon's criterion: its residual is linear in the
     # distance to the PPT boundary, the general one quadratic (16 r^2 for
     # tmss_cm(r)), too small for tol on certifiable near-boundary states
@@ -374,10 +391,10 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
 
     Any stage failure raises PipelineStageError naming the stage; the
     rc_witness stage fails when the witness is not negative at r = r_max.
-    Raises ValueError for r_max < 1.
+    Raises ValueError unless 1 <= r_max <= MAX_PROBE_R (350).
     """
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    if not 1 <= r_max <= MAX_PROBE_R:
+        raise ValueError(f"r_max must be >= 1 and <= {MAX_PROBE_R}, got {r_max}")
     npt_verdict = _in_stage("npt_check", is_npt, gamma, tol=tol)
     if not npt_verdict.npt:
         return PipelineReport(input_partition=gamma.partition,
@@ -386,9 +403,9 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_BOUNDARY, npt=npt_verdict)
 
-    witness, s_a, s_b, gamma_red = witness_and_concentrate(gamma, tol=tol)
+    witness, conc = witness_and_concentrate(gamma, tol=tol)
 
-    std = _in_stage("standard_form", standard_form_transform, gamma_red)
+    std = _in_stage("standard_form", standard_form_transform, conc.gamma_1x1)
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
     # is a local congruence of it, so symmetrize's input is not re-decided
     sym = _in_stage("symmetrize", _symmetrize, std.params, tol)
@@ -412,9 +429,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
         verdict=VERDICT_DISTILLABLE,
         npt=npt_verdict,
         witness=witness,
-        s_a=s_a,
-        s_b=s_b,
-        gamma_1x1=gamma_red,
+        concentration=conc,
         standard_form=std,
         symmetrization=sym,
         final_params=final,

@@ -22,10 +22,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .distill import (BOUNDARY_BAND, SCALING_REL_TOL, SKEW_FLOOR_FACTOR,
-                      SUPPORT_LEAKAGE_LIMIT, SYMMETRY_TOL, VERDICT_BOUNDARY,
-                      VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
-                      distill_pipeline, symmetrize, witness_and_concentrate)
+                      SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
+                      VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
+                      PipelineStageError, distill_pipeline, symmetrize,
+                      witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
@@ -38,7 +38,7 @@ from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
                          is_symplectic, random_symplectic,
                          symplectic_eigenvalues)
-from .two_mode import (StdFormParams, check_inseparable,
+from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
                        check_symmetric_inseparable, rc_sweep, rc_value,
                        standard_form_params, standard_form_transform,
                        wigner_params)
@@ -55,7 +55,7 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "pairing": TOL_SYMPLECTIC,  # basis extension / symplectic group checks
     "verdict_band": BOUNDARY_BAND,  # |NPT margin| below this: verdicts not compared
     "residual_floor": 1e-9,    # |inequality residual| below this: not compared
-    "oracle": 1e-10,           # closed-form blocks vs measurement oracle
+    "oracle": 1e-10,           # closed form vs its reference construction
     "symmetry": SYMMETRY_TOL,  # |n_a - n_b| after symmetrization
     "scaling_rel": SCALING_REL_TOL,  # residual scaling law
     "leakage": SUPPORT_LEAKAGE_LIMIT,
@@ -482,13 +482,16 @@ def _witness_form(g: np.ndarray, n_a: int, n_b: int, z: np.ndarray) -> float:
 
 def concentration_invariants(t: _Trial):
     """Witness support stays on the first mode pair; the quadratic form value
-    survives the congruence and the restriction; the reduced state is NPT."""
+    survives the congruence and the restriction; the reduced state is NPT
+    with the reported margin and is the first-pair block of the full
+    congruence, the reference for the projection F^T gamma F."""
     n_a, n_b = t.partition()
     g = random_npt_cm(n_a, n_b, t.seed(1))
     try:
-        witness, s_a, s_b, g_red = witness_and_concentrate(g)
+        witness, conc = witness_and_concentrate(g)
     except PipelineStageError as exc:
         raise Violation(str(exc), state=g)
+    s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
     if min(abs(witness.skew_a), abs(witness.skew_b)) <= SKEW_FLOOR_FACTOR:
         raise Violation("witness skew products below the floor")
     z = np.asarray(witness.z)
@@ -514,11 +517,13 @@ def concentration_invariants(t: _Trial):
     if form_red >= 0:
         raise Violation("restricted witness form is not negative", state=g)
     red = is_npt(g_red)
-    if not red.npt:
-        raise Violation(f"reduced state is PPT (margin {red.raw_margin:.3e})",
+    if not red.npt or red.raw_margin != conc.npt_margin:
+        raise Violation(f"reduced state is PPT or its margin is misreported "
+                        f"({red.raw_margin:.3e} vs {conc.npt_margin:.3e})", state=g)
+    diff = _maxdiff(reduce_to_modes(g_hat, [0], [0]).entries, g_red.entries)
+    if diff > DEFAULT_TOLERANCES["oracle"] * _scale(g):
+        raise Violation(f"reduced state disagrees with mode selection by {diff:.3e}",
                         state=g)
-    if reduce_to_modes(g_hat, [0], [0]).entries.tolist() != g_red.entries.tolist():
-        raise Violation("reduced state disagrees with mode selection", state=g)
 
 
 def pipeline_equivalence(t: _Trial):
@@ -538,12 +543,12 @@ def pipeline_equivalence(t: _Trial):
             f"pipeline verdict {rep.verdict} but PPT test implies {want} "
             f"(margin {verdict.raw_margin:.3e}, kind {meta['kind']})", state=g)
     if rep.verdict != VERDICT_DISTILLABLE:
-        if rep.witness is not None or rep.gamma_1x1 is not None:
+        if rep.witness is not None or rep.concentration is not None:
             raise Violation("non-distillable report carries stage artifacts")
         return
     if rep.witness is None or rep.witness.margin >= 0:
         raise Violation("distillable report lacks a negative witness", state=g)
-    for label, stage_g in (("concentrated", rep.gamma_1x1),
+    for label, stage_g in (("concentrated", rep.concentration.gamma_1x1),
                            ("standard-form", rep.standard_form.gamma_std),
                            ("symmetrized", rep.symmetrization.gamma_out)):
         if stage_g is None or not is_npt(stage_g).npt:

@@ -24,7 +24,8 @@ import json
 
 import numpy as np
 
-from .distill import PipelineReport, NptWitness, SymmetrizationReport
+from .distill import (Concentration, NptWitness, PipelineReport,
+                      SymmetrizationReport)
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict)
 from .two_mode import RcWitnessResult, StandardForm, StdFormParams
@@ -168,6 +169,14 @@ def witness_to_dict(w: NptWitness) -> dict:
     }
 
 
+def concentration_to_dict(c: Concentration) -> dict:
+    return {
+        "s_a": c.s_a.entries.tolist(),
+        "s_b": c.s_b.entries.tolist(),
+        "gamma_1x1": c.gamma_1x1.entries.tolist(),
+    }
+
+
 def rc_to_dict(rc: RcWitnessResult) -> dict:
     return {"r": rc.r, "value": rc.value, "asymptotic_value": rc.asymptotic_value}
 
@@ -190,12 +199,8 @@ def pipeline_report_to_dict(rep: PipelineReport) -> dict:
     stages: dict = {"npt_check": npt_to_dict(rep.npt)}
     if rep.witness is not None:
         stages["witness"] = witness_to_dict(rep.witness)
-    if rep.gamma_1x1 is not None:
-        stages["concentrate"] = {
-            "s_a": rep.s_a.entries.tolist(),
-            "s_b": rep.s_b.entries.tolist(),
-            "gamma_1x1": rep.gamma_1x1.entries.tolist(),
-        }
+    if rep.concentration is not None:
+        stages["concentrate"] = concentration_to_dict(rep.concentration)
     if rep.standard_form is not None:
         stages["standard_form"] = standard_form_to_dict(rep.standard_form)
     if rep.symmetrization is not None:

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import form_matrix, spectrum_from_eigh, symplectic_eigenvalues
+from .symplectic import (direct_sum, form_matrix, spectrum_from_eigh,
+                         symplectic_eigenvalues)
 
 TOL_VERDICT = 1e-9          # default tolerance for physicality / NPT verdicts
 COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
@@ -382,17 +383,7 @@ def direct_sum_states(first: CorrelationMatrix, second: CorrelationMatrix) -> Co
     Side A of the result is (A modes of first, then of second) and likewise
     for side B, so the block structure stays A-before-B.
     """
-    a1, b1 = first.partition
-    a2, b2 = second.partition
-    n = a1 + a2 + b1 + b2
-    out = np.zeros((2 * n, 2 * n))
-
-    def scatter(cm: CorrelationMatrix, a_offset: int, b_offset: int):
-        modes = [a_offset + m for m in range(cm.n_a)]
-        modes += [b_offset + m for m in range(cm.n_b)]
-        idx = np.array([c for m in modes for c in (2 * m, 2 * m + 1)])
-        out[np.ix_(idx, idx)] = cm.entries
-
-    scatter(first, 0, a1 + a2)
-    scatter(second, a1, a1 + a2 + b1)
-    return CorrelationMatrix(entries=out, partition=(a1 + a2, b1 + b2))
+    return CorrelationMatrix.from_blocks(
+        direct_sum(first.a_block, second.a_block),
+        direct_sum(first.b_block, second.b_block),
+        direct_sum(first.cross_block, second.cross_block))

@@ -203,15 +203,15 @@ def __getattr__(name: str):
 
 
 def direct_sum(*blocks) -> np.ndarray:
-    """Block-diagonal stack of matrices (ndarray result)."""
+    """Block-diagonal stack of matrices (ndarray result).  Blocks may be
+    rectangular or have zero rows or columns: the result has the summed
+    shape, each block starting where the previous one ends."""
     mats = [_as_matrix(b) for b in blocks]
-    dim = sum(m.shape[0] for m in mats)
-    out = np.zeros((dim, dim))
-    at = 0
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    row = col = 0
     for m in mats:
-        d = m.shape[0]
-        out[at : at + d, at : at + d] = m
-        at += d
+        out[row : row + m.shape[0], col : col + m.shape[1]] = m
+        row, col = row + m.shape[0], col + m.shape[1]
     return out
 
 

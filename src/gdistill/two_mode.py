@@ -43,12 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .states import CorrelationMatrix, wigner_cm
+from .states import TOL_VERDICT, CorrelationMatrix, wigner_cm
 from .symplectic import SymplecticMatrix
 
 # relative slack when clamping tiny negative discriminants / roots that are
 # exactly zero in exact arithmetic
 _CLAMP_REL = 1e-10
+SYMMETRY_TOL = 1e-8         # |n_a - n_b| allowed in a symmetric state's parameters
+MAX_PROBE_R = 350           # largest probe squeezing rc_sweep evaluates: exp(-2r) stays normal
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
                         gamma_std=params.matrix(), params=params)
 
 
-def check_physical(p: StdFormParams, tol: float = 1e-9) -> TwoModePhysicality:
+def check_physical(p: StdFormParams, tol: float = TOL_VERDICT) -> TwoModePhysicality:
     """Evaluate both standard-form physicality inequalities."""
     m = p.n_a * p.n_b
     lhs = (m - p.k_x ** 2) * (m - p.k_p ** 2) + 1.0
@@ -243,7 +245,7 @@ def check_physical(p: StdFormParams, tol: float = 1e-9) -> TwoModePhysicality:
     )
 
 
-def check_inseparable(p: StdFormParams, tol: float = 1e-9) -> InseparabilityCheck:
+def check_inseparable(p: StdFormParams, tol: float = TOL_VERDICT) -> InseparabilityCheck:
     """Inseparability of a physical two-mode state from its parameters.
 
     The residual is n_a^2 + n_b^2 - 2 k_x k_p - (n_a n_b - k_x^2)(n_a n_b -
@@ -265,13 +267,13 @@ def inseparability_residual(gamma: CorrelationMatrix) -> float:
     return float(det_a + det_b - 2.0 * det_c - det_g - 1.0)
 
 
-def is_symmetric(p: StdFormParams, tol: float = 1e-8) -> bool:
+def is_symmetric(p: StdFormParams, tol: float = SYMMETRY_TOL) -> bool:
     """Symmetric means equal local purities: n_a = n_b within tol."""
     return bool(abs(p.n_a - p.n_b) <= tol)
 
 
 def check_symmetric_inseparable(n: float, k_x: float, k_p: float,
-                                tol: float = 1e-9) -> InseparabilityCheck:
+                                tol: float = TOL_VERDICT) -> InseparabilityCheck:
     """Inseparability condition specialized to symmetric states:
 
         |n^2 - k_x k_p - 1| < n (k_x - k_p).
@@ -334,28 +336,31 @@ def _rc_limit(p: StdFormParams) -> float:
 def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     """rc_value of params.matrix() at every probe squeezing in rs, in order.
 
-    The x and p quadratures decouple, so with e = exp(2r), ch = (e + 1/e)/2,
-    s = n_a + n_b, D_x = n_a n_b - k_x^2 and D_p = n_a n_b - k_p^2,
+    The x and p quadratures decouple, so with u = exp(-2r), s = n_a + n_b,
+    D_x = n_a n_b - k_x^2 and D_p = n_a n_b - k_p^2,
 
-        value = 2 / (n_a + ch) - 4 / sqrt(X P),
-        X = D_x + 1 + ((s - 2 k_x) e + (s + 2 k_x) / e) / 2,
-        P = D_p + 1 + ((s + 2 k_p) e + (s - 2 k_p) / e) / 2,
+        value = u (2 / (n_a u + (1 + u^2) / 2) - 4 / sqrt(X_u P_u)),
+        X_u = (D_x + 1) u + ((s - 2 k_x) + (s + 2 k_x) u^2) / 2,
+        P_u = (D_p + 1) u + ((s + 2 k_p) + (s - 2 k_p) u^2) / 2,
 
-    where cosh^2 - sinh^2 = 1 holds exactly: the values match exact rational
-    arithmetic to about 1e-12 relative at r = 1..8.  The asymptotic value
-    (n - k_x)(n + k_p) - 1, n = sqrt(n_a n_b), is of the same params.
-    Raises ValueError if any r <= 0.
+    which is 2 / (n_a + cosh 2r) - 4 / sqrt(X P), X = X_u / u, P = P_u / u,
+    with cosh^2 - sinh^2 = 1 exact: the values match exact rational
+    arithmetic to about 1e-12 relative at r = 1..8.  In u nothing overflows
+    (X P does from r = 178), so the sign stays right up to MAX_PROBE_R.
+    The asymptotic value (n - k_x)(n + k_p) - 1, n = sqrt(n_a n_b), is of
+    the same params.  Raises ValueError unless 0 < r <= MAX_PROBE_R.
     """
     rs = tuple(rs)
     for r in rs:
-        if r <= 0:
-            raise ValueError(f"probe squeezing must be > 0, got {r}")
+        if not 0 < r <= MAX_PROBE_R:
+            raise ValueError(f"probe squeezing must be > 0 and <= {MAX_PROBE_R}, got {r}")
     p = params
-    e = np.exp(2.0 * np.array(rs, dtype=float))
+    u = np.exp(-2.0 * np.array(rs, dtype=float))
+    u2 = u * u
     m, s = p.n_a * p.n_b, p.n_a + p.n_b
-    x = m - p.k_x ** 2 + 1.0 + 0.5 * ((s - 2.0 * p.k_x) * e + (s + 2.0 * p.k_x) / e)
-    q = m - p.k_p ** 2 + 1.0 + 0.5 * ((s + 2.0 * p.k_p) * e + (s - 2.0 * p.k_p) / e)
-    value = 2.0 / (p.n_a + 0.5 * (e + 1.0 / e)) - 4.0 / np.sqrt(x * q)
+    x = (m - p.k_x ** 2 + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
+    q = (m - p.k_p ** 2 + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
+    value = u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
     asymptotic = _rc_limit(p)
     return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=asymptotic)
                  for r, v in zip(rs, value))

@@ -185,18 +185,18 @@ def test_05_concentration_on_random_multimode_states():
         g = random_npt_cm(n_a, n_b, seed)
         # the witness -> concentrate stages the pipeline and CLI run
         try:
-            w, s_a, s_b, g_red = witness_and_concentrate(g)
+            w, conc = witness_and_concentrate(g)
         except Exception as exc:  # noqa: BLE001 - any failure counts
             hard_failures.append((seed, f"{type(exc).__name__}: {exc}"))
             continue
         z_hat = np.concatenate([
-            np.linalg.solve(s_a.entries, w.z[: 2 * n_a]),
-            np.linalg.solve(s_b.entries, w.z[2 * n_a :]),
+            np.linalg.solve(conc.s_a.entries, w.z[: 2 * n_a]),
+            np.linalg.solve(conc.s_b.entries, w.z[2 * n_a :]),
         ])
         leak = max(float(np.abs(z_hat[2 : 2 * n_a]).max(initial=0.0)),
                    float(np.abs(z_hat[2 * n_a + 2 :]).max(initial=0.0)))
         worst_leak = max(worst_leak, leak)
-        if not is_npt(g_red).npt:
+        if not is_npt(conc.gamma_1x1).npt:
             hard_failures.append((seed, "reduced state not NPT"))
     ok = not hard_failures and worst_leak <= 1e-6
     report(ok, f"concentration over 500 multimode NPT draws: "

@@ -127,7 +127,7 @@ def test_concentrate_recovers_unscrambled_embedded_pair():
     # to a one-mode symplectic on each side: identical parameters
     g = direct_sum_states(tmss_cm(0.5), vacuum(2, 1))
     w = find_npt_witness(g)
-    _, _, g_red = concentrate(g, w)
+    g_red = concentrate(g, w).gamma_1x1
     assert g_red.partition == (1, 1)
     p = standard_form_params(g_red)
     assert abs(p.n_a - CH) < 1e-8
@@ -142,10 +142,12 @@ def test_concentrate_padded_scrambled_states():
     for seed in range(15):
         g = padded_squeezed_pair(3, 2, seed)
         w = find_npt_witness(g)
-        s_a, s_b, g_red = concentrate(g, w)
+        conc = concentrate(g, w)
+        s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
         assert g_red.partition == (1, 1)
         red_verdict = is_npt(g_red)
         assert red_verdict.npt
+        assert red_verdict.raw_margin == conc.npt_margin
         # reduced matrix is literally the first-pair submatrix of the transform
         moved = apply_symplectic(g, direct_sum(s_a.entries, s_b.entries))
         idx = [0, 1, 6, 7]
@@ -164,7 +166,8 @@ def test_concentrate_witness_columns():
     # first basis columns on each side span (Re z, Im z) with pairing -1
     g = padded_squeezed_pair(2, 2, seed=7)
     w = find_npt_witness(g)
-    s_a, s_b, _ = concentrate(g, w)
+    conc = concentrate(g, w)
+    s_a, s_b = conc.s_a, conc.s_b
     za, zb = w.z[:4], w.z[4:]
     for side, z in ((s_a, za), (s_b, zb)):
         f1, f2 = side.entries[:, 0], side.entries[:, 1]
@@ -349,7 +352,7 @@ def test_pipeline_distillable_squeezed():
     assert rep.verdict == VERDICT_DISTILLABLE
     assert rep.input_partition == (1, 1)
     assert rep.npt.raw_margin == pytest.approx(np.exp(-1.0) - 1.0, abs=1e-12)
-    for stage in (rep.witness, rep.s_a, rep.s_b, rep.gamma_1x1,
+    for stage in (rep.witness, rep.concentration,
                   rep.standard_form, rep.symmetrization, rep.final_params, rep.rc):
         assert stage is not None
     p = rep.final_params
@@ -400,6 +403,21 @@ def test_pipeline_rejects_non_positive_r_max():
     for r_max in (0, -3):
         with pytest.raises(ValueError):
             distill_pipeline(tmss_cm(0.5), r_max=r_max)
+
+
+@pytest.mark.parametrize("r_max", [180, 350])
+def test_pipeline_certifies_at_large_r_max(r_max):
+    # X P overflows from r = 178 in the e^{2r} form of the sweep; in
+    # u = e^{-2r} the value stays finite and negative up to the limit
+    rep = distill_pipeline(tmss_cm(0.5), r_max=r_max)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert rep.rc.r == r_max and rep.rc.value < 0
+    assert all(res.value < 0 for res in rep.rc_sweep)
+
+
+def test_pipeline_rejects_r_max_beyond_the_probe_limit():
+    with pytest.raises(ValueError, match="<= 350"):
+        distill_pipeline(tmss_cm(0.5), r_max=351)
 
 
 def test_pipeline_wraps_concentrate_stage_errors(monkeypatch):
@@ -544,12 +562,23 @@ def test_pipeline_takes_each_standard_form_once(monkeypatch):
         counting(module, "wigner_cm")
     counting(distill_module, "is_npt")
     monkeypatch.setattr(np.linalg, "det", det)
-    rep = distill_pipeline(local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    built = []
+    real_post_init = CorrelationMatrix.__post_init__
+
+    def recording(self):
+        built.append(np.shape(self.entries))
+        real_post_init(self)
+
+    monkeypatch.setattr(CorrelationMatrix, "__post_init__", recording)
+    rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     # the reduced state only: symmetrize and the rc sweep work on its params
     assert len(transformed) == 1
-    assert transformed[0] is rep.gamma_1x1
+    assert transformed[0] is rep.concentration.gamma_1x1
     assert calls == {"standard_form_params": 0, "wigner_cm": 0, "is_npt": 1, "det_4x4": 0}
+    # concentration projects onto the kept pairs: no transformed 10x10 state
+    assert built and (g.dim, g.dim) not in built
 
 
 def test_pipeline_not_distillable():
@@ -558,7 +587,7 @@ def test_pipeline_not_distillable():
         rep = distill_pipeline(g)
         assert rep.verdict == VERDICT_NOT_DISTILLABLE
         assert not rep.npt.npt
-        assert rep.witness is None and rep.gamma_1x1 is None
+        assert rep.witness is None and rep.concentration is None
         assert rep.final_params is None and rep.rc_sweep == ()
 
 
@@ -590,13 +619,14 @@ def test_pipeline_transforms_compose():
     g = random_npt_cm(2, 2, seed=5)
     rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
-    moved = apply_symplectic(g, direct_sum(rep.s_a.entries, rep.s_b.entries))
+    conc = rep.concentration
+    moved = apply_symplectic(g, direct_sum(conc.s_a.entries, conc.s_b.entries))
     red = reduce_to_modes(moved, [0], [0])
-    assert np.abs(red.entries - rep.gamma_1x1.entries).max() < 1e-12
+    assert np.abs(red.entries - conc.gamma_1x1.entries).max() < 1e-12
     # standard-form stage transforms the reduced state to its gamma_std
     std = rep.standard_form
     S = direct_sum(std.s_a.entries, std.s_b.entries)
-    assert np.abs(S.T @ rep.gamma_1x1.entries @ S - std.gamma_std.entries).max() < 1e-9
+    assert np.abs(S.T @ conc.gamma_1x1.entries @ S - std.gamma_std.entries).max() < 1e-9
 
 
 def test_pipeline_report_deterministic():

@@ -227,6 +227,18 @@ def test_cli_pipeline_rejects_non_positive_r_max(tmp_path):
         assert res.stdout == "" and "--r-max must be >= 1" in res.stderr
 
 
+def test_cli_pipeline_r_max_limit(tmp_path):
+    path = write_state(tmp_path, "d.json", tmss_cm(0.5))
+    for r_max in ("180", "350"):
+        res = run_cli("pipeline", path, "--json", "--r-max", r_max)
+        assert res.returncode == 0
+        rc = json.loads(res.stdout)["stages"]["rc_witness"]
+        assert rc["r"] == float(r_max) and rc["value"] < 0
+    res = run_cli("pipeline", path, "--r-max", "351")
+    assert res.returncode == 1
+    assert res.stdout == "" and "<= 350" in res.stderr
+
+
 def test_cli_pipeline_exits_5_when_the_witness_is_not_negative(tmp_path):
     g = CorrelationMatrix.from_blocks(2.0 * np.eye(2), 2.0 * np.eye(2),
                                       1.01 * np.diag([1.0, -1.0]))
@@ -358,13 +370,23 @@ def test_cli_standard_form_and_symmetrize_json(tmp_path):
 
 
 def test_cli_concentrate(tmp_path):
-    path = write_state(tmp_path, "n.json", random_npt_cm(2, 2, seed=9))
+    g = random_npt_cm(2, 2, seed=9)
+    path = write_state(tmp_path, "n.json", g)
     res = run_cli("concentrate", path, "--json")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
+    assert set(doc) == {"witness", "s_a", "s_b", "gamma_1x1", "npt_margin_1x1"}
     assert doc["npt_margin_1x1"] < 0
     assert len(doc["gamma_1x1"]) == 4
     assert doc["witness"]["margin"] < 0
+    # the pipeline's concentrate stage serializes the same record
+    res = run_cli("pipeline", path, "--json")
+    assert res.returncode == 0
+    stage = json.loads(res.stdout)["stages"]["concentrate"]
+    assert stage == {key: doc[key] for key in ("s_a", "s_b", "gamma_1x1")}
+    conc = distill_pipeline(g).concentration
+    assert doc["npt_margin_1x1"] == conc.npt_margin
+    assert doc["gamma_1x1"] == conc.gamma_1x1.entries.tolist()
 
 
 def test_cli_fuzz_small_run(tmp_path):
@@ -391,8 +413,14 @@ def test_cli_tolerance_env(tmp_path):
     assert run_cli("validate", path, env=env).returncode == 1
     env = dict(os.environ, GDISTILL_TOL="-0.1")
     assert run_cli("validate", path, env=env).returncode == 1
+    # the witness skew bound holds only for tol < 6e-8: looser values and
+    # inf (which would call 0.5 I physical) are refused, naming the range
+    for raw in ("1e-3", "6e-8", "inf", "1e300", "nan"):
+        res = run_cli("validate", path, env=dict(os.environ, GDISTILL_TOL=raw))
+        assert res.returncode == 1
+        assert res.stdout == "" and "(0, 6e-08)" in res.stderr
     # a loose but valid tolerance still validates the squeezed state
-    env = dict(os.environ, GDISTILL_TOL="1e-3")
+    env = dict(os.environ, GDISTILL_TOL="1e-8")
     assert run_cli("validate", path, env=env).returncode == 0
 
 

@@ -194,6 +194,20 @@ def test_direct_sum():
     assert np.array_equal(M[:2, :2], A)
     assert M[2, 2] == 5.0
     assert np.count_nonzero(M[:2, 2:]) == 0
+    # rectangular blocks: each starts where the previous one ends
+    R = np.arange(1.0, 7.0).reshape(3, 2)
+    M = direct_sum(R, A, np.ones((1, 3)))
+    assert M.shape == (6, 7)
+    assert np.array_equal(M[:3, :2], R)
+    assert np.array_equal(M[3:5, 2:4], A)
+    assert np.array_equal(M[5:, 4:], np.ones((1, 3)))
+    assert np.count_nonzero(M) == 6 + 4 + 3
+    # zero-size blocks add no rows or no columns
+    M = direct_sum(np.zeros((0, 2)), A, np.zeros((2, 0)), np.zeros((0, 0)))
+    assert M.shape == (4, 4)
+    assert np.array_equal(M[:2, 2:], A)
+    assert np.count_nonzero(M) == 4
+    assert direct_sum(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_importing_the_cli_does_not_load_scipy():

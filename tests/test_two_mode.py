@@ -323,6 +323,15 @@ def test_rc_sweep_validation():
     with pytest.raises(ValueError, match="probe squeezing must be > 0"):
         rc_sweep(p, [-1.0])
     assert rc_sweep(p, ()) == ()
+    # beyond r = 350, exp(-2r) leaves the normal floats: refused
+    for rs in ([351.0], (1.0, 350.5), [np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="<= 350"):
+            rc_sweep(p, rs)
+    # at and below the limit the tmss_cm(0.5) sweep stays negative; the
+    # e^{2r} form overflowed from r = 178 to +1.8e-156 at r = 180
+    q = standard_form_params(tmss_cm(0.5))
+    values = [res.value for res in rc_sweep(q, (177.0, 178.0, 180.0, 300.0, 350.0))]
+    assert all(np.isfinite(v) and v < 0 for v in values)
 
 
 def test_rc_sign_matches_asymptotics_for_symmetric_states():
