@@ -24,7 +24,7 @@ import os
 import sys
 
 from .distill import (TOL_LIMIT, VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
+                      VERDICT_NOT_DISTILLABLE, PipelineStageError, check_tol,
                       distill_pipeline, symmetrize, witness_and_concentrate)
 from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
@@ -241,9 +241,7 @@ def main(argv=None) -> int:
     raw = os.environ.get("GDISTILL_TOL")
     if raw is not None:
         try:
-            tol = float(raw)
-            if not 0 < tol < TOL_LIMIT:
-                raise ValueError
+            tol = check_tol(float(raw))
         except ValueError:
             return _fail(f"GDISTILL_TOL must be a number in (0, {TOL_LIMIT:g}), "
                          f"got {raw!r}", EXIT_PARSE)

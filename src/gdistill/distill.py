@@ -157,6 +157,15 @@ class PipelineReport:
     rc_sweep: tuple[RcWitnessResult, ...] = ()
 
 
+def check_tol(tol: float) -> float:
+    """tol, when 0 < tol < TOL_LIMIT: the range where the witness skew bound
+    of the module docstring holds for every eps outside the boundary band.
+    Raises ValueError otherwise (nan and inf included)."""
+    if not 0 < tol < TOL_LIMIT:
+        raise ValueError(f"tol must be in (0, {TOL_LIMIT:g}), got {tol!r}")
+    return tol
+
+
 def _side_split(z: np.ndarray, n_a: int):
     return z[: 2 * n_a], z[2 * n_a :]
 
@@ -178,8 +187,9 @@ def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptW
     Raises PreconditionError when the state is not NPT, and DegeneracyError
     when the form is not negative or a skew product does not clear 1e-8,
     which the bound in the module docstring excludes for physical gamma and
-    eps > 4e-8 + tol.
+    eps > 4e-8 + tol.  Raises ValueError unless 0 < tol < TOL_LIMIT.
     """
+    check_tol(tol)
     verdict = is_npt(gamma, tol=tol)
     if not verdict.npt:
         raise PreconditionError(
@@ -236,8 +246,9 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
 
     Raises ConcentrationError when the basis extension fails, witness
     support leaks beyond the kept modes (> 1e-6) or the reduced state comes
-    out PPT.
+    out PPT, and ValueError unless 0 < tol < TOL_LIMIT.
     """
+    check_tol(tol)
     n_a, n_b = gamma.partition
     if n_a < 1 or n_b < 1:
         raise ValueError("concentration needs at least one mode per side")
@@ -258,8 +269,9 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
             f"witness support leaked {leak:.3e} beyond the first mode pair")
     F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
     gamma_red = CorrelationMatrix(entries=F.T @ gamma.entries @ F, partition=(1, 1))
-    # congruence and reduction keep gamma physical: only NPT is left to check
-    raw = float(np.linalg.eigvalsh(gamma_red.entries - 1j * pt_form(1, 1))[0])
+    # congruence and reduction keep gamma physical: only NPT is left to check,
+    # on the margin is_npt would read from the same memo
+    raw = gamma_red._pt_margin
     if not raw < -tol:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
@@ -278,8 +290,9 @@ def witness_and_concentrate(gamma: CorrelationMatrix, tol: float = TOL_VERDICT):
     """The witness and concentrate stages, for a state the caller has decided
     is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Returns
     (witness, concentration); raises PipelineStageError naming the stage
-    that failed.
+    that failed, and ValueError unless 0 < tol < TOL_LIMIT.
     """
+    check_tol(tol)
     witness = _in_stage("witness", _witness, gamma)
     return witness, _in_stage("concentrate", concentrate, gamma, witness, tol=tol)
 
@@ -295,9 +308,11 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     Raises PreconditionError for non-NPT input and NumericsError if the
     beam-splitter angle formula degenerates (nonpositive denominator), which
     only happens on a measure-zero family at the physicality boundary.
+    Raises ValueError unless 0 < tol < TOL_LIMIT.
     """
     if gamma.partition != (1, 1):
         raise ValueError(f"symmetrization expects a 1x1 state, got {gamma.partition}")
+    check_tol(tol)
     verdict = is_npt(gamma, tol=tol)
     if not verdict.npt:
         raise PreconditionError(
@@ -391,10 +406,12 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
 
     Any stage failure raises PipelineStageError naming the stage; the
     rc_witness stage fails when the witness is not negative at r = r_max.
-    Raises ValueError unless 1 <= r_max <= MAX_PROBE_R (350).
+    Raises ValueError unless 1 <= r_max <= MAX_PROBE_R (350) and
+    0 < tol < TOL_LIMIT.
     """
     if not 1 <= r_max <= MAX_PROBE_R:
         raise ValueError(f"r_max must be >= 1 and <= {MAX_PROBE_R}, got {r_max}")
+    check_tol(tol)
     npt_verdict = _in_stage("npt_check", is_npt, gamma, tol=tol)
     if not npt_verdict.npt:
         return PipelineReport(input_partition=gamma.partition,

@@ -30,6 +30,15 @@ transposed matrix fails the physicality condition, i.e. when the Hermitian
 matrix gamma - i*Jtilde (Jtilde = Lambda J Lambda) has a negative eigenvalue.
 For bipartite Gaussian states NPT is equivalent to distillability, which is
 what the rest of the package exploits constructively.
+
+Each CorrelationMatrix is factored once, at construction: one eigh(gamma)
+serves the positive definiteness check, the conditioning guard (applied on
+every call), both reported symplectic spectra and is_pure.  The
+tol-independent margins lambda_min(gamma - iJ) and lambda_min(gamma -
+i*Jtilde) and the spectra are computed on first use and kept on the
+instance; validate_physical and is_npt compare them with each call's tol.
+A bare array given to validate_physical is validated as a CorrelationMatrix
+with every mode on side A.
 """
 
 from __future__ import annotations
@@ -40,8 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import (direct_sum, form_matrix, spectrum_from_eigh,
-                         symplectic_eigenvalues)
+from .symplectic import direct_sum, form_matrix, spectrum_from_eigh
 
 TOL_VERDICT = 1e-9          # default tolerance for physicality / NPT verdicts
 COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
@@ -64,6 +72,9 @@ class CorrelationMatrix:
     read-only.  Positive definiteness does not imply physicality: partial
     transposes of NPT states and Wigner-form companions are representable on
     purpose.
+
+    Construction factors the matrix once, eigh(gamma) = (w, Q), kept
+    read-only in ``_eigh``; the positive definiteness check reads w[0].
     """
 
     entries: np.ndarray = field(repr=False)
@@ -84,13 +95,39 @@ class CorrelationMatrix:
         if np.abs(g - g.T).max() > 1e-8 * scale:
             raise ValueError("correlation matrix must be symmetric")
         g = _sym(g)
-        w_min = np.linalg.eigvalsh(g)[0]
-        if w_min <= 0:
+        w, Q = np.linalg.eigh(g)
+        if w[0] <= 0:
             raise ValueError(
-                f"correlation matrix must be positive definite (min eigenvalue {w_min:.3e})")
-        g.flags.writeable = False
+                f"correlation matrix must be positive definite (min eigenvalue {w[0]:.3e})")
+        for a in (g, w, Q):
+            a.flags.writeable = False
         object.__setattr__(self, "entries", g)
         object.__setattr__(self, "partition", (int(n_a), int(n_b)))
+        object.__setattr__(self, "_eigh", (w, Q))
+
+    # tol-independent, computed on first use; the memo holds floats and arrays
+    # only, never a reference back to the instance (no cycle to collect)
+
+    @functools.cached_property
+    def _margin(self) -> float:
+        """lambda_min(gamma - iJ)."""
+        return float(np.linalg.eigvalsh(self.entries - 1j * form_matrix(self.n_modes))[0])
+
+    @functools.cached_property
+    def _pt_margin(self) -> float:
+        """lambda_min(gamma - i*Jtilde)."""
+        return float(np.linalg.eigvalsh(self.entries - 1j * pt_form(self.n_a, self.n_b))[0])
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Symplectic spectrum, ascending."""
+        return spectrum_from_eigh(*self._eigh)
+
+    @functools.cached_property
+    def _min_pt_nu(self) -> float:
+        """Smallest symplectic eigenvalue of the partial transpose."""
+        lam = pt_sign_vector(self.n_a, self.n_b)
+        return float(spectrum_from_eigh(*self._eigh, signs=lam)[0])
 
     @property
     def n_a(self) -> int:
@@ -182,12 +219,6 @@ class NptVerdict:
     raw_margin: float                # same eigenvalue before clipping
 
 
-def _coerce(gamma) -> np.ndarray:
-    if isinstance(gamma, CorrelationMatrix):
-        return gamma.entries
-    return np.asarray(gamma, dtype=float)
-
-
 def vacuum(n_a: int, n_b: int) -> CorrelationMatrix:
     """Vacuum state on the given partition (identity correlation matrix)."""
     return CorrelationMatrix(entries=np.eye(2 * (n_a + n_b)), partition=(n_a, n_b))
@@ -211,19 +242,12 @@ def pt_form(n_a: int, n_b: int) -> np.ndarray:
     return Jt
 
 
-def _check_conditioning(w: np.ndarray, what: str):
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
+def _check_conditioning(gamma: CorrelationMatrix, what: str):
+    w = gamma._eigh[0]
+    if w[-1] / w[0] > COND_LIMIT:
         raise NumericsError(
             f"{what}: matrix condition number exceeds {COND_LIMIT:.0e}; "
             "result would not be trustworthy")
-
-
-def _decide_physical(g: np.ndarray, what: str):
-    """(lambda_min(gamma - iJ), w, Q): one eigh(gamma) = (w, Q) guards the
-    conditioning and factors gamma for the reported spectra."""
-    w, Q = np.linalg.eigh(g)
-    _check_conditioning(w, what)
-    return float(np.linalg.eigvalsh(g - 1j * form_matrix(g.shape[0] // 2))[0]), w, Q
 
 
 def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
@@ -231,15 +255,20 @@ def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
 
     The margin is the smallest eigenvalue of the Hermitian matrix gamma - iJ
     and the state is physical iff margin >= -tol.  The minimum symplectic
-    eigenvalue is reported alongside; it is not consulted.
+    eigenvalue is reported alongside; it is not consulted.  A bare array is
+    validated as CorrelationMatrix(gamma, (n, 0)), so it must be symmetric
+    positive definite.
 
     Raises NumericsError when cond(gamma) exceeds COND_LIMIT.
     """
-    margin, w, Q = _decide_physical(_coerce(gamma), "validate_physical")
+    if not isinstance(gamma, CorrelationMatrix):
+        gamma = CorrelationMatrix(entries=gamma, partition=(len(gamma) // 2, 0))
+    _check_conditioning(gamma, "validate_physical")
+    margin = gamma._margin
     return PhysicalityVerdict(
         physical=bool(margin >= -tol),
         margin=margin,
-        min_symplectic_eigenvalue=float(spectrum_from_eigh(w, Q)[0]),
+        min_symplectic_eigenvalue=float(gamma._spectrum[0]),
     )
 
 
@@ -270,17 +299,15 @@ def is_npt(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptVerdict:
     """
     if gamma.n_a < 1 or gamma.n_b < 1:
         raise ValueError("NPT test needs at least one mode on each side")
-    phys_margin, w, Q = _decide_physical(gamma.entries, "is_npt")
-    if phys_margin < -tol:
+    _check_conditioning(gamma, "is_npt")
+    if gamma._margin < -tol:
         raise PreconditionError(
-            f"is_npt requires a physical state (margin {phys_margin:.3e})")
-    herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
-    raw = float(np.linalg.eigvalsh(herm)[0])
-    lam = pt_sign_vector(gamma.n_a, gamma.n_b)
+            f"is_npt requires a physical state (margin {gamma._margin:.3e})")
+    raw = gamma._pt_margin
     return NptVerdict(
         npt=bool(raw < -tol),
         margin=min(raw, 0.0),
-        min_pt_symplectic_eigenvalue=float(spectrum_from_eigh(w, Q, signs=lam)[0]),
+        min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
         raw_margin=raw,
     )
 
@@ -293,17 +320,15 @@ def wigner_cm(gamma: CorrelationMatrix) -> CorrelationMatrix:
     the purity-type condition reverses); it equals the input exactly for
     pure states, which is the purity test used elsewhere.
     """
-    g = gamma.entries
-    _check_conditioning(np.linalg.eigvalsh(g), "wigner_cm")
+    _check_conditioning(gamma, "wigner_cm")
     J = form_matrix(gamma.n_modes)
-    w = _sym(J.T @ np.linalg.inv(g) @ J)
+    w = _sym(J.T @ np.linalg.inv(gamma.entries) @ J)
     return CorrelationMatrix(entries=w, partition=gamma.partition)
 
 
 def is_pure(gamma: CorrelationMatrix, tol: float = PURITY_TOL) -> bool:
     """Pure iff every symplectic eigenvalue is 1 within tol."""
-    nus = symplectic_eigenvalues(gamma.entries)
-    return bool(np.abs(nus - 1.0).max() <= tol)
+    return bool(np.abs(gamma._spectrum - 1.0).max() <= tol)
 
 
 def reduce_to_modes(gamma: CorrelationMatrix, keep_a, keep_b) -> CorrelationMatrix:

@@ -405,6 +405,26 @@ def test_pipeline_rejects_non_positive_r_max():
             distill_pipeline(tmss_cm(0.5), r_max=r_max)
 
 
+@pytest.mark.parametrize("entry", ["distill_pipeline", "witness_and_concentrate",
+                                   "find_npt_witness", "concentrate", "symmetrize"])
+def test_entry_points_refuse_tol_outside_the_witness_bound(entry):
+    # the witness skew bound holds only for 0 < tol < TOL_LIMIT = 6e-8
+    g = lossy_squeezed_pair()
+    witness = find_npt_witness(g)
+    call = {
+        "distill_pipeline": lambda tol: distill_pipeline(g, tol=tol),
+        "witness_and_concentrate":
+            lambda tol: distill_module.witness_and_concentrate(g, tol=tol),
+        "find_npt_witness": lambda tol: find_npt_witness(g, tol=tol),
+        "concentrate": lambda tol: concentrate(g, witness, tol=tol),
+        "symmetrize": lambda tol: symmetrize(g, tol=tol),
+    }[entry]
+    for tol in (1e-3, distill_module.TOL_LIMIT, 0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 6e-08\)"):
+            call(tol)
+    call(1e-8)
+
+
 @pytest.mark.parametrize("r_max", [180, 350])
 def test_pipeline_certifies_at_large_r_max(r_max):
     # X P overflows from r = 178 in the e^{2r} form of the sweep; in

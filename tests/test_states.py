@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,83 @@ def test_validate_physical_criteria_agree():
 def test_validate_physical_rejects_ill_conditioned():
     with pytest.raises(NumericsError):
         validate_physical(np.diag([1e-13, 1e13, 1.0, 1.0]))
+
+
+def test_validate_physical_checks_a_bare_array_as_a_correlation_matrix():
+    # only the lower triangle used to be read: I with g[0, 3] = 5 was
+    # reported physical with margin 0
+    g = np.eye(4)
+    g[0, 3] = 5.0
+    with pytest.raises(ValueError, match="symmetric"):
+        validate_physical(g)
+    # was a condition-number NumericsError
+    with pytest.raises(ValueError, match="positive definite"):
+        validate_physical(-np.eye(4))
+
+
+def counting_linalg(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_each_matrix_is_factored_once_and_decided_from_a_memo(monkeypatch):
+    entries = local_scramble(tmss_cm(0.5), 3).entries
+    counts = counting_linalg(monkeypatch)
+    cm = CorrelationMatrix(entries=entries, partition=(1, 1))
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+    validate_physical(cm)
+    first = is_npt(cm)
+    # gamma - iJ, gamma - i*Jtilde and the two reported spectra
+    assert counts == {"eigh": 1, "eigvalsh": 4}
+    assert is_npt(cm) == first
+    assert is_pure(cm)
+    assert counts == {"eigh": 1, "eigvalsh": 4}
+
+
+def test_memoized_margins_take_each_calls_tol():
+    # margin -1e-6: unphysical at the default tol, physical at 1e-5
+    cm = CorrelationMatrix(entries=(1.0 - 1e-6) * np.eye(4), partition=(1, 1))
+    assert not validate_physical(cm).physical
+    assert validate_physical(cm, tol=1e-5).physical
+    with pytest.raises(PreconditionError):
+        is_npt(cm)
+    assert not is_npt(cm, tol=1e-5).npt
+    assert not validate_physical(cm).physical
+    # PT margin e^{-2r} - 1 = -1e-6: NPT at the default tol, PPT at 1e-5
+    pair = tmss_cm(5e-7)
+    assert not is_npt(pair, tol=1e-5).npt
+    assert is_npt(pair).npt
+    assert not is_npt(pair, tol=1e-5).npt
+
+
+def test_ill_conditioned_matrix_is_refused_on_every_call():
+    cm = CorrelationMatrix(entries=np.diag([1e-13, 1e13, 1.0, 1.0]), partition=(1, 1))
+    for _ in range(2):
+        for decide in (validate_physical, is_npt, wigner_cm):
+            with pytest.raises(NumericsError, match="condition number"):
+                decide(cm)
+
+
+def test_decided_matrix_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        cm = local_scramble(tmss_cm(0.5), 3)
+        validate_physical(cm)
+        is_npt(cm)
+        is_pure(cm)
+        ref = weakref.ref(cm)
+        del cm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_from_blocks_matches_np_block():

@@ -305,6 +305,18 @@ def test_rc_sweep_matches_exact_arithmetic():
             [(n - p.k_x) * (n + p.k_p) - 1.0] * len(rs)
 
 
+def test_rc_sweep_matches_exact_arithmetic_at_large_r():
+    # rc_value's 4x4 determinants cannot follow the u-form past r ~ 10; the
+    # exact reference can, down to values of about 1e-304 at r = 350.  The
+    # worst relative error measured on these forms is 9.4e-16.
+    forms = [standard_form_transform(tmss_cm(r)).params for r in (0.5, 2.0)]
+    forms += [standard_form_transform(random_asymmetric_npt_1x1(seed)).params
+              for seed in range(5)]
+    for p in forms:
+        assert is_npt(p.matrix()).raw_margin < -0.2  # decisively NPT
+        assert _rc_relative_error(p, (20.0, 100.0, 178.0, 350.0)) <= 1e-13
+
+
 @pytest.mark.parametrize("make", [
     lambda: local_scramble(random_npt_cm(3, 2, seed=7), seed=7),
     lambda: padded_core(a=1.6, nu_t=0.4, pad_a=(), pad_b=(1.3,), seed=3),
