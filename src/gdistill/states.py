@@ -31,12 +31,12 @@ matrix gamma - i*Jtilde (Jtilde = Lambda J Lambda) has a negative eigenvalue.
 For bipartite Gaussian states NPT is equivalent to distillability, which is
 what the rest of the package exploits constructively.
 
-Each CorrelationMatrix is factored once, at construction: one eigh(gamma)
-serves the positive definiteness check, the conditioning guard (applied on
-every call), both reported symplectic spectra and is_pure.  The
+Each CorrelationMatrix is factored once, at construction, by Cholesky
+(gamma = L L^T, the positive definiteness test).  Both reported spectra from
+L, cond(gamma) from eigvalsh (the guard applied on every call) and the
 tol-independent margins lambda_min(gamma - iJ) and lambda_min(gamma -
-i*Jtilde) and the spectra are computed on first use and kept on the
-instance; validate_physical and is_npt compare them with each call's tol.
+i*Jtilde) are computed on first use and kept on the instance;
+validate_physical and is_npt compare them with each call's tol.
 A bare array given to validate_physical is validated as a CorrelationMatrix
 with every mode on side A.
 """
@@ -49,17 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import direct_sum, form_matrix, spectrum_from_eigh
+from .symplectic import (_sym, cholesky_factor, direct_sum, form_matrix,
+                         spectrum_from_factor)
 
 TOL_VERDICT = 1e-9          # default tolerance for physicality / NPT verdicts
 COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
 WIGNER_INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
 QVAR_FLOOR = 1e-12          # degenerate-measurement guard
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,8 @@ class CorrelationMatrix:
     transposes of NPT states and Wigner-form companions are representable on
     purpose.
 
-    Construction factors the matrix once, eigh(gamma) = (w, Q), kept
-    read-only in ``_eigh``; the positive definiteness check reads w[0].
+    Construction factors the matrix once by Cholesky, gamma = L L^T, and
+    keeps the read-only factor L in ``_chol``.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -84,26 +81,15 @@ class CorrelationMatrix:
         n_a, n_b = self.partition
         if n_a < 0 or n_b < 0 or n_a + n_b < 1:
             raise ValueError(f"bad partition {self.partition}")
-        g = np.array(self.entries, dtype=float)
+        g = np.asarray(self.entries, dtype=float)
         dim = 2 * (n_a + n_b)
         if g.shape != (dim, dim):
             raise ValueError(
                 f"entries shape {g.shape} does not match partition {self.partition}")
-        if not np.isfinite(g).all():
-            raise ValueError("correlation matrix entries must be finite")
-        scale = max(1.0, float(np.abs(g).max()))
-        if np.abs(g - g.T).max() > 1e-8 * scale:
-            raise ValueError("correlation matrix must be symmetric")
-        g = _sym(g)
-        w, Q = np.linalg.eigh(g)
-        if w[0] <= 0:
-            raise ValueError(
-                f"correlation matrix must be positive definite (min eigenvalue {w[0]:.3e})")
-        for a in (g, w, Q):
-            a.flags.writeable = False
+        g, L = cholesky_factor(g)
         object.__setattr__(self, "entries", g)
         object.__setattr__(self, "partition", (int(n_a), int(n_b)))
-        object.__setattr__(self, "_eigh", (w, Q))
+        object.__setattr__(self, "_chol", L)
 
     # tol-independent, computed on first use; the memo holds floats and arrays
     # only, never a reference back to the instance (no cycle to collect)
@@ -121,13 +107,18 @@ class CorrelationMatrix:
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
         """Symplectic spectrum, ascending."""
-        return spectrum_from_eigh(*self._eigh)
+        return spectrum_from_factor(self._chol, form_matrix(self.n_modes))
 
     @functools.cached_property
     def _min_pt_nu(self) -> float:
         """Smallest symplectic eigenvalue of the partial transpose."""
-        lam = pt_sign_vector(self.n_a, self.n_b)
-        return float(spectrum_from_eigh(*self._eigh, signs=lam)[0])
+        return float(spectrum_from_factor(self._chol, pt_form(self.n_a, self.n_b))[0])
+
+    @functools.cached_property
+    def _cond(self) -> float:
+        """cond(gamma) from eigvalsh; inf when rounding leaves lambda_min <= 0."""
+        w = np.linalg.eigvalsh(self.entries)
+        return float(w[-1] / w[0]) if w[0] > 0 else np.inf
 
     @property
     def n_a(self) -> int:
@@ -243,8 +234,7 @@ def pt_form(n_a: int, n_b: int) -> np.ndarray:
 
 
 def _check_conditioning(gamma: CorrelationMatrix, what: str):
-    w = gamma._eigh[0]
-    if w[-1] / w[0] > COND_LIMIT:
+    if gamma._cond > COND_LIMIT:
         raise NumericsError(
             f"{what}: matrix condition number exceeds {COND_LIMIT:.0e}; "
             "result would not be trustworthy")

@@ -13,8 +13,9 @@ pairing convention used throughout the package.
 
 Symplectic eigenvalues of a symmetric positive definite matrix are the n
 positive members of the spectrum of i*J^T*gamma, which come in +/- pairs.
-They are computed here from the Hermitian-equivalent eigenproblem of
-i*sqrt(gamma)*J*sqrt(gamma) for numerical symmetry.
+With gamma = L L^T (Cholesky), iJ L L^T is similar to the Hermitian
+i*L^T J L, whose positive eigenvalues they are.  Jtilde in place of J gives
+the partial transpose's, since Lambda gamma Lambda = (Lambda L)(Lambda L)^T.
 """
 
 from __future__ import annotations
@@ -33,16 +34,8 @@ _J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _as_matrix(S) -> np.ndarray:
-    """Accept a bare ndarray or a wrapper exposing .entries."""
-    if isinstance(S, np.ndarray):
-        return S
+    """Accept a bare array or a wrapper exposing .entries."""
     return np.asarray(getattr(S, "entries", S), dtype=float)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,8 @@ class SymplecticMatrix:
             raise ValueError(f"expected shape {(2*self.n, 2*self.n)}, got {S.shape}")
         if not is_symplectic(S, tol=TOL_SYMPLECTIC):
             raise ValueError("matrix is not symplectic within tolerance")
-        object.__setattr__(self, "entries", _frozen(S))
+        S.flags.writeable = False
+        object.__setattr__(self, "entries", S)
 
 
 def form_matrix(n: int) -> np.ndarray:
@@ -94,33 +88,47 @@ def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
     return float(np.abs(S.T @ J @ S - J).max()) <= tol
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized float matrix g and its lower Cholesky factor L, both
+    read-only; ValueError unless the entries are finite, g is symmetric within
+    1e-8 * max(1, max|entry|) and Cholesky succeeds (positive definite)."""
+    if not np.isfinite(g).all():
+        raise ValueError("correlation matrix entries must be finite")
+    scale = max(1.0, float(np.abs(g).max()))
+    if np.abs(g - g.T).max() > 1e-8 * scale:
+        raise ValueError("correlation matrix must be symmetric")
+    g = _sym(g)
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise ValueError("correlation matrix must be positive definite "
+                         f"(min eigenvalue {np.linalg.eigvalsh(g)[0]:.3e})") from None
+    g.flags.writeable = L.flags.writeable = False
+    return g, L
+
+
+def spectrum_from_factor(L: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum, ascending, of L L^T for ``form`` J (Jtilde: of its
+    partial transpose), the positive half of eigvalsh(i*L^T form L)."""
+    return np.linalg.eigvalsh(1j * (L.T @ form @ L))[L.shape[0] // 2 :]
+
+
 def symplectic_eigenvalues(gamma) -> np.ndarray:
     """Symplectic spectrum of a symmetric positive definite matrix, ascending.
 
     A correlation matrix is physical exactly when every value returned here
-    is >= 1.  The identity (vacuum) gives all ones.
+    is >= 1.  The identity (vacuum) gives all ones.  The input is validated
+    by cholesky_factor, as a CorrelationMatrix is.
     """
     g = _as_matrix(gamma)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
         raise ValueError(f"expected an even-dimensional square matrix, got {g.shape}")
-    if np.abs(g - g.T).max() > 1e-8 * max(1.0, np.abs(g).max()):
-        raise ValueError("matrix is not symmetric")
-    w, Q = np.linalg.eigh(g)
-    if w[0] <= 0:
-        raise ValueError(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    return spectrum_from_eigh(w, Q)
-
-
-def spectrum_from_eigh(w: np.ndarray, Q: np.ndarray, signs=None) -> np.ndarray:
-    """Symplectic spectrum, ascending, of gamma = Q diag(w) Q^T (w > 0), or
-    with ``signs`` (the +-1 diagonal of Lambda) of Lambda gamma Lambda, from
-    the same factorization: sqrt(Lambda gamma Lambda) = Lambda sqrt(gamma) Lambda."""
-    n = w.size // 2
-    root = Q @ np.diag(np.sqrt(w)) @ Q.T
-    if signs is not None:
-        root = (signs[:, None] * root) * signs[None, :]
-    herm = 1j * (root @ form_matrix(n) @ root)  # Hermitian, spectrum +/- nu_k
-    return np.linalg.eigvalsh(herm)[n:]
+    L = cholesky_factor(g)[1]
+    return spectrum_from_factor(L, form_matrix(g.shape[0] // 2))
 
 
 def skew_product(u: np.ndarray, v: np.ndarray) -> float:
@@ -144,9 +152,9 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray,
     orthonormal basis B is the tail of one complete QR factorization.  The
     restricted form B^T J B is real antisymmetric, so i*B^T J B is Hermitian
     with eigenvalues +-t_k; each eigenvector u_k with t_k > 0 gives the
-    canonical pair sqrt(2/t_k) * (Re B u_k, Im B u_k), as in
-    spectrum_from_eigh.  Raises NumericsError when a t_k is not positive or
-    the result fails S^T J S = J within TOL_SYMPLECTIC.
+    canonical pair sqrt(2/t_k) * (Re B u_k, Im B u_k).  Raises NumericsError
+    when a t_k is not positive or the result fails S^T J S = J within
+    TOL_SYMPLECTIC.
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)

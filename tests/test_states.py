@@ -153,7 +153,7 @@ def test_validate_physical_checks_a_bare_array_as_a_correlation_matrix():
 
 
 def counting_linalg(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0}
+    counts = {"cholesky": 0, "eigh": 0, "eigvalsh": 0}
     for name in counts:
         real = getattr(np.linalg, name)
 
@@ -169,14 +169,14 @@ def test_each_matrix_is_factored_once_and_decided_from_a_memo(monkeypatch):
     entries = local_scramble(tmss_cm(0.5), 3).entries
     counts = counting_linalg(monkeypatch)
     cm = CorrelationMatrix(entries=entries, partition=(1, 1))
-    assert counts == {"eigh": 1, "eigvalsh": 0}
+    assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 0}
     validate_physical(cm)
     first = is_npt(cm)
-    # gamma - iJ, gamma - i*Jtilde and the two reported spectra
-    assert counts == {"eigh": 1, "eigvalsh": 4}
+    # cond(gamma), gamma - iJ, gamma - i*Jtilde and the two reported spectra
+    assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 5}
     assert is_npt(cm) == first
     assert is_pure(cm)
-    assert counts == {"eigh": 1, "eigvalsh": 4}
+    assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 5}
 
 
 def test_memoized_margins_take_each_calls_tol():
@@ -201,6 +201,32 @@ def test_ill_conditioned_matrix_is_refused_on_every_call():
         for decide in (validate_physical, is_npt, wigner_cm):
             with pytest.raises(NumericsError, match="condition number"):
                 decide(cm)
+
+
+def test_matrix_at_the_rounding_edge_of_positive_definiteness_is_refused():
+    # Q diag(lam, 1, 3, 10) Q^T with |lam| < 1e-15: the Cholesky factorization
+    # succeeds, so the matrix is constructed, but eigvalsh(gamma) puts
+    # lambda_min at -2.7e-15; cond(gamma) then counts as infinite and deciding
+    # the matrix is refused
+    g = np.array([
+        [4.25656955803323, -3.403113210290711, 2.0636418862121646, -2.3416631191325443],
+        [-3.403113210290711, 2.774371379827649, -1.3924946166633985, 1.6377550107932144],
+        [2.0636418862121646, -1.3924946166633985, 4.523320554582785, -1.710771880139686],
+        [-2.3416631191325443, 1.6377550107932144, -1.710771880139686, 2.4457385075563374],
+    ])
+    cm = CorrelationMatrix(entries=g, partition=(1, 1))
+    for decide in (validate_physical, is_npt):
+        with pytest.raises(NumericsError, match="condition number"):
+            decide(cm)
+
+
+@pytest.mark.parametrize("r, bound", [(1, 2e-14), (3, 1e-10), (5, 3e-7)])
+def test_pt_spectrum_of_scrambled_squeezed_states_matches_closed_form(r, bound):
+    # local symplectics keep the partial transpose's smallest symplectic
+    # eigenvalue of tmss_cm(r) at e^{-2r}
+    for seed in range(10):
+        nu = is_npt(local_scramble(tmss_cm(r), seed)).min_pt_symplectic_eigenvalue
+        assert abs(nu / np.exp(-2 * r) - 1) <= bound
 
 
 def test_decided_matrix_is_freed_without_the_cycle_collector():

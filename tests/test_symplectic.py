@@ -14,12 +14,14 @@ from gdistill import (
     extend_to_symplectic_basis,
     form_matrix,
     is_symplectic,
+    local_scramble,
     random_symplectic,
     skew_product,
     symplectic_eigenvalues,
     tmss_cm,
     two_mode_squeezer,
     vacuum,
+    validate_physical,
 )
 from gdistill.symplectic import SymplecticMatrix
 
@@ -81,6 +83,27 @@ def test_symplectic_eigenvalues_known_states():
     assert np.allclose(symplectic_eigenvalues(g), [1.5, 3.0])
     # pure two-mode squeezed state stays at the vacuum floor
     assert np.allclose(symplectic_eigenvalues(tmss_cm(0.8)), [1.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symplectic_eigenvalues_refuses_non_finite_entries(bad):
+    g = np.eye(4)
+    g[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        symplectic_eigenvalues(g)
+
+
+def test_symplectic_eigenvalues_validates_as_a_correlation_matrix():
+    # asymmetric within tolerance: the symmetrized matrix is used, as in
+    # CorrelationMatrix, not its lower triangle, so the spectra agree exactly
+    g = np.array(local_scramble(tmss_cm(0.7), 3).entries)
+    g[0, 3] += 5e-9
+    assert symplectic_eigenvalues(g)[0] == validate_physical(g).min_symplectic_eigenvalue
+    g[0, 3] += 1e-6
+    with pytest.raises(ValueError, match="must be symmetric"):
+        symplectic_eigenvalues(g)
+    with pytest.raises(ValueError, match="must be positive definite"):
+        symplectic_eigenvalues(-np.eye(4))
 
 
 def test_symplectic_eigenvalues_congruence_invariant():
