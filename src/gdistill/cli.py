@@ -3,13 +3,14 @@
 Subcommands: validate, pipeline, random, fuzz, standard-form, symmetrize,
 concentrate.  State files are JSON (see statefile module).  All randomized
 commands are deterministic for fixed flags: identical invocations produce
-identical bytes on stdout.  The environment variable GDISTILL_TOL overrides
-the default verdict tolerance; it must lie in (0, 6e-8), where the witness
-skew bound of the distill module holds.
+identical bytes on stdout.  Every verdict uses the fixed tolerance
+TOL_VERDICT = 1e-9.  When the environment variable GDISTILL_TOL is set, to
+any value, every command exits 1 and names it on stderr instead of running
+with a tolerance the user did not ask for.
 
 Exit codes:
     0  success (validate: physical; pipeline: DISTILLABLE)
-    1  file/schema/flag/config parse error
+    1  file/schema/flag/config parse error; GDISTILL_TOL set
     2  validate: unphysical state; fuzz: invariant violations found
     3  pipeline: NOT_DISTILLABLE
     4  pipeline: INCONCLUSIVE_BOUNDARY
@@ -23,8 +24,8 @@ import json
 import os
 import sys
 
-from .distill import (TOL_LIMIT, VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, PipelineStageError, check_tol,
+from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
+                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
                       distill_pipeline, symmetrize, witness_and_concentrate)
 from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
@@ -67,25 +68,25 @@ def _load_bipartite(args):
     return state
 
 
-def cmd_validate(args, tol: float) -> int:
+def cmd_validate(args) -> int:
     state = _load_bipartite(args)
-    verdict = validate_physical(state.gamma, tol=tol)
+    verdict = validate_physical(state.gamma)
     doc = physicality_to_dict(verdict)
     if verdict.physical:
-        doc.update(npt_to_dict(is_npt(state.gamma, tol=tol)))
+        doc.update(npt_to_dict(is_npt(state.gamma)))
     else:
         doc["npt"] = None
     print(dumps(doc))
     return EXIT_OK if verdict.physical else EXIT_UNPHYSICAL
 
 
-def cmd_pipeline(args, tol: float) -> int:
+def cmd_pipeline(args) -> int:
     if not 1 <= args.r_max <= MAX_PROBE_R:
         return _fail(f"--r-max must be >= 1 and <= {MAX_PROBE_R}, got {args.r_max}",
                      EXIT_PARSE)
     state = _load_bipartite(args)
     try:
-        report = distill_pipeline(state.gamma, r_max=args.r_max, tol=tol)
+        report = distill_pipeline(state.gamma, r_max=args.r_max)
     except PipelineStageError as exc:
         return _fail(f"stage failure: {exc}", EXIT_STAGE_FAILURE)
     if args.json:
@@ -102,7 +103,7 @@ def cmd_pipeline(args, tol: float) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def cmd_random(args, tol: float) -> int:
+def cmd_random(args) -> int:
     if args.modes_a < 1 or args.modes_b < 1:
         return _fail(f"random needs at least one mode on each side, got "
                      f"--modes-a {args.modes_a} --modes-b {args.modes_b}", EXIT_PARSE)
@@ -113,7 +114,7 @@ def cmd_random(args, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_fuzz(args, tol: float) -> int:
+def cmd_fuzz(args) -> int:
     if args.config is None:
         config = FuzzConfig()
     else:
@@ -133,7 +134,7 @@ def cmd_fuzz(args, tol: float) -> int:
     return EXIT_OK if summary["total_violations"] == 0 else EXIT_VIOLATIONS
 
 
-def cmd_standard_form(args, tol: float) -> int:
+def cmd_standard_form(args) -> int:
     state, _ = load_state(args.path)
     if state.gamma.partition != (1, 1):
         return _fail(f"standard-form needs a 1x1 state, got partition "
@@ -148,12 +149,12 @@ def cmd_standard_form(args, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_symmetrize(args, tol: float) -> int:
+def cmd_symmetrize(args) -> int:
     state, _ = load_state(args.path)
     if state.gamma.partition != (1, 1):
         return _fail(f"symmetrize needs a 1x1 state, got partition "
                      f"{state.gamma.partition}", EXIT_STAGE_FAILURE)
-    report = symmetrize(state.gamma, tol=tol)
+    report = symmetrize(state.gamma)
     if args.json:
         print(dumps(symmetrization_to_dict(report)))
     else:
@@ -164,13 +165,13 @@ def cmd_symmetrize(args, tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_concentrate(args, tol: float) -> int:
+def cmd_concentrate(args) -> int:
     state = _load_bipartite(args)
-    verdict = is_npt(state.gamma, tol=tol)
+    verdict = is_npt(state.gamma)
     if not verdict.npt:
         raise PreconditionError(
             f"concentration requires an NPT state (margin {verdict.raw_margin:.3e})")
-    witness, conc = witness_and_concentrate(state.gamma, tol=tol)
+    witness, conc = witness_and_concentrate(state.gamma)
     if args.json:
         print(dumps({"witness": witness_to_dict(witness), **concentration_to_dict(conc),
                      "npt_margin_1x1": conc.npt_margin}))
@@ -237,16 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = TOL_VERDICT
-    raw = os.environ.get("GDISTILL_TOL")
-    if raw is not None:
-        try:
-            tol = check_tol(float(raw))
-        except ValueError:
-            return _fail(f"GDISTILL_TOL must be a number in (0, {TOL_LIMIT:g}), "
-                         f"got {raw!r}", EXIT_PARSE)
+    if "GDISTILL_TOL" in os.environ:
+        return _fail(f"GDISTILL_TOL is not supported: the verdict tolerance is fixed "
+                     f"at {TOL_VERDICT:g}; unset the variable", EXIT_PARSE)
     try:
-        return args.func(args, tol)
+        return args.func(args)
     except StateFileError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except DistillError as exc:

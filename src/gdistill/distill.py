@@ -11,13 +11,15 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              s = Re(z)^T J Im(z) per side are bounded away from zero.  For
              unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
              m = z^dag (gamma - i*Jtilde) z = q + 2 (s_A - s_B), while
-             physicality (gamma - iJ >= -tol) applied to z and conj(z) gives
-             q +- 2 (s_A + s_B) >= -tol; so for m < 0, s_B >= (|m| - tol)/4
-             and s_A <= -(|m| - tol)/4.  The raw eigenvector (m = -eps)
-             clears the skew floor 1e-8 once eps > 4e-8 + tol, which the
-             boundary band 1e-7 guarantees.  This bound is why there is no
-             retry: the eigenvector is the witness, and a witness below the
-             floor or a failed concentration is a stage failure.
+             physicality (gamma - iJ >= -TOL_VERDICT) applied to z and
+             conj(z) gives q +- 2 (s_A + s_B) >= -TOL_VERDICT; so for m < 0,
+             s_B >= (|m| - TOL_VERDICT)/4 and s_A <= -(|m| - TOL_VERDICT)/4.
+             The raw eigenvector (m = -eps) clears the skew floor 1e-8 once
+             eps > 4e-8 + TOL_VERDICT, which the boundary band 1e-7
+             guarantees (TOL_VERDICT < BOUNDARY_BAND - 4 * SKEW_FLOOR_FACTOR,
+             pinned by a test).  This bound is why there is no retry: the
+             eigenvector is the witness, and a witness below the floor or a
+             failed concentration is a stage failure.
 
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              a canonical pair (f1^T J f2 = -1) spanning the same plane as
@@ -73,6 +75,7 @@ probe squeezing: distillability is certified by an explicit protocol.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +93,6 @@ from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
 SUPPORT_LEAKAGE_LIMIT = 1e-6
-# the witness skew bound (module docstring) holds for every eps outside the
-# band only when tol is below this, 6e-8
-TOL_LIMIT = BOUNDARY_BAND - 4 * SKEW_FLOOR_FACTOR
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
 VERDICT_DISTILLABLE = "DISTILLABLE"
@@ -124,7 +124,8 @@ class NptWitness:
 @dataclass(frozen=True)
 class Concentration:
     """concentrate's result: the local symplectics, the kept pair's state
-    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) < -tol."""
+    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) <
+    -TOL_VERDICT."""
 
     s_a: SymplecticMatrix
     s_b: SymplecticMatrix
@@ -157,15 +158,6 @@ class PipelineReport:
     rc_sweep: tuple[RcWitnessResult, ...] = ()
 
 
-def check_tol(tol: float) -> float:
-    """tol, when 0 < tol < TOL_LIMIT: the range where the witness skew bound
-    of the module docstring holds for every eps outside the boundary band.
-    Raises ValueError otherwise (nan and inf included)."""
-    if not 0 < tol < TOL_LIMIT:
-        raise ValueError(f"tol must be in (0, {TOL_LIMIT:g}), got {tol!r}")
-    return tol
-
-
 def _side_split(z: np.ndarray, n_a: int):
     return z[: 2 * n_a], z[2 * n_a :]
 
@@ -179,7 +171,7 @@ def _side_skews(z: np.ndarray, n_a: int, n_b: int) -> tuple[float, float]:
     )
 
 
-def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptWitness:
+def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     """Find a unit vector z with z^dag (gamma - i*Jtilde) z < 0 and nonzero
     skew products Re(z)^T J Im(z) on both sides: the minimal eigenvector of
     gamma - i*Jtilde.
@@ -187,10 +179,9 @@ def find_npt_witness(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptW
     Raises PreconditionError when the state is not NPT, and DegeneracyError
     when the form is not negative or a skew product does not clear 1e-8,
     which the bound in the module docstring excludes for physical gamma and
-    eps > 4e-8 + tol.  Raises ValueError unless 0 < tol < TOL_LIMIT.
+    eps > 4e-8 + TOL_VERDICT.
     """
-    check_tol(tol)
-    verdict = is_npt(gamma, tol=tol)
+    verdict = is_npt(gamma)
     if not verdict.npt:
         raise PreconditionError(
             f"witness search requires an NPT state (margin {verdict.raw_margin:.3e})")
@@ -233,8 +224,7 @@ def _canonical_pair(z_side: np.ndarray):
     return f1, f2
 
 
-def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
-                tol: float = TOL_VERDICT) -> Concentration:
+def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     """Concentrate the witnessed entanglement into one mode pair.
 
     Builds local symplectic bases S_A, S_B whose first canonical pairs span
@@ -246,9 +236,8 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
 
     Raises ConcentrationError when the basis extension fails, witness
     support leaks beyond the kept modes (> 1e-6) or the reduced state comes
-    out PPT, and ValueError unless 0 < tol < TOL_LIMIT.
+    out PPT.
     """
-    check_tol(tol)
     n_a, n_b = gamma.partition
     if n_a < 1 or n_b < 1:
         raise ValueError("concentration needs at least one mode per side")
@@ -272,7 +261,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness,
     # congruence and reduction keep gamma physical: only NPT is left to check,
     # on the margin is_npt would read from the same memo
     raw = gamma_red._pt_margin
-    if not raw < -tol:
+    if not raw < -TOL_VERDICT:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
     return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red, npt_margin=raw)
@@ -286,18 +275,17 @@ def _in_stage(stage: str, fn, *args, **kwargs):
         raise PipelineStageError(stage, exc) from exc
 
 
-def witness_and_concentrate(gamma: CorrelationMatrix, tol: float = TOL_VERDICT):
+def witness_and_concentrate(gamma: CorrelationMatrix):
     """The witness and concentrate stages, for a state the caller has decided
     is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Returns
     (witness, concentration); raises PipelineStageError naming the stage
-    that failed, and ValueError unless 0 < tol < TOL_LIMIT.
+    that failed.
     """
-    check_tol(tol)
     witness = _in_stage("witness", _witness, gamma)
-    return witness, _in_stage("concentrate", concentrate, gamma, witness, tol=tol)
+    return witness, _in_stage("concentrate", concentrate, gamma, witness)
 
 
-def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> SymmetrizationReport:
+def symmetrize(gamma: CorrelationMatrix) -> SymmetrizationReport:
     """Make a 1x1 NPT state symmetric (n_a = n_b) by local operations.
 
     See the module docstring for the construction.  The inseparability
@@ -308,19 +296,17 @@ def symmetrize(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> Symmetriza
     Raises PreconditionError for non-NPT input and NumericsError if the
     beam-splitter angle formula degenerates (nonpositive denominator), which
     only happens on a measure-zero family at the physicality boundary.
-    Raises ValueError unless 0 < tol < TOL_LIMIT.
     """
     if gamma.partition != (1, 1):
         raise ValueError(f"symmetrization expects a 1x1 state, got {gamma.partition}")
-    check_tol(tol)
-    verdict = is_npt(gamma, tol=tol)
+    verdict = is_npt(gamma)
     if not verdict.npt:
         raise PreconditionError(
             f"symmetrization requires an NPT state (margin {verdict.raw_margin:.3e})")
-    return _symmetrize(standard_form_transform(gamma).params, tol)
+    return _symmetrize(standard_form_transform(gamma).params)
 
 
-def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
+def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
     """symmetrize for the standard form p of a 1x1 state the caller has
     decided is NPT (the input is not re-decided; the output checks all run)."""
     w = p.companion()
@@ -378,9 +364,10 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
             f"n_a={params_out.n_a!r}, n_b={params_out.n_b!r}")
     # the symmetric form of Simon's criterion: its residual is linear in the
     # distance to the PPT boundary, the general one quadratic (16 r^2 for
-    # tmss_cm(r)), too small for tol on certifiable near-boundary states
+    # tmss_cm(r)), too small for TOL_VERDICT on certifiable near-boundary
+    # states
     out_check = check_symmetric_inseparable(
-        math.sqrt(params_out.n_a * params_out.n_b), params_out.k_x, params_out.k_p, tol)
+        math.sqrt(params_out.n_a * params_out.n_b), params_out.k_x, params_out.k_p)
     if not out_check.inseparable:
         raise NumericsError(
             f"symmetrization lost NPT-ness (residual {out_check.residual:.3e})")
@@ -390,8 +377,7 @@ def _symmetrize(p: StdFormParams, tol: float) -> SymmetrizationReport:
         scale_factor=scale, output_params=params_out)
 
 
-def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
-                     tol: float = TOL_VERDICT) -> PipelineReport:
+def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8) -> PipelineReport:
     """Decide distillability and construct the certifying protocol.
 
     Stage order: NPT check, witness search, concentration to one mode pair,
@@ -406,13 +392,14 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
 
     Any stage failure raises PipelineStageError naming the stage; the
     rc_witness stage fails when the witness is not negative at r = r_max.
-    Raises ValueError unless 1 <= r_max <= MAX_PROBE_R (350) and
-    0 < tol < TOL_LIMIT.
+    Raises ValueError unless r_max is an integer (not a bool) with
+    1 <= r_max <= MAX_PROBE_R (350).
     """
+    if isinstance(r_max, bool) or not isinstance(r_max, numbers.Integral):
+        raise ValueError(f"r_max must be an integer, got {r_max!r}")
     if not 1 <= r_max <= MAX_PROBE_R:
         raise ValueError(f"r_max must be >= 1 and <= {MAX_PROBE_R}, got {r_max}")
-    check_tol(tol)
-    npt_verdict = _in_stage("npt_check", is_npt, gamma, tol=tol)
+    npt_verdict = _in_stage("npt_check", is_npt, gamma)
     if not npt_verdict.npt:
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_NOT_DISTILLABLE, npt=npt_verdict)
@@ -420,18 +407,18 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8,
         return PipelineReport(input_partition=gamma.partition,
                               verdict=VERDICT_BOUNDARY, npt=npt_verdict)
 
-    witness, conc = witness_and_concentrate(gamma, tol=tol)
+    witness, conc = witness_and_concentrate(gamma)
 
     std = _in_stage("standard_form", standard_form_transform, conc.gamma_1x1)
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
     # is a local congruence of it, so symmetrize's input is not re-decided
-    sym = _in_stage("symmetrize", _symmetrize, std.params, tol)
+    sym = _in_stage("symmetrize", _symmetrize, std.params)
     final = sym.output_params
 
     def rc_stage():
-        sweep = rc_sweep(final, range(1, int(r_max) + 1))
+        sweep = rc_sweep(final, range(1, r_max + 1))
         limit = sweep[-1].asymptotic_value
-        if limit >= tol:
+        if limit >= TOL_VERDICT:
             raise NumericsError(
                 f"symmetric NPT output violates (n - k_x)(n + k_p) < 1: {limit:.3e}")
         if not sweep[-1].value < 0:

@@ -39,8 +39,8 @@ from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          is_symplectic, random_symplectic,
                          symplectic_eigenvalues)
 from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
-                       check_symmetric_inseparable, rc_sweep, rc_value,
-                       standard_form_params, standard_form_transform,
+                       check_physical, check_symmetric_inseparable, rc_sweep,
+                       rc_value, standard_form_params, standard_form_transform,
                        wigner_params)
 
 MAX_MODES = 4              # modes per side of a drawn state, 1..MAX_MODES
@@ -377,14 +377,12 @@ def wigner_duality_inequalities(t: _Trial):
         return  # stay clear of the physicality boundary
     p = standard_form_params(g)
     w = wigner_params(g)
-    m = w.n_a * w.n_b
-    physicality = (m - w.k_x ** 2) * (m - w.k_p ** 2) + 1.0 \
-        - (w.n_a ** 2 + w.n_b ** 2 + 2.0 * w.k_x * w.k_p)
+    physicality = check_physical(w).physicality_residual
     if physicality < -1e-8 * _scale(g) ** 4:
         raise Violation(
             f"companion parameters violate the physicality inequality: "
             f"{physicality:.3e}", state=g)
-    d_x = m - w.k_x ** 2
+    d_x = w.n_a * w.n_b - w.k_x ** 2
     if d_x > 1.0 + 1e-8:
         raise Violation(
             f"companion correlation inequality not reversed: N_aN_b - K_x^2 = "

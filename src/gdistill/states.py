@@ -34,9 +34,9 @@ what the rest of the package exploits constructively.
 Each CorrelationMatrix is factored once, at construction, by Cholesky
 (gamma = L L^T, the positive definiteness test).  Both reported spectra from
 L, cond(gamma) from eigvalsh (the guard applied on every call) and the
-tol-independent margins lambda_min(gamma - iJ) and lambda_min(gamma -
-i*Jtilde) are computed on first use and kept on the instance;
-validate_physical and is_npt compare them with each call's tol.
+margins lambda_min(gamma - iJ) and lambda_min(gamma - i*Jtilde) are computed
+on first use and kept on the instance; validate_physical and is_npt compare
+them with TOL_VERDICT.
 A bare array given to validate_physical is validated as a CorrelationMatrix
 with every mode on side A.
 """
@@ -52,7 +52,7 @@ from .errors import MeasurementError, NumericsError, PreconditionError
 from .symplectic import (_sym, cholesky_factor, direct_sum, form_matrix,
                          spectrum_from_factor)
 
-TOL_VERDICT = 1e-9          # default tolerance for physicality / NPT verdicts
+TOL_VERDICT = 1e-9          # tolerance of every physicality / NPT verdict
 COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
 WIGNER_INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
@@ -91,8 +91,8 @@ class CorrelationMatrix:
         object.__setattr__(self, "partition", (int(n_a), int(n_b)))
         object.__setattr__(self, "_chol", L)
 
-    # tol-independent, computed on first use; the memo holds floats and arrays
-    # only, never a reference back to the instance (no cycle to collect)
+    # computed on first use; the memo holds floats and arrays only, never a
+    # reference back to the instance (no cycle to collect)
 
     @functools.cached_property
     def _margin(self) -> float:
@@ -240,11 +240,11 @@ def _check_conditioning(gamma: CorrelationMatrix, what: str):
             "result would not be trustworthy")
 
 
-def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
+def validate_physical(gamma) -> PhysicalityVerdict:
     """Decide physicality of a correlation matrix as gamma - iJ >= 0.
 
     The margin is the smallest eigenvalue of the Hermitian matrix gamma - iJ
-    and the state is physical iff margin >= -tol.  The minimum symplectic
+    and the state is physical iff margin >= -TOL_VERDICT.  The minimum symplectic
     eigenvalue is reported alongside; it is not consulted.  A bare array is
     validated as CorrelationMatrix(gamma, (n, 0)), so it must be symmetric
     positive definite.
@@ -256,7 +256,7 @@ def validate_physical(gamma, tol: float = TOL_VERDICT) -> PhysicalityVerdict:
     _check_conditioning(gamma, "validate_physical")
     margin = gamma._margin
     return PhysicalityVerdict(
-        physical=bool(margin >= -tol),
+        physical=bool(margin >= -TOL_VERDICT),
         margin=margin,
         min_symplectic_eigenvalue=float(gamma._spectrum[0]),
     )
@@ -274,13 +274,13 @@ def partial_transpose(gamma: CorrelationMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(entries=g, partition=gamma.partition)
 
 
-def is_npt(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptVerdict:
+def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     """Decide whether the bipartite state has non-positive partial transpose.
 
     The margin is the most negative eigenvalue of the Hermitian matrix
     gamma - i*Jtilde (clipped at zero for PPT states, where small positive
     eigenvalues carry no meaning: pure product states sit exactly at zero);
-    NPT iff it is < -tol.  The symplectic spectrum of the transposed matrix
+    NPT iff it is < -TOL_VERDICT.  The symplectic spectrum of the transposed matrix
     is reported alongside; it is not consulted.
 
     Raises PreconditionError when gamma is not physical (gamma - iJ >= 0
@@ -290,12 +290,12 @@ def is_npt(gamma: CorrelationMatrix, tol: float = TOL_VERDICT) -> NptVerdict:
     if gamma.n_a < 1 or gamma.n_b < 1:
         raise ValueError("NPT test needs at least one mode on each side")
     _check_conditioning(gamma, "is_npt")
-    if gamma._margin < -tol:
+    if gamma._margin < -TOL_VERDICT:
         raise PreconditionError(
             f"is_npt requires a physical state (margin {gamma._margin:.3e})")
     raw = gamma._pt_margin
     return NptVerdict(
-        npt=bool(raw < -tol),
+        npt=bool(raw < -TOL_VERDICT),
         margin=min(raw, 0.0),
         min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
         raw_margin=raw,
@@ -316,9 +316,9 @@ def wigner_cm(gamma: CorrelationMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(entries=w, partition=gamma.partition)
 
 
-def is_pure(gamma: CorrelationMatrix, tol: float = PURITY_TOL) -> bool:
-    """Pure iff every symplectic eigenvalue is 1 within tol."""
-    return bool(np.abs(gamma._spectrum - 1.0).max() <= tol)
+def is_pure(gamma: CorrelationMatrix) -> bool:
+    """Pure iff every symplectic eigenvalue is 1 within PURITY_TOL."""
+    return bool(np.abs(gamma._spectrum - 1.0).max() <= PURITY_TOL)
 
 
 def reduce_to_modes(gamma: CorrelationMatrix, keep_a, keep_b) -> CorrelationMatrix:

@@ -95,7 +95,9 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized float matrix g and its lower Cholesky factor L, both
     read-only; ValueError unless the entries are finite, g is symmetric within
-    1e-8 * max(1, max|entry|) and Cholesky succeeds (positive definite)."""
+    1e-8 * max(1, max|entry|) and Cholesky succeeds (positive definite).  A
+    failure cites the eigenvalue range: a positive lower end means g is too
+    ill-conditioned to factor, not that it has a negative eigenvalue."""
     if not np.isfinite(g).all():
         raise ValueError("correlation matrix entries must be finite")
     scale = max(1.0, float(np.abs(g).max()))
@@ -105,8 +107,10 @@ def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise ValueError("correlation matrix must be positive definite "
-                         f"(min eigenvalue {np.linalg.eigvalsh(g)[0]:.3e})") from None
+        w = np.linalg.eigvalsh(g)
+        raise ValueError("correlation matrix must be positive definite: Cholesky "
+                         f"factorization failed (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
+                         ) from None
     g.flags.writeable = L.flags.writeable = False
     return g, L
 
@@ -141,14 +145,13 @@ def skew_product(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ J @ v)
 
 
-def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray,
-                               tol: float = TOL_SYMPLECTIC) -> SymplecticMatrix:
+def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatrix:
     """Complete a canonical pair (f1, f2) to a symplectic matrix whose first
     two columns are exactly f1 and f2.
 
-    Requires f1^T J f2 = -1 within tol (see the module docstring for the sign
-    convention).  The other pairs span the symplectic complement of
-    span(f1, f2), which is the Euclidean complement of span(J f1, J f2): its
+    Requires f1^T J f2 = -1 within TOL_SYMPLECTIC (see the module docstring
+    for the sign convention).  The other pairs span the symplectic complement
+    of span(f1, f2), which is the Euclidean complement of span(J f1, J f2): its
     orthonormal basis B is the tail of one complete QR factorization.  The
     restricted form B^T J B is real antisymmetric, so i*B^T J B is Hermitian
     with eigenvalues +-t_k; each eigenvector u_k with t_k > 0 gives the
@@ -163,7 +166,7 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray,
     n = f1.size // 2
     J = form_matrix(n)
     pairing = float(f1 @ J @ f2)
-    if abs(pairing + 1.0) > tol:
+    if abs(pairing + 1.0) > TOL_SYMPLECTIC:
         raise ValueError(
             f"(f1, f2) is not a canonical pair: f1^T J f2 = {pairing:.3e}, expected -1")
 

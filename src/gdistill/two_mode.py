@@ -232,20 +232,21 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
                         gamma_std=params.matrix(), params=params)
 
 
-def check_physical(p: StdFormParams, tol: float = TOL_VERDICT) -> TwoModePhysicality:
+def check_physical(p: StdFormParams) -> TwoModePhysicality:
     """Evaluate both standard-form physicality inequalities."""
     m = p.n_a * p.n_b
     lhs = (m - p.k_x ** 2) * (m - p.k_p ** 2) + 1.0
     physicality_residual = lhs - (p.n_a ** 2 + p.n_b ** 2 + 2.0 * p.k_x * p.k_p)
     correlation_residual = m - p.k_x ** 2 - 1.0
     return TwoModePhysicality(
-        physical=bool(physicality_residual >= -tol and correlation_residual >= -tol),
+        physical=bool(physicality_residual >= -TOL_VERDICT
+                      and correlation_residual >= -TOL_VERDICT),
         physicality_residual=float(physicality_residual),
         correlation_residual=float(correlation_residual),
     )
 
 
-def check_inseparable(p: StdFormParams, tol: float = TOL_VERDICT) -> InseparabilityCheck:
+def check_inseparable(p: StdFormParams) -> InseparabilityCheck:
     """Inseparability of a physical two-mode state from its parameters.
 
     The residual is n_a^2 + n_b^2 - 2 k_x k_p - (n_a n_b - k_x^2)(n_a n_b -
@@ -255,7 +256,8 @@ def check_inseparable(p: StdFormParams, tol: float = TOL_VERDICT) -> Inseparabil
     m = p.n_a * p.n_b
     lhs = (m - p.k_x ** 2) * (m - p.k_p ** 2) + 1.0
     residual = (p.n_a ** 2 + p.n_b ** 2 - 2.0 * p.k_x * p.k_p) - lhs
-    return InseparabilityCheck(inseparable=bool(residual > tol), residual=float(residual))
+    return InseparabilityCheck(inseparable=bool(residual > TOL_VERDICT),
+                               residual=float(residual))
 
 
 def inseparability_residual(gamma: CorrelationMatrix) -> float:
@@ -267,13 +269,12 @@ def inseparability_residual(gamma: CorrelationMatrix) -> float:
     return float(det_a + det_b - 2.0 * det_c - det_g - 1.0)
 
 
-def is_symmetric(p: StdFormParams, tol: float = SYMMETRY_TOL) -> bool:
-    """Symmetric means equal local purities: n_a = n_b within tol."""
-    return bool(abs(p.n_a - p.n_b) <= tol)
+def is_symmetric(p: StdFormParams) -> bool:
+    """Symmetric means equal local purities: n_a = n_b within SYMMETRY_TOL."""
+    return bool(abs(p.n_a - p.n_b) <= SYMMETRY_TOL)
 
 
-def check_symmetric_inseparable(n: float, k_x: float, k_p: float,
-                                tol: float = TOL_VERDICT) -> InseparabilityCheck:
+def check_symmetric_inseparable(n: float, k_x: float, k_p: float) -> InseparabilityCheck:
     """Inseparability condition specialized to symmetric states:
 
         |n^2 - k_x k_p - 1| < n (k_x - k_p).
@@ -281,7 +282,8 @@ def check_symmetric_inseparable(n: float, k_x: float, k_p: float,
     Agrees with check_inseparable at n_a = n_b = n.
     """
     residual = n * (k_x - k_p) - abs(n * n - k_x * k_p - 1.0)
-    return InseparabilityCheck(inseparable=bool(residual > tol), residual=float(residual))
+    return InseparabilityCheck(inseparable=bool(residual > TOL_VERDICT),
+                               residual=float(residual))
 
 
 def tmss_cm(r: float) -> CorrelationMatrix:

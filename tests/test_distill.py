@@ -332,7 +332,7 @@ def test_symmetrize_angle_is_accurate_near_the_degenerate_family():
     # here; evaluated in the input's parameters it keeps ~1e-11 accuracy
     p = StdFormParams(1.0004790640655243, 1.0004087976138665,
                       0.02859690463718892, -0.02859480153139564)
-    rep = distill_module._symmetrize(p, 1e-9)
+    rep = distill_module._symmetrize(p)
     tan2, want = symmetrize_decimal(p)
     theta = math.atan(math.sqrt(float(tan2)))
     assert rep.theta == pytest.approx(theta, rel=1e-10, abs=0)
@@ -405,24 +405,20 @@ def test_pipeline_rejects_non_positive_r_max():
             distill_pipeline(tmss_cm(0.5), r_max=r_max)
 
 
-@pytest.mark.parametrize("entry", ["distill_pipeline", "witness_and_concentrate",
-                                   "find_npt_witness", "concentrate", "symmetrize"])
-def test_entry_points_refuse_tol_outside_the_witness_bound(entry):
-    # the witness skew bound holds only for 0 < tol < TOL_LIMIT = 6e-8
-    g = lossy_squeezed_pair()
-    witness = find_npt_witness(g)
-    call = {
-        "distill_pipeline": lambda tol: distill_pipeline(g, tol=tol),
-        "witness_and_concentrate":
-            lambda tol: distill_module.witness_and_concentrate(g, tol=tol),
-        "find_npt_witness": lambda tol: find_npt_witness(g, tol=tol),
-        "concentrate": lambda tol: concentrate(g, witness, tol=tol),
-        "symmetrize": lambda tol: symmetrize(g, tol=tol),
-    }[entry]
-    for tol in (1e-3, distill_module.TOL_LIMIT, 0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"tol must be in \(0, 6e-08\)"):
-            call(tol)
-    call(1e-8)
+def test_pipeline_refuses_an_r_max_that_is_not_an_integer():
+    # 2.5 would certify at r = 2 and True run as 1
+    for r_max in (2.5, 2.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match="r_max must be an integer"):
+            distill_pipeline(tmss_cm(0.5), r_max=r_max)
+    rep = distill_pipeline(tmss_cm(0.5), r_max=np.int64(3))
+    assert rep.verdict == VERDICT_DISTILLABLE and rep.rc.r == 3
+
+
+def test_verdict_tolerance_lies_inside_the_witness_skew_bound():
+    # the module docstring's bound: a raw eigenvector outside the boundary
+    # band clears the skew floor only when TOL_VERDICT < 6e-8
+    assert 0 < TOL_VERDICT < (distill_module.BOUNDARY_BAND
+                              - 4 * distill_module.SKEW_FLOOR_FACTOR)
 
 
 @pytest.mark.parametrize("r_max", [180, 350])
@@ -441,7 +437,7 @@ def test_pipeline_rejects_r_max_beyond_the_probe_limit():
 
 
 def test_pipeline_wraps_concentrate_stage_errors(monkeypatch):
-    def broken(gamma, witness, tol):
+    def broken(gamma, witness):
         raise NumericsError("injected")
 
     monkeypatch.setattr(distill_module, "concentrate", broken)

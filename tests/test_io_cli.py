@@ -408,19 +408,14 @@ def test_cli_fuzz_small_run(tmp_path):
 def test_cli_tolerance_env(tmp_path):
     import os
 
+    # the verdict tolerance is fixed: any value of the variable, the default
+    # included, is refused rather than silently ignored
     path = write_state(tmp_path, "s.json", tmss_cm(0.5))
-    env = dict(os.environ, GDISTILL_TOL="abc")
-    assert run_cli("validate", path, env=env).returncode == 1
-    env = dict(os.environ, GDISTILL_TOL="-0.1")
-    assert run_cli("validate", path, env=env).returncode == 1
-    # the witness skew bound holds only for tol < 6e-8: looser values and
-    # inf (which would call 0.5 I physical) are refused, naming the range
-    for raw in ("1e-3", "6e-8", "inf", "1e300", "nan"):
+    for raw in ("1e-9", "1e-8", "abc", "inf"):
         res = run_cli("validate", path, env=dict(os.environ, GDISTILL_TOL=raw))
         assert res.returncode == 1
-        assert res.stdout == "" and "(0, 6e-08)" in res.stderr
-    # a loose but valid tolerance still validates the squeezed state
-    env = dict(os.environ, GDISTILL_TOL="1e-8")
+        assert res.stdout == "" and "GDISTILL_TOL" in res.stderr
+    env = {k: v for k, v in os.environ.items() if k != "GDISTILL_TOL"}
     assert run_cli("validate", path, env=env).returncode == 0
 
 

