@@ -6,11 +6,14 @@ commands are deterministic for fixed flags: identical invocations produce
 identical bytes on stdout.  Every verdict uses the fixed tolerance
 TOL_VERDICT = 1e-9.  When the environment variable GDISTILL_TOL is set, to
 any value, every command exits 1 and names it on stderr instead of running
-with a tolerance the user did not ask for.
+with a tolerance the user did not ask for.  The library decides every
+refusal of an input: a ValueError it raises (a bad state file, a one-sided
+partition, --r-max out of range, a negative seed) is printed as one stderr
+line and exits 1.
 
 Exit codes:
     0  success (validate: physical; pipeline: DISTILLABLE)
-    1  file/schema/flag/config parse error; GDISTILL_TOL set
+    1  file/schema/flag/config parse error or other refused input; GDISTILL_TOL set
     2  validate: unphysical state; fuzz: invariant violations found
     3  pipeline: NOT_DISTILLABLE
     4  pipeline: INCONCLUSIVE_BOUNDARY
@@ -30,10 +33,10 @@ from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
 from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
-from .statefile import (StateFileError, concentration_to_dict, dumps,
-                        load_state, npt_to_dict, physicality_to_dict,
-                        pipeline_report_to_dict, standard_form_to_dict,
-                        state_to_dict, symmetrization_to_dict, witness_to_dict)
+from .statefile import (concentration_to_dict, dumps, load_state, npt_to_dict,
+                        physicality_to_dict, pipeline_report_to_dict,
+                        standard_form_to_dict, state_to_dict,
+                        symmetrization_to_dict, witness_to_dict)
 from .states import TOL_VERDICT, is_npt, validate_physical
 from .two_mode import MAX_PROBE_R, standard_form_transform
 
@@ -57,34 +60,22 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_bipartite(args):
-    """The state in args.path; a StateFileError (exit 1) when a side has no
-    modes, since the NPT test needs both sides."""
-    state, _ = load_state(args.path)
-    if state.n_a < 1 or state.n_b < 1:
-        raise StateFileError(
-            f"{args.command} needs at least one mode on each side, got partition "
-            f"{state.gamma.partition}")
-    return state
-
-
 def cmd_validate(args) -> int:
-    state = _load_bipartite(args)
-    verdict = validate_physical(state.gamma)
-    doc = physicality_to_dict(verdict)
-    if verdict.physical:
-        doc.update(npt_to_dict(is_npt(state.gamma)))
-    else:
-        doc["npt"] = None
-    print(dumps(doc))
+    gamma = load_state(args.path)[0].gamma
+    # is_npt first, so that its refusal of a one-sided partition precedes any
+    # verdict; its PreconditionError means unphysical, decided exactly as
+    # validate_physical decides it
+    try:
+        npt = npt_to_dict(is_npt(gamma))
+    except PreconditionError:
+        npt = {"npt": None}
+    verdict = validate_physical(gamma)
+    print(dumps({**physicality_to_dict(verdict), **npt}))
     return EXIT_OK if verdict.physical else EXIT_UNPHYSICAL
 
 
 def cmd_pipeline(args) -> int:
-    if not 1 <= args.r_max <= MAX_PROBE_R:
-        return _fail(f"--r-max must be >= 1 and <= {MAX_PROBE_R}, got {args.r_max}",
-                     EXIT_PARSE)
-    state = _load_bipartite(args)
+    state, _ = load_state(args.path)
     try:
         report = distill_pipeline(state.gamma, r_max=args.r_max)
     except PipelineStageError as exc:
@@ -104,11 +95,6 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.modes_a < 1 or args.modes_b < 1:
-        return _fail(f"random needs at least one mode on each side, got "
-                     f"--modes-a {args.modes_a} --modes-b {args.modes_b}", EXIT_PARSE)
-    if args.seed < 0:
-        return _fail(f"--seed must be non-negative, got {args.seed}", EXIT_PARSE)
     state, meta = random_state(args.kind, args.modes_a, args.modes_b, args.seed)
     print(dumps(state_to_dict(state, metadata=meta)))
     return EXIT_OK
@@ -166,7 +152,7 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_concentrate(args) -> int:
-    state = _load_bipartite(args)
+    state, _ = load_state(args.path)
     verdict = is_npt(state.gamma)
     if not verdict.npt:
         raise PreconditionError(
@@ -243,7 +229,7 @@ def main(argv=None) -> int:
                      f"at {TOL_VERDICT:g}; unset the variable", EXIT_PARSE)
     try:
         return args.func(args)
-    except StateFileError as exc:
+    except ValueError as exc:  # the library's refusal, StateFileError included
         return _fail(str(exc), EXIT_PARSE)
     except DistillError as exc:
         return _fail(f"stage failure: {exc}", EXIT_STAGE_FAILURE)

@@ -84,7 +84,7 @@ from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError, PreconditionError)
 from .states import TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form
 from .symplectic import (SymplecticMatrix, direct_sum,
-                         extend_to_symplectic_basis, form_matrix)
+                         extend_to_symplectic_basis, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable,
                        check_symmetric_inseparable, is_symmetric, rc_sweep,
@@ -162,15 +162,6 @@ def _side_split(z: np.ndarray, n_a: int):
     return z[: 2 * n_a], z[2 * n_a :]
 
 
-def _side_skews(z: np.ndarray, n_a: int, n_b: int) -> tuple[float, float]:
-    za, zb = _side_split(z, n_a)
-    ja, jb = form_matrix(n_a), form_matrix(n_b)
-    return (
-        float(za.real @ ja @ za.imag),
-        float(zb.real @ jb @ zb.imag),
-    )
-
-
 def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     """Find a unit vector z with z^dag (gamma - i*Jtilde) z < 0 and nonzero
     skew products Re(z)^T J Im(z) on both sides: the minimal eigenvector of
@@ -201,7 +192,8 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     z = z / np.linalg.norm(z)
     eps = float(-w[0])
     margin = float(np.real(np.conj(z) @ herm @ z))
-    skew_a, skew_b = _side_skews(z, gamma.n_a, gamma.n_b)
+    skew_a, skew_b = (skew_product(side.real, side.imag)
+                      for side in _side_split(z, gamma.n_a))
     min_skew = min(abs(skew_a), abs(skew_b))
     if not (margin < 0 and min_skew > SKEW_FLOOR_FACTOR):
         raise DegeneracyError(
@@ -214,8 +206,7 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
 def _canonical_pair(z_side: np.ndarray):
     zr = z_side.real
     zi = z_side.imag
-    n = z_side.size // 2
-    skew = float(zr @ form_matrix(n) @ zi)
+    skew = skew_product(zr, zi)
     nrm = float(np.linalg.norm(zr))
     if nrm == 0.0 or skew == 0.0:
         raise ConcentrationError("witness side has vanishing real part or skew product")

@@ -36,7 +36,7 @@ from .states import (PURITY_TOL, TOL_VERDICT, WIGNER_INVOLUTION_TOL,
                      vacuum, validate_physical, wigner_cm)
 from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
-                         is_symplectic, random_symplectic,
+                         is_symplectic, random_symplectic, skew_product,
                          symplectic_eigenvalues)
 from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
                        check_physical, check_symmetric_inseparable, rc_sweep,
@@ -187,7 +187,7 @@ def basis_extension_pairing(t: _Trial):
     f1 /= np.linalg.norm(f1)
     for _ in range(8):
         v = t.rng.normal(size=2 * n)
-        s = float(f1 @ J @ v)
+        s = skew_product(f1, v)
         if abs(s) > 0.1:  # keeps |f2| moderate so the pairing check stays tight
             break
     else:

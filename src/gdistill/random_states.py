@@ -53,9 +53,8 @@ def local_scramble(gamma: CorrelationMatrix, seed: int) -> CorrelationMatrix:
     return apply_symplectic(gamma, direct_sum(sa, sb))
 
 
-def _thermal_product(n_a: int, n_b: int, rng: np.random.Generator,
-                     nu_range=(1.05, 2.5)) -> CorrelationMatrix:
-    nus = rng.uniform(*nu_range, size=n_a + n_b)
+def _thermal_product(n_a: int, n_b: int, rng: np.random.Generator) -> CorrelationMatrix:
+    nus = rng.uniform(1.05, 2.5, size=n_a + n_b)
     diag = np.repeat(nus, 2)
     return CorrelationMatrix(entries=np.diag(diag), partition=(n_a, n_b))
 
@@ -67,14 +66,9 @@ def _squeezed_thermal_core(a: float, c: float) -> CorrelationMatrix:
 
 def _pad_and_scramble(core: CorrelationMatrix, n_a: int, n_b: int,
                       rng: np.random.Generator, seed: int) -> CorrelationMatrix:
-    g = core
-    if n_a > 1:
-        pad = _thermal_product(n_a - 1, 0, rng)
-        g = direct_sum_states(g, pad)
-    if n_b > 1:
-        pad = _thermal_product(0, n_b - 1, rng)
-        g = direct_sum_states(g, pad)
-    return local_scramble(g, seed)
+    if n_a + n_b > 2:
+        core = direct_sum_states(core, _thermal_product(n_a - 1, n_b - 1, rng))
+    return local_scramble(core, seed)
 
 
 def random_physical_cm(n_a: int, n_b: int, seed: int,
@@ -103,12 +97,16 @@ def random_unphysical_pd(n_a: int, n_b: int, seed: int) -> CorrelationMatrix:
 def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianState, dict]:
     """Draw one state of the given kind; returns (state, metadata).
 
-    Metadata records the kind, seed and whether the sample is NPT.
+    Metadata records the kind, seed and whether the sample is NPT.  Raises
+    ValueError for an unknown kind, an empty side or a negative seed.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if n_a < 1 or n_b < 1:
-        raise ValueError("need at least one mode per side")
+        raise ValueError(f"random_state needs at least one mode on each side, got "
+                         f"partition {(n_a, n_b)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = _rng(seed, 0)
     if kind == "thermal":
         g = local_scramble(_thermal_product(n_a, n_b, rng), _subseed(seed, 3))

@@ -57,40 +57,45 @@ def state_to_dict(state: GaussianState, metadata: dict | None = None) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numeric(value, depth: int) -> bool:
+    """value is a JSON number (not a boolean or a string), or at depth > 0 an
+    array of such values nested depth deep."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_numeric(v, depth - 1) for v in value)
+
+
 def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
-    """Parse and validate a state-file document; returns (state, metadata)."""
+    """Parse and validate a state-file document; returns (state, metadata).
+    The JSON types are checked here; shapes, finiteness, symmetry and
+    positive definiteness by CorrelationMatrix and GaussianState, whose
+    errors are reported against the field."""
     _require(isinstance(doc, dict), "<root>", "expected a JSON object")
     version = doc.get("schema_version")
-    _require(version == SCHEMA_VERSION, "schema_version",
+    _require(_is_int(version) and version == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION}, got {version!r}")
     _require("state" in doc, "state", "missing")
     state = doc["state"]
     _require(isinstance(state, dict), "state", "expected a JSON object")
     for key in ("n_a", "n_b"):
         _require(key in state, f"state.{key}", "missing")
-        _require(isinstance(state[key], int) and not isinstance(state[key], bool),
-                 f"state.{key}", f"expected an integer, got {state[key]!r}")
+        _require(_is_int(state[key]), f"state.{key}",
+                 f"expected an integer, got {state[key]!r}")
         _require(state[key] >= 0, f"state.{key}", "must be >= 0")
     n_a, n_b = state["n_a"], state["n_b"]
     _require(n_a + n_b >= 1, "state.n_a", "partition must contain at least one mode")
-    dim = 2 * (n_a + n_b)
     _require("gamma" in state, "state.gamma", "missing")
-    try:
-        gamma = np.array(state["gamma"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StateFileError(f"field 'state.gamma': not a numeric matrix ({exc})")
-    _require(gamma.shape == (dim, dim), "state.gamma",
-             f"expected shape {(dim, dim)}, got {gamma.shape}")
+    _require(_is_numeric(state["gamma"], 2), "state.gamma",
+             "expected an array of arrays of numbers")
     d = state.get("d")
-    if d is not None:
-        try:
-            d = np.array(d, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise StateFileError(f"field 'state.d': not a numeric vector ({exc})")
-        _require(d.shape == (dim,), "state.d",
-                 f"expected shape {(dim,)}, got {d.shape}")
+    _require(d is None or _is_numeric(d, 1), "state.d", "expected an array of numbers")
     try:
-        cm = CorrelationMatrix(entries=gamma, partition=(n_a, n_b))
+        cm = CorrelationMatrix(entries=state["gamma"], partition=(n_a, n_b))
     except ValueError as exc:
         raise StateFileError(f"field 'state.gamma': {exc}")
     try:

@@ -288,7 +288,8 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     ill-conditioned.
     """
     if gamma.n_a < 1 or gamma.n_b < 1:
-        raise ValueError("NPT test needs at least one mode on each side")
+        raise ValueError(f"NPT test needs at least one mode on each side, got "
+                         f"partition {gamma.partition}")
     _check_conditioning(gamma, "is_npt")
     if gamma._margin < -TOL_VERDICT:
         raise PreconditionError(

@@ -136,7 +136,8 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
 
 
 def skew_product(u: np.ndarray, v: np.ndarray) -> float:
-    """u^T J v for real vectors of even length."""
+    """u^T J v for real vectors of even length; ValueError unless u and v are
+    1-D of one even length."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1 or u.size % 2:
@@ -150,26 +151,25 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
     two columns are exactly f1 and f2.
 
     Requires f1^T J f2 = -1 within TOL_SYMPLECTIC (see the module docstring
-    for the sign convention).  The other pairs span the symplectic complement
-    of span(f1, f2), which is the Euclidean complement of span(J f1, J f2): its
-    orthonormal basis B is the tail of one complete QR factorization.  The
-    restricted form B^T J B is real antisymmetric, so i*B^T J B is Hermitian
-    with eigenvalues +-t_k; each eigenvector u_k with t_k > 0 gives the
-    canonical pair sqrt(2/t_k) * (Re B u_k, Im B u_k).  Raises NumericsError
-    when a t_k is not positive or the result fails S^T J S = J within
-    TOL_SYMPLECTIC.
+    for the sign convention), computed by skew_product, which also refuses
+    input that is not two 1-D vectors of one even length.  The other pairs
+    span the symplectic complement of span(f1, f2), which is the Euclidean
+    complement of span(J f1, J f2): its orthonormal basis B is the tail of
+    one complete QR factorization.  The restricted form B^T J B is real
+    antisymmetric, so i*B^T J B is Hermitian with eigenvalues +-t_k; each
+    eigenvector u_k with t_k > 0 gives the canonical pair
+    sqrt(2/t_k) * (Re B u_k, Im B u_k).  Raises NumericsError when a t_k is
+    not positive or the result fails S^T J S = J within TOL_SYMPLECTIC.
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    if f1.shape != f2.shape or f1.ndim != 1 or f1.size % 2:
-        raise ValueError("expected two real vectors of equal even length")
-    n = f1.size // 2
-    J = form_matrix(n)
-    pairing = float(f1 @ J @ f2)
+    pairing = skew_product(f1, f2)
     if abs(pairing + 1.0) > TOL_SYMPLECTIC:
         raise ValueError(
             f"(f1, f2) is not a canonical pair: f1^T J f2 = {pairing:.3e}, expected -1")
 
+    n = f1.size // 2
+    J = form_matrix(n)
     B = np.linalg.qr(J @ np.column_stack([f1, f2]), mode="complete").Q[:, 2:]
     t, U = np.linalg.eigh(1j * (B.T @ J @ B))
     t, W = t[n - 1 :], B @ U[:, n - 1 :]

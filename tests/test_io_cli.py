@@ -15,6 +15,7 @@ from gdistill import (
     load_state,
     pipeline_report_to_dict,
     random_npt_cm,
+    random_state,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -96,6 +97,21 @@ def test_state_from_dict_field_diagnostics():
     expect_error(lambda d: d["state"].update(gamma=bad), "state.gamma")
     with pytest.raises(StateFileError):
         state_from_dict(["not", "an", "object"])
+
+
+@pytest.mark.parametrize("field, bad", [("state.gamma", "1"), ("state.gamma", True),
+                                        ("state.d", "1"), ("state.d", True),
+                                        ("schema_version", True)])
+def test_state_from_dict_refuses_strings_and_booleans_as_numbers(field, bad):
+    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1)))
+    if field == "schema_version":
+        doc["schema_version"] = bad
+    elif field == "state.gamma":
+        doc["state"]["gamma"][0][0] = bad
+    else:
+        doc["state"]["d"][0] = bad
+    with pytest.raises(StateFileError, match=f"field '{field}'"):
+        state_from_dict(doc)
 
 
 def test_state_from_dict_rejects_non_finite_numbers():
@@ -224,7 +240,7 @@ def test_cli_pipeline_rejects_non_positive_r_max(tmp_path):
     for r_max in ("0", "-3"):
         res = run_cli("pipeline", path, "--r-max", r_max)
         assert res.returncode == 1
-        assert res.stdout == "" and "--r-max must be >= 1" in res.stderr
+        assert res.stdout == "" and "r_max must be >= 1" in res.stderr
 
 
 def test_cli_pipeline_r_max_limit(tmp_path):
@@ -295,7 +311,25 @@ def test_cli_random_refuses_a_negative_seed_without_traceback():
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
     assert res.stderr.strip().count("\n") == 0
-    assert "--seed must be non-negative" in res.stderr
+    assert "seed must be non-negative" in res.stderr
+
+
+def test_cli_prints_the_library_refusal_verbatim(tmp_path):
+    path = write_state(tmp_path, "d.json", tmss_cm(0.5))
+    one_sided = write_doc(tmp_path, "one_sided.json", {
+        "schema_version": 1, "state": {"n_a": 0, "n_b": 2, "gamma": np.eye(4).tolist()}})
+    cases = (
+        (("pipeline", path, "--r-max", "0"), lambda: distill_pipeline(tmss_cm(0.5), r_max=0)),
+        (("random", "--seed", "-1"), lambda: random_state("entangled", 1, 1, -1)),
+        (("random", "--modes-a", "0"), lambda: random_state("entangled", 0, 1, 0)),
+        (("validate", one_sided), lambda: is_npt(load_state(one_sided)[0].gamma)),
+    )
+    for args, refuse in cases:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        res = run_cli(*args)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == f"{err.value}\n"
 
 
 def test_cli_usage_errors_exit_1(tmp_path):

@@ -141,6 +141,14 @@ def test_skew_product():
     assert skew_product(u, v) == pytest.approx(float(u @ form_matrix(2) @ v))
 
 
+@pytest.mark.parametrize("fn", [skew_product, extend_to_symplectic_basis])
+def test_skew_product_and_extension_refuse_mismatched_odd_and_2d_input(fn):
+    for u, v in ((np.ones(4), np.ones(2)), (np.ones(3), np.ones(3)),
+                 (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="expected two real vectors of equal even length"):
+            fn(u, v)
+
+
 def test_extend_to_symplectic_basis_frozen_pair():
     f1 = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     f2 = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2)
