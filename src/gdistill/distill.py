@@ -7,9 +7,22 @@ chain implemented here turns any decisively NPT state into a symmetric NPT
 
 witness      An NPT state has a complex vector z with z^dag (gamma -
              i*Jtilde) z <= -eps < 0: the minimal eigenvector of the
-             Hermitian matrix gamma - i*Jtilde.  Its skew products
-             s = Re(z)^T J Im(z) per side are bounded away from zero.  For
-             unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
+             Hermitian matrix gamma - i*Jtilde, with eps = -lambda_min as
+             is_npt computed it.  No second eigensolve finds it: inverse
+             iteration solves (gamma - i*Jtilde - sigma*I) z' = z from z =
+             (1, ..., 1), with the shift sigma a rounding band (dim *
+             machine eps * max|entry|) below lambda_min; each solve damps
+             every other eigenvector by (lambda_min - sigma) / (lambda_k -
+             sigma).  A shift of exactly lambda_min can meet an exact zero
+             pivot.  One solve converges unless the start vector is
+             (nearly) orthogonal to the minimal eigenvector, as for a
+             squeezed pair with a quarter-turn phase on one side; then the
+             next solve amplifies the part that rounding left along it.
+             Iteration stops once the residual |(gamma - i*Jtilde) z - m z|
+             is below WITNESS_RESIDUAL_TOL * max|entry|, and gives up after
+             MAX_WITNESS_SOLVES solves.  The skew products s = Re(z)^T J
+             Im(z) per side of the eigenvector are bounded away from zero.
+             For unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
              m = z^dag (gamma - i*Jtilde) z = q + 2 (s_A - s_B), while
              physicality (gamma - iJ >= -TOL_VERDICT) applied to z and
              conj(z) gives q +- 2 (s_A + s_B) >= -TOL_VERDICT; so for m < 0,
@@ -82,7 +95,8 @@ import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError, PreconditionError)
-from .states import TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form
+from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form,
+                     require_two_sides)
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
@@ -92,6 +106,8 @@ from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
+WITNESS_RESIDUAL_TOL = 1e-12  # eigen-residual of the witness, times max|gamma - i*Jtilde|
+MAX_WITNESS_SOLVES = 3
 SUPPORT_LEAKAGE_LIMIT = 1e-6
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
@@ -116,7 +132,7 @@ class NptWitness:
 
     z: np.ndarray = field(repr=False)
     margin: float
-    eps: float        # |minimal eigenvalue| of gamma - i*Jtilde
+    eps: float        # -lambda_min(gamma - i*Jtilde), is_npt's raw_margin negated
     skew_a: float     # Re(z_A)^T J Im(z_A)
     skew_b: float
 
@@ -165,12 +181,14 @@ def _side_split(z: np.ndarray, n_a: int):
 def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     """Find a unit vector z with z^dag (gamma - i*Jtilde) z < 0 and nonzero
     skew products Re(z)^T J Im(z) on both sides: the minimal eigenvector of
-    gamma - i*Jtilde.
+    gamma - i*Jtilde, by inverse iteration at the lambda_min that is_npt
+    computed (eps = -lambda_min).
 
     Raises PreconditionError when the state is not NPT, and DegeneracyError
-    when the form is not negative or a skew product does not clear 1e-8,
-    which the bound in the module docstring excludes for physical gamma and
-    eps > 4e-8 + TOL_VERDICT.
+    when a solve is singular, the iteration does not converge (module
+    docstring), the form is not negative or a skew product does not clear
+    1e-8, which the bound in the module docstring excludes for physical
+    gamma and eps > 4e-8 + TOL_VERDICT.
     """
     verdict = is_npt(gamma)
     if not verdict.npt:
@@ -181,17 +199,36 @@ def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
 
 def _witness(gamma: CorrelationMatrix) -> NptWitness:
     """The unit minimal eigenvector of gamma - i*Jtilde in canonical phase,
-    checked for a negative form and skew products above the floor."""
+    by inverse iteration at lambda_min as is_npt computed it (eps =
+    -lambda_min), checked for a negative form and skew products above the
+    floor."""
     herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
-    w, V = np.linalg.eigh(herm)
-    z = V[:, 0]
-    # canonical phase: make the largest component real positive, so results
-    # do not depend on the eigensolver's phase choice
-    pivot = int(np.argmax(np.abs(z)))
-    z = z * (np.conj(z[pivot]) / abs(z[pivot]))
-    z = z / np.linalg.norm(z)
-    eps = float(-w[0])
-    margin = float(np.real(np.conj(z) @ herm @ z))
+    lam = gamma._pt_margin
+    scale = float(np.abs(herm).max())
+    # shifted a rounding band below lambda_min (module docstring)
+    shifted = herm - (lam - gamma.dim * np.finfo(float).eps * scale) * np.eye(gamma.dim)
+    z = np.ones(gamma.dim, dtype=complex)
+    for _ in range(MAX_WITNESS_SOLVES):
+        try:
+            z = np.linalg.solve(shifted, z)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(
+                f"shifted solve at lambda_min {lam:.3e} is singular") from exc
+        # canonical phase: make the largest component real positive, so
+        # results do not depend on the start vector's phase
+        pivot = int(np.argmax(np.abs(z)))
+        z = z * (np.conj(z[pivot]) / abs(z[pivot]))
+        z = z / np.linalg.norm(z)
+        hz = herm @ z
+        margin = float(np.real(np.conj(z) @ hz))
+        residual = float(np.linalg.norm(hz - margin * z))
+        if residual <= WITNESS_RESIDUAL_TOL * scale:
+            break
+    else:
+        raise DegeneracyError(
+            f"inverse iteration at lambda_min {lam:.3e} left residual "
+            f"{residual:.3e} after {MAX_WITNESS_SOLVES} solves")
+    eps = -lam
     skew_a, skew_b = (skew_product(side.real, side.imag)
                       for side in _side_split(z, gamma.n_a))
     min_skew = min(abs(skew_a), abs(skew_b))
@@ -229,9 +266,8 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     support leaks beyond the kept modes (> 1e-6) or the reduced state comes
     out PPT.
     """
-    n_a, n_b = gamma.partition
-    if n_a < 1 or n_b < 1:
-        raise ValueError("concentration needs at least one mode per side")
+    require_two_sides(gamma.partition, "concentration")
+    n_a = gamma.n_a
     za, zb = _side_split(np.asarray(witness.z), n_a)
     pairs = [_canonical_pair(z_side) for z_side in (za, zb)]
     try:
@@ -268,9 +304,9 @@ def _in_stage(stage: str, fn, *args, **kwargs):
 
 def witness_and_concentrate(gamma: CorrelationMatrix):
     """The witness and concentrate stages, for a state the caller has decided
-    is NPT: gamma - i*Jtilde is eigensolved once, not re-decided.  Returns
-    (witness, concentration); raises PipelineStageError naming the stage
-    that failed.
+    is NPT: the witness is solved for at the memoized lambda_min of gamma -
+    i*Jtilde, which is not re-decided.  Returns (witness, concentration);
+    raises PipelineStageError naming the stage that failed.
     """
     witness = _in_stage("witness", _witness, gamma)
     return witness, _in_stage("concentrate", concentrate, gamma, witness)

@@ -36,8 +36,8 @@ from .states import (PURITY_TOL, TOL_VERDICT, WIGNER_INVOLUTION_TOL,
                      vacuum, validate_physical, wigner_cm)
 from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
                          extend_to_symplectic_basis, form_matrix,
-                         is_symplectic, random_symplectic, skew_product,
-                         symplectic_eigenvalues)
+                         is_symplectic, random_symplectic, seed_sequence,
+                         skew_product, symplectic_eigenvalues)
 from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
                        check_physical, check_symmetric_inseparable, rc_sweep,
                        rc_value, standard_form_params, standard_form_transform,
@@ -70,8 +70,7 @@ class FuzzConfig:
     trials: int = 1000
 
     def __post_init__(self):
-        if self.seed < 0:  # SeedSequence entropy must be non-negative
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        seed_sequence(self.seed)  # refuses a negative seed before any trial runs
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
 
@@ -104,11 +103,10 @@ class _Trial:
 
     def __init__(self, seed: int, index: int, trial: int):
         self.entropy = (seed, index, trial)
-        self.rng = np.random.default_rng(np.random.SeedSequence(entropy=self.entropy))
+        self.rng = np.random.default_rng(seed_sequence(*self.entropy))
 
     def seed(self, salt: int = 0) -> int:
-        ss = np.random.SeedSequence(entropy=self.entropy + (salt,))
-        return int(ss.generate_state(1)[0])
+        return int(seed_sequence(*self.entropy, salt).generate_state(1)[0])
 
     def partition(self) -> tuple[int, int]:
         return (int(self.rng.integers(1, MAX_MODES + 1)),

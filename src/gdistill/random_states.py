@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (CorrelationMatrix, GaussianState, apply_symplectic,
-                     direct_sum_states, is_npt)
-from .symplectic import direct_sum, random_symplectic
+                     direct_sum_states, is_npt, require_two_sides)
+from .symplectic import direct_sum, random_symplectic, seed_sequence
 from .two_mode import StdFormParams
 
 KINDS = ("thermal", "entangled", "boundary")
@@ -38,12 +38,12 @@ SYM_MIN_PHYSICALITY = 1e-6  # random_symmetric_two_mode: physicality residual fl
 
 
 def _rng(seed: int, *salt: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + salt))
+    return np.random.default_rng(seed_sequence(seed, *salt))
 
 
 def _subseed(seed: int, *salt: int) -> int:
     # collapse (seed, salt...) into one integer for APIs that take a seed
-    return int(np.random.SeedSequence(entropy=(int(seed),) + salt).generate_state(1)[0])
+    return int(seed_sequence(seed, *salt).generate_state(1)[0])
 
 
 def local_scramble(gamma: CorrelationMatrix, seed: int) -> CorrelationMatrix:
@@ -102,11 +102,7 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if n_a < 1 or n_b < 1:
-        raise ValueError(f"random_state needs at least one mode on each side, got "
-                         f"partition {(n_a, n_b)}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    require_two_sides((n_a, n_b), "random_state")
     rng = _rng(seed, 0)
     if kind == "thermal":
         g = local_scramble(_thermal_product(n_a, n_b, rng), _subseed(seed, 3))

@@ -233,6 +233,13 @@ def pt_form(n_a: int, n_b: int) -> np.ndarray:
     return Jt
 
 
+def require_two_sides(partition: tuple[int, int], what: str):
+    """ValueError naming the partition unless both sides have a mode."""
+    if partition[0] < 1 or partition[1] < 1:
+        raise ValueError(f"{what} needs at least one mode on each side, got "
+                         f"partition {partition}")
+
+
 def _check_conditioning(gamma: CorrelationMatrix, what: str):
     if gamma._cond > COND_LIMIT:
         raise NumericsError(
@@ -267,8 +274,7 @@ def partial_transpose(gamma: CorrelationMatrix) -> CorrelationMatrix:
 
     An exact sign flip, so applying it twice returns the input bit for bit.
     """
-    if gamma.n_a < 1 or gamma.n_b < 1:
-        raise ValueError("partial transposition needs at least one mode on each side")
+    require_two_sides(gamma.partition, "partial transposition")
     lam = pt_sign_vector(gamma.n_a, gamma.n_b)
     g = (lam[:, None] * gamma.entries) * lam[None, :]
     return CorrelationMatrix(entries=g, partition=gamma.partition)
@@ -287,9 +293,7 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     decided as in validate_physical), NumericsError when it is too
     ill-conditioned.
     """
-    if gamma.n_a < 1 or gamma.n_b < 1:
-        raise ValueError(f"NPT test needs at least one mode on each side, got "
-                         f"partition {gamma.partition}")
+    require_two_sides(gamma.partition, "NPT test")
     _check_conditioning(gamma, "is_npt")
     if gamma._margin < -TOL_VERDICT:
         raise PreconditionError(

@@ -170,7 +170,7 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
 
     n = f1.size // 2
     J = form_matrix(n)
-    B = np.linalg.qr(J @ np.column_stack([f1, f2]), mode="complete").Q[:, 2:]
+    B = np.linalg.qr(J @ np.column_stack([f1, f2]), mode="complete")[0][:, 2:]
     t, U = np.linalg.eigh(1j * (B.T @ J @ B))
     t, W = t[n - 1 :], B @ U[:, n - 1 :]
     if not np.all(t > 0):
@@ -188,6 +188,14 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
             "too ill-conditioned to extend") from exc
 
 
+def seed_sequence(seed: int, *salt: int) -> np.random.SeedSequence:
+    """The SeedSequence of (seed, *salt); ValueError for a negative seed,
+    which SeedSequence would refuse without naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.SeedSequence(entropy=(int(seed),) + salt)
+
+
 def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     """Seeded random symplectic matrix, S = expm(J H) with H symmetric.
 
@@ -196,7 +204,7 @@ def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     """
     if n < 1:
         raise ValueError(f"mode count must be >= 1, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x5f)))
+    rng = np.random.default_rng(seed_sequence(seed, 0x5f))
     scale = 0.45 / np.sqrt(n)
     G = rng.normal(0.0, scale, size=(2 * n, 2 * n))
     H = 0.5 * (G + G.T)

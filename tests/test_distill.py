@@ -33,6 +33,7 @@ from gdistill import (
     form_matrix,
     is_npt,
     local_scramble,
+    partial_transpose,
     pipeline_report_to_dict,
     pt_form,
     random_asymmetric_npt_1x1,
@@ -121,6 +122,87 @@ def test_raw_witness_skews_obey_the_physicality_bound(make):
         assert min(-w.skew_a, w.skew_b) >= (w.eps - TOL_VERDICT) / 4
 
 
+def eigh_witness(g, z):
+    """eigh's minimal eigenvector of gamma - i*Jtilde in the phase of z.
+    That is the witness's canonical phase (largest component real positive)
+    unless components tie in modulus, as they do for quarter_turn_pair."""
+    v = np.linalg.eigh(g.entries - 1j * pt_form(g.n_a, g.n_b))[1][:, 0]
+    overlap = np.vdot(v, z)
+    return v * (overlap / abs(overlap))
+
+
+def quarter_turn_pair(r):
+    """Two-mode squeezed state with a quarter-turn phase on side B.  The
+    minimal eigenvector of gamma - i*Jtilde is proportional to (1, i, -i,
+    -1), orthogonal to the witness iteration's start vector (1, 1, 1, 1)."""
+    return CorrelationMatrix.from_blocks(
+        np.cosh(2 * r) * np.eye(2), np.cosh(2 * r) * np.eye(2),
+        np.sinh(2 * r) * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def orthogonal_start_states():
+    """quarter_turn_pair alone and embedded in larger partitions, by label."""
+    return {f"{where}-r{r:g}": g for r in (1e-5, 0.3, 1.0, 3.0, 6.0)
+            for where, g in (("alone", quarter_turn_pair(r)),
+                             ("first", direct_sum_states(quarter_turn_pair(r), vacuum(2, 1))),
+                             ("last", direct_sum_states(vacuum(5, 5), quarter_turn_pair(r))))}
+
+
+def test_witness_solve_matches_the_minimal_eigenvector():
+    states = [random_npt_cm(1 + seed % 6, 1 + seed // 6 % 6, seed) for seed in range(400)]
+    states += [local_scramble(tmss_cm(r), seed)
+               for r in (1e-5, 0.5, 2.0, 4.0, 6.0) for seed in range(4)]
+    states += orthogonal_start_states().values()
+    for g in states:
+        z = find_npt_witness(g).z
+        assert np.abs(z - eigh_witness(g, z)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("g", orthogonal_start_states().values(),
+                         ids=orthogonal_start_states().keys())
+def test_pipeline_certifies_a_state_orthogonal_to_the_start_vector(g):
+    rep = distill_pipeline(g)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert abs(np.ones(g.dim) @ eigh_witness(g, rep.witness.z)) < 1e-10
+
+
+# a solve shifted to exactly lambda_min meets an exact zero pivot in LU on
+# these states; the witness's shift sits a rounding band below it
+@pytest.mark.parametrize("n_a, n_b, seed", [
+    (4, 1, 25), (6, 6, 208), (5, 1, 519), (5, 1, 817), (4, 1, 1606)])
+def test_witness_where_a_solve_at_lambda_min_is_singular(n_a, n_b, seed):
+    g = random_npt_cm(n_a, n_b, seed)
+    w = find_npt_witness(g)
+    assert np.abs(w.z - eigh_witness(g, w.z)).max() <= 1e-9
+    assert w.margin < 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tmss_cm(0.5),
+    lambda: local_scramble(random_npt_cm(3, 2, seed=7), seed=7),
+    lambda: local_scramble(random_npt_cm(6, 1, seed=2), seed=2),
+], ids=["squeezed", "scrambled_3x2", "scrambled_6x1"])
+def test_witness_eps_is_the_npt_stage_margin(make):
+    rep = distill_pipeline(make())
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert rep.witness.eps == -rep.npt.raw_margin
+
+
+def test_distillable_run_makes_no_eigh_of_the_input_dimension(monkeypatch):
+    g = local_scramble(random_npt_cm(2, 2, seed=3), seed=3)
+    dims = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rep = distill_pipeline(g)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert g.dim not in dims
+
+
 def test_concentrate_recovers_unscrambled_embedded_pair():
     # when the squeezed pair sits in plain coordinates the minimal eigenvector
     # lives exactly in its plane, so concentration returns the pair itself up
@@ -182,6 +264,19 @@ def test_concentrate_validates_partition():
     w = find_npt_witness(tmss_cm(0.5))
     with pytest.raises(ValueError):
         concentrate(vacuum(1, 0), w)
+
+
+def test_one_sided_partitions_are_refused_in_one_wording():
+    g = vacuum(0, 2)
+    w = find_npt_witness(tmss_cm(0.5))
+    refusals = {"NPT test": lambda: is_npt(g),
+                "partial transposition": lambda: partial_transpose(g),
+                "concentration": lambda: concentrate(g, w)}
+    for what, refuse in refusals.items():
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == (
+            f"{what} needs at least one mode on each side, got partition (0, 2)")
 
 
 def test_symmetrize_asymmetric_frozen_case():

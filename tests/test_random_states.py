@@ -13,6 +13,7 @@ from gdistill import (
     random_physical_cm,
     random_state,
     random_symmetric_two_mode,
+    random_symplectic,
     random_unphysical_pd,
     standard_form_params,
     tmss_cm,
@@ -125,3 +126,20 @@ def test_random_symmetric_two_mode():
         else:
             sep_seen = True
     assert npt_seen and sep_seen  # generator mixes both populations
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: random_state("entangled", 1, 1, -1),
+    lambda: random_npt_cm(1, 1, -1),
+    lambda: random_physical_cm(1, 1, -1),
+    lambda: random_unphysical_pd(1, 1, -1),
+    lambda: random_asymmetric_npt_1x1(-1),
+    lambda: random_symmetric_two_mode(-1),
+    lambda: local_scramble(tmss_cm(0.5), -1),
+    lambda: random_symplectic(1, -1),
+], ids=["random_state", "random_npt_cm", "random_physical_cm", "random_unphysical_pd",
+        "random_asymmetric_npt_1x1", "random_symmetric_two_mode", "local_scramble",
+        "random_symplectic"])
+def test_generators_refuse_a_negative_seed(draw):
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        draw()
