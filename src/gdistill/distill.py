@@ -43,8 +43,9 @@ concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              NPT.  The kept mode pair depends only on the first canonical
              pairs, so the reduced state is the projection
              gamma_1x1 = F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2] (2n x 4),
-             with no 2n x 2n congruence.  S_A and S_B are still completed:
-             the leakage guard solves with them, and the report carries them.
+             with no 2n x 2n congruence.  S_A and S_B are still completed,
+             in closed form (extend_to_symplectic_basis): the leakage guard
+             applies their inverses J^T S^T J, and the report carries them.
 
 symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              standard form (n_a, n_b, k_x, k_p) its standard-form parameters
@@ -98,7 +99,7 @@ from .errors import (ConcentrationError, DegeneracyError, DistillError,
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form,
                      require_two_sides)
 from .symplectic import (SymplecticMatrix, direct_sum,
-                         extend_to_symplectic_basis, skew_product)
+                         extend_to_symplectic_basis, form_matrix, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable,
                        check_symmetric_inseparable, is_symmetric, rc_sweep,
@@ -214,9 +215,11 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(
                 f"shifted solve at lambda_min {lam:.3e} is singular") from exc
-        # canonical phase: make the largest component real positive, so
-        # results do not depend on the start vector's phase
-        pivot = int(np.argmax(np.abs(z)))
+        # canonical phase: make the first of the largest components (ties
+        # within 1e-9 relative) real positive, so results depend neither on
+        # the start vector's phase nor on rounding among equal moduli
+        modulus = np.abs(z)
+        pivot = int(np.argmax(modulus >= (1.0 - 1e-9) * modulus.max()))
         z = z * (np.conj(z[pivot]) / abs(z[pivot]))
         z = z / np.linalg.norm(z)
         hz = herm @ z
@@ -274,12 +277,12 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
         sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
     except NumericsError as exc:
         raise ConcentrationError(f"basis extension failed: {exc}") from exc
-    z_hat = np.concatenate([np.linalg.solve(sa.entries, za),
-                            np.linalg.solve(sb.entries, zb)])
-    leak = max(
-        float(np.abs(z_hat[2 : 2 * n_a]).max(initial=0.0)),
-        float(np.abs(z_hat[2 * n_a + 2 :]).max(initial=0.0)),
-    )
+    leak = 0.0
+    for s, z_side in ((sa, za), (sb, zb)):
+        # S^{-1} = J^T S^T J for a validated symplectic S: no solve
+        J = form_matrix(s.n)
+        z_hat = J.T @ (s.entries.T @ (J @ z_side))
+        leak = max(leak, float(np.abs(z_hat[2:]).max(initial=0.0)))
     if leak > SUPPORT_LEAKAGE_LIMIT:
         raise ConcentrationError(
             f"witness support leaked {leak:.3e} beyond the first mode pair")

@@ -152,14 +152,17 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
 
     Requires f1^T J f2 = -1 within TOL_SYMPLECTIC (see the module docstring
     for the sign convention), computed by skew_product, which also refuses
-    input that is not two 1-D vectors of one even length.  The other pairs
-    span the symplectic complement of span(f1, f2), which is the Euclidean
-    complement of span(J f1, J f2): its orthonormal basis B is the tail of
-    one complete QR factorization.  The restricted form B^T J B is real
-    antisymmetric, so i*B^T J B is Hermitian with eigenvalues +-t_k; each
-    eigenvector u_k with t_k > 0 gives the canonical pair
-    sqrt(2/t_k) * (Re B u_k, Im B u_k).  Raises NumericsError when a t_k is
-    not positive or the result fails S^T J S = J within TOL_SYMPLECTIC.
+    input that is not two 1-D vectors of one even length.  Any completion
+    will do, so it is built in closed form with no factorization.  J acts as
+    multiplication by i on the complex n-vector x = q + i p, so a unitary
+    acts as an orthogonal symplectic matrix (U(n) = Sp(2n) cap O(2n)): with
+    x = f1 / |f1| and u the unit real form of x + e^{i arg x_1} e_1, the
+    Householder reflector Q = I - 2 (u u^T + Ju (Ju)^T), an involution,
+    maps f1 into the first mode.  In that frame the basis vectors of modes
+    2..n, each sheared along Q f1 so that it pairs to zero with Q f2,
+    complete the pair; mapped back they are Q[:, 2:] - f1 (r^T J)[2:],
+    r = Q f2.  The work is O(n^2) before validation.  Raises NumericsError
+    when the result is not finite or fails S^T J S = J within TOL_SYMPLECTIC.
     """
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
@@ -170,16 +173,17 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
 
     n = f1.size // 2
     J = form_matrix(n)
-    B = np.linalg.qr(J @ np.column_stack([f1, f2]), mode="complete")[0][:, 2:]
-    t, U = np.linalg.eigh(1j * (B.T @ J @ B))
-    t, W = t[n - 1 :], B @ U[:, n - 1 :]
-    if not np.all(t > 0):
-        raise NumericsError(
-            "symplectic complement of the input pair is degenerate; the pair is "
-            "too ill-conditioned to extend")
-    W = W * np.sqrt(2.0 / t)
-    pairs = np.stack([W.real, W.imag], axis=2).reshape(2 * n, 2 * n - 2)
-    S = np.column_stack([f1, f2, pairs])
+    x = f1 / np.linalg.norm(f1)
+    # x + e^{i arg x_1} e_1 in real form: no cancellation in its first mode
+    u = x.copy()
+    u[:2] += x[:2] / np.hypot(*x[:2]) if x[:2].any() else (1.0, 0.0)
+    u /= np.linalg.norm(u)
+    U = np.array([u, J @ u])
+    Q = np.eye(2 * n) - 2.0 * (U.T @ U)
+    r = Q @ f2
+    S = np.column_stack([f1, f2, Q[:, 2:] - np.outer(f1, (r @ J)[2:])])
+    if not np.isfinite(S).all():
+        raise NumericsError("completed symplectic basis is not finite")
     try:
         return SymplecticMatrix(n=n, entries=S)
     except ValueError as exc:

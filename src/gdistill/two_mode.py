@@ -191,44 +191,54 @@ def standard_form_params(gamma: CorrelationMatrix) -> StdFormParams:
     return StdFormParams(n_a=n_a, n_b=n_b, k_x=k_x, k_p=k_p)
 
 
-def _spd_inverse_root(M: np.ndarray, target: float) -> np.ndarray:
-    # sqrt(target) * M^{-1/2}: symmetric, determinant 1 when target = sqrt(det M)
-    w, Q = np.linalg.eigh(M)
-    if w[0] <= 0:
+def _equalizer(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """(n, sqrt(n) M^{-1/2}) for a 2x2 symmetric positive definite M, n =
+    sqrt(det M): the symmetric determinant-1 congruence to n * I.  With
+    sqrt(M) = (M + n I) / sqrt(tr M + 2n), it is adj(M + n I) /
+    sqrt(n (tr M + 2n)), which is exactly I when M = n I."""
+    (p, q), (_, r) = M.tolist()
+    det = p * r - q * q
+    if not (p > 0 and det > 0):
         raise ValueError("diagonal block is not positive definite")
-    return np.sqrt(target) * (Q @ np.diag(w ** -0.5) @ Q.T)
+    n = math.sqrt(det)
+    adj = np.array([[r + n, -q], [-q, p + n]])
+    return n, adj / math.sqrt(n * (p + r + 2.0 * n))
+
+
+def _rotation(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     """Construct local symplectics (S_A, S_B) bringing gamma to standard form.
 
-    The A and B blocks are equalized by the symmetric determinant-1
-    congruences sqrt(n) * block^{-1/2}, n = sqrt(det block); the cross block
-    is then diagonalized by a rotation pair from its SVD, with signs arranged
-    so both rotations are proper (det +1, hence symplectic) and sign(k_p)
-    follows det C.  params holds the two n and the two signed singular
-    values; gamma_std = params.matrix() equals the congruence within
-    rounding.  Degenerate cross blocks are fine: any rotation pair works.
+    2x2 algebra, no factorization.  The A and B blocks are equalized by the
+    symmetric determinant-1 congruences M = sqrt(n) * block^{-1/2}, n =
+    sqrt(det block), in closed form (_equalizer).  The equalized cross block
+    C1 = [[a, b], [c, d]] splits as rho_1 R(a_2) + rho_2 R(a_1) Z, a scaled
+    rotation plus a scaled reflection, Z = diag(1, -1), with (E, F, G, H) =
+    ((a + d)/2, (a - d)/2, (c + b)/2, (c - b)/2), rho_1 = hypot(E, H),
+    a_2 = atan2(H, E), rho_2 = hypot(F, G), a_1 = atan2(G, F).  Since
+    Z R(t) = R(-t) Z, the proper rotations R((a_1 + a_2)/2) on side A and
+    R((a_1 - a_2)/2) on side B take C1 to diag(k_x, k_p) = diag(rho_1 +
+    rho_2, rho_1 - rho_2): k_x >= |k_p|, and k_p carries the sign of
+    det C = det C1 = rho_1^2 - rho_2^2.  params holds the two n and (k_x,
+    k_p); gamma_std = params.matrix() equals the congruence within rounding,
+    and a standard-form input returns its own entries.  Degenerate cross
+    blocks are fine: any rotation pair works.
     """
     _require_two_mode(gamma)
-    g = gamma.entries
-    A, B, C = g[:2, :2], g[2:, 2:], g[:2, 2:]
-    n_a = float(np.sqrt(np.linalg.det(A)))
-    n_b = float(np.sqrt(np.linalg.det(B)))
-    MA = _spd_inverse_root(A, n_a)
-    MB = _spd_inverse_root(B, n_b)
-    C1 = MA.T @ C @ MB
-    U, s, Vt = np.linalg.svd(C1)
-    s = s.copy()
-    if np.linalg.det(U) < 0:
-        U[:, 1] *= -1.0
-        s[1] *= -1.0
-    if np.linalg.det(Vt) < 0:
-        Vt[1, :] *= -1.0
-        s[1] *= -1.0
-    params = StdFormParams(n_a=n_a, n_b=n_b, k_x=float(s[0]), k_p=float(s[1]))
-    return StandardForm(s_a=SymplecticMatrix(n=1, entries=MA @ U),
-                        s_b=SymplecticMatrix(n=1, entries=MB @ Vt.T),
+    m = gamma.entries
+    n_a, MA = _equalizer(m[:2, :2])
+    n_b, MB = _equalizer(m[2:, 2:])
+    (a, b), (c, d) = (MA @ m[:2, 2:] @ MB).tolist()
+    e, f, g, h = 0.5 * (a + d), 0.5 * (a - d), 0.5 * (c + b), 0.5 * (c - b)
+    rho_1, rho_2 = math.hypot(e, h), math.hypot(f, g)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    params = StdFormParams(n_a=n_a, n_b=n_b, k_x=rho_1 + rho_2, k_p=rho_1 - rho_2)
+    return StandardForm(s_a=SymplecticMatrix(n=1, entries=MA @ _rotation(0.5 * (a1 + a2))),
+                        s_b=SymplecticMatrix(n=1, entries=MB @ _rotation(0.5 * (a1 - a2))),
                         gamma_std=params.matrix(), params=params)
 
 

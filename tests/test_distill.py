@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 from dataclasses import astuple
 from decimal import Decimal
 
@@ -123,9 +124,8 @@ def test_raw_witness_skews_obey_the_physicality_bound(make):
 
 
 def eigh_witness(g, z):
-    """eigh's minimal eigenvector of gamma - i*Jtilde in the phase of z.
-    That is the witness's canonical phase (largest component real positive)
-    unless components tie in modulus, as they do for quarter_turn_pair."""
+    """eigh's minimal eigenvector of gamma - i*Jtilde in the phase of z,
+    the witness's canonical phase up to rounding."""
     v = np.linalg.eigh(g.entries - 1j * pt_form(g.n_a, g.n_b))[1][:, 0]
     overlap = np.vdot(v, z)
     return v * (overlap / abs(overlap))
@@ -166,6 +166,16 @@ def test_pipeline_certifies_a_state_orthogonal_to_the_start_vector(g):
     assert abs(np.ones(g.dim) @ eigh_witness(g, rep.witness.z)) < 1e-10
 
 
+@pytest.mark.parametrize("make, r", [(tmss_cm, r) for r in (1e-5, 0.5, 3.0)]
+                         + [(quarter_turn_pair, r) for r in (0.3, 1.0, 6.0)])
+def test_witness_phase_breaks_modulus_ties_by_index(make, r):
+    # every component of these witnesses has modulus 1/2: the first is the
+    # one made real positive, whatever rounding does to the others
+    z = find_npt_witness(make(r)).z
+    assert np.abs(np.abs(z) - 0.5).max() <= 1e-12
+    assert z[0].real > 0 and abs(z[0].imag) <= 1e-15
+
+
 # a solve shifted to exactly lambda_min meets an exact zero pivot in LU on
 # these states; the witness's shift sits a rounding band below it
 @pytest.mark.parametrize("n_a, n_b, seed", [
@@ -201,6 +211,22 @@ def test_distillable_run_makes_no_eigh_of_the_input_dimension(monkeypatch):
     rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     assert g.dim not in dims
+
+
+def test_distillable_run_factorizes_nothing_after_the_witness(monkeypatch):
+    # the basis completion, the leakage guard and the standard form are
+    # closed forms: the witness's inverse iteration is the only solve
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    calls = []
+    for name in ("qr", "svd", "det", "eigh", "solve"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, sys._getframe(1).f_code.co_name))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = distill_pipeline(g)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert calls and set(calls) == {("solve", "_witness")}
 
 
 def test_concentrate_recovers_unscrambled_embedded_pair():

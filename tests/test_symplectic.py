@@ -192,13 +192,45 @@ def test_extend_to_symplectic_basis_rejects_bad_input():
 
 
 def test_extend_to_symplectic_basis_degenerate_completion_is_numerics_error():
-    # a NaN passes the pairing check (the comparison is false) and leaves no
-    # positive pairing on the complement: NumericsError, which concentrate
-    # turns into a ConcentrationError, not a ValueError
+    # a NaN passes the pairing check (the comparison is false) and makes the
+    # completion non-finite: NumericsError, which concentrate turns into a
+    # ConcentrationError, not a ValueError
     f1 = np.array([1.0, 0.0, np.nan, 0.0])
     f2 = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(NumericsError):
         extend_to_symplectic_basis(f1, f2)
+
+
+def test_extend_to_symplectic_basis_in_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the completion must not factorize")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rng = np.random.default_rng(11)
+
+    def canonical_pair(n, zero_first_mode=False):
+        f1, f2 = rng.normal(size=(2, 2 * n))
+        if zero_first_mode:
+            f1[:2] = 0.0  # e_1 stands in for the undefined phase of x_1
+        return f1, -f2 / skew_product(f1, f2)
+
+    # one mode: the pair itself
+    f1, f2 = canonical_pair(1)
+    assert np.array_equal(extend_to_symplectic_basis(f1, f2).entries,
+                          np.column_stack([f1, f2]))
+    for f1, f2 in [canonical_pair(n, zero_first_mode=True) for n in (2, 3, 5)] + [
+            canonical_pair(24)]:
+        n = f1.size // 2
+        S = extend_to_symplectic_basis(f1, f2).entries
+        assert np.array_equal(S[:, 0], f1) and np.array_equal(S[:, 1], f2)
+        J = form_matrix(n)
+        assert np.abs(S.T @ J @ S - J).max() <= 1e-12
+    # f1 = +-e_1 with f2 = +-e_2: the reflector fixes every other mode
+    for sign in (1.0, -1.0):
+        f1, f2 = sign * np.eye(6)[0], sign * np.eye(6)[1]
+        S = extend_to_symplectic_basis(f1, f2).entries
+        assert np.array_equal(S, np.column_stack([f1, f2, np.eye(6)[:, 2:]]))
 
 
 def test_beam_splitter_and_squeezer_are_symplectic():

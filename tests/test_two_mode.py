@@ -22,6 +22,7 @@ from gdistill import (
     local_scramble,
     random_asymmetric_npt_1x1,
     random_npt_cm,
+    random_state,
     random_symmetric_two_mode,
     random_symplectic,
     rc_sweep,
@@ -106,6 +107,66 @@ def test_standard_form_transform_congruence_and_signs():
         assert abs(e[2, 2] - p.n_b) < 1e-9
         assert abs(e[0, 2] - p.k_x) < 1e-9
         assert abs(e[1, 3] - p.k_p) < 1e-9
+
+
+def svd_standard_form(g):
+    """The factorization route to standard_form_transform's params, kept as
+    the reference for its closed form: eigh for each block's inverse square
+    root, the signed singular values of the equalized cross block (the SVD's
+    rotations made proper, sign(k_p) = sign(det C))."""
+    e = g.entries
+    roots = []
+    for block in (e[:2, :2], e[2:, 2:]):
+        n = float(np.sqrt(np.linalg.det(block)))
+        w, Q = np.linalg.eigh(block)
+        roots.append((n, np.sqrt(n) * (Q @ np.diag(w ** -0.5) @ Q.T)))
+    (n_a, MA), (n_b, MB) = roots
+    U, s, Vt = np.linalg.svd(MA.T @ e[:2, 2:] @ MB)
+    k_p = s[1] * np.sign(np.linalg.det(U)) * np.sign(np.linalg.det(Vt))
+    return np.array([n_a, n_b, s[0], k_p])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed, kind=kind: random_state(kind, 1, 1, seed)[0].gamma
+      for kind in ("thermal", "entangled", "boundary")),
+    random_asymmetric_npt_1x1,
+    # k_x = |k_p| exactly: the rotation and reflection parts have equal weight
+    lambda seed: local_scramble(tmss_cm(0.01 + 6.5 * seed / 500), seed),
+], ids=["thermal", "entangled", "boundary", "asymmetric_npt", "scrambled_tmss"])
+def test_standard_form_transform_matches_the_svd_route(make):
+    for seed in range(500):
+        g = make(seed)
+        sf = standard_form_transform(g)
+        p = sf.params
+        got = np.array([p.n_a, p.n_b, p.k_x, p.k_p])
+        ref = svd_standard_form(g)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        S = direct_sum(sf.s_a.entries, sf.s_b.entries)
+        congruence = S.T @ g.entries @ S
+        assert np.abs(congruence - sf.gamma_std.entries).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_standard_form_transform_of_product_and_standard_forms():
+    # C = 0: no correlations to carry
+    for seed in range(20):
+        p = standard_form_transform(random_state("thermal", 1, 1, seed)[0].gamma).params
+        assert (p.k_x, p.k_p) == (0.0, 0.0)
+    # a standard form comes back with identity rotations and its own entries;
+    # k_x and k_p exactly when k_p is 0 or -k_x, else within rounding of
+    # (k_x + k_p)/2 + (k_x - k_p)/2
+    forms = [StdFormParams(2.0, 1.5, 0.8, -0.3), StdFormParams(1.7, 2.4, 0.9, 0.9),
+             StdFormParams(3.0, 1.2, 0.7, 0.0)]
+    for g in [p.matrix() for p in forms] + [tmss_cm(0.6), tmss_cm(4.0)]:
+        e = g.entries
+        sf = standard_form_transform(g)
+        assert np.array_equal(sf.s_a.entries, np.eye(2))
+        assert np.array_equal(sf.s_b.entries, np.eye(2))
+        p = sf.params
+        assert (p.n_a, p.n_b) == (e[0, 0], e[2, 2])
+        k_x, k_p = e[0, 2], e[1, 3]
+        if k_p in (0.0, -k_x):
+            assert (p.k_x, p.k_p) == (k_x, k_p)
+        assert abs(p.k_x - k_x) <= 4e-16 * k_x and abs(p.k_p - k_p) <= 4e-16 * k_x
 
 
 def test_std_form_params_matrix_layout():
