@@ -8,8 +8,9 @@ TOL_VERDICT = 1e-9.  When the environment variable GDISTILL_TOL is set, to
 any value, every command exits 1 and names it on stderr instead of running
 with a tolerance the user did not ask for.  The library decides every
 refusal of an input: a ValueError it raises (a bad state file, a one-sided
-partition, --r-max out of range, a negative seed) is printed as one stderr
-line and exits 1.
+partition, a partition other than 1x1 for standard-form or symmetrize,
+--r-max out of range, a negative seed) is printed as one stderr line and
+exits 1.
 
 Exit codes:
     0  success (validate: physical; pipeline: DISTILLABLE)
@@ -37,7 +38,7 @@ from .statefile import (concentration_to_dict, dumps, load_state, npt_to_dict,
                         physicality_to_dict, pipeline_report_to_dict,
                         standard_form_to_dict, state_to_dict,
                         symmetrization_to_dict, witness_to_dict)
-from .states import TOL_VERDICT, is_npt, validate_physical
+from .states import TOL_VERDICT, is_npt, require_npt, validate_physical
 from .two_mode import MAX_PROBE_R, standard_form_transform
 
 EXIT_OK = 0
@@ -122,9 +123,6 @@ def cmd_fuzz(args) -> int:
 
 def cmd_standard_form(args) -> int:
     state, _ = load_state(args.path)
-    if state.gamma.partition != (1, 1):
-        return _fail(f"standard-form needs a 1x1 state, got partition "
-                     f"{state.gamma.partition}", EXIT_STAGE_FAILURE)
     sf = standard_form_transform(state.gamma)
     if args.json:
         print(dumps(standard_form_to_dict(sf)))
@@ -137,9 +135,6 @@ def cmd_standard_form(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     state, _ = load_state(args.path)
-    if state.gamma.partition != (1, 1):
-        return _fail(f"symmetrize needs a 1x1 state, got partition "
-                     f"{state.gamma.partition}", EXIT_STAGE_FAILURE)
     report = symmetrize(state.gamma)
     if args.json:
         print(dumps(symmetrization_to_dict(report)))
@@ -153,10 +148,7 @@ def cmd_symmetrize(args) -> int:
 
 def cmd_concentrate(args) -> int:
     state, _ = load_state(args.path)
-    verdict = is_npt(state.gamma)
-    if not verdict.npt:
-        raise PreconditionError(
-            f"concentration requires an NPT state (margin {verdict.raw_margin:.3e})")
+    require_npt(state.gamma, "concentration")
     witness, conc = witness_and_concentrate(state.gamma)
     if args.json:
         print(dumps({"witness": witness_to_dict(witness), **concentration_to_dict(conc),

@@ -95,15 +95,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
-                     NumericsError, PreconditionError)
+                     NumericsError)
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form,
-                     require_two_sides)
+                     require_npt, require_two_sides)
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable,
                        check_symmetric_inseparable, is_symmetric, rc_sweep,
-                       standard_form_transform)
+                       require_two_mode, standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
@@ -191,10 +191,7 @@ def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     1e-8, which the bound in the module docstring excludes for physical
     gamma and eps > 4e-8 + TOL_VERDICT.
     """
-    verdict = is_npt(gamma)
-    if not verdict.npt:
-        raise PreconditionError(
-            f"witness search requires an NPT state (margin {verdict.raw_margin:.3e})")
+    require_npt(gamma, "witness search")
     return _witness(gamma)
 
 
@@ -243,10 +240,10 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     return NptWitness(z=z, margin=margin, eps=eps, skew_a=skew_a, skew_b=skew_b)
 
 
-def _canonical_pair(z_side: np.ndarray):
+def _canonical_pair(z_side: np.ndarray, skew: float):
+    """(f1, f2) spanning (Re z, Im z) of one side, skew = Re(z)^T J Im(z)."""
     zr = z_side.real
     zi = z_side.imag
-    skew = skew_product(zr, zi)
     nrm = float(np.linalg.norm(zr))
     if nrm == 0.0 or skew == 0.0:
         raise ConcentrationError("witness side has vanishing real part or skew product")
@@ -272,7 +269,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     require_two_sides(gamma.partition, "concentration")
     n_a = gamma.n_a
     za, zb = _side_split(np.asarray(witness.z), n_a)
-    pairs = [_canonical_pair(z_side) for z_side in (za, zb)]
+    pairs = [_canonical_pair(za, witness.skew_a), _canonical_pair(zb, witness.skew_b)]
     try:
         sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
     except NumericsError as exc:
@@ -323,16 +320,13 @@ def symmetrize(gamma: CorrelationMatrix) -> SymmetrizationReport:
     but stays positive, so the output is NPT; this is verified numerically
     together with the symmetry of the output.
 
-    Raises PreconditionError for non-NPT input and NumericsError if the
-    beam-splitter angle formula degenerates (nonpositive denominator), which
-    only happens on a measure-zero family at the physicality boundary.
+    Raises ValueError unless gamma is 1x1, PreconditionError for non-NPT
+    input and NumericsError if the beam-splitter angle formula degenerates
+    (nonpositive denominator), which only happens on a measure-zero family
+    at the physicality boundary.
     """
-    if gamma.partition != (1, 1):
-        raise ValueError(f"symmetrization expects a 1x1 state, got {gamma.partition}")
-    verdict = is_npt(gamma)
-    if not verdict.npt:
-        raise PreconditionError(
-            f"symmetrization requires an NPT state (margin {verdict.raw_margin:.3e})")
+    require_two_mode(gamma.partition, "symmetrization")
+    require_npt(gamma, "symmetrization")
     return _symmetrize(standard_form_transform(gamma).params)
 
 

@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import (_sym, cholesky_factor, direct_sum, form_matrix,
-                         spectrum_from_factor)
+from .symplectic import (_as_matrix, _sym, cholesky_factor, direct_sum,
+                         form_matrix, spectrum_from_factor)
 
 TOL_VERDICT = 1e-9          # tolerance of every physicality / NPT verdict
 COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
@@ -307,6 +307,15 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     )
 
 
+def require_npt(gamma: CorrelationMatrix, what: str):
+    """PreconditionError naming `what` and the margin unless is_npt decides
+    gamma is NPT."""
+    verdict = is_npt(gamma)
+    if not verdict.npt:
+        raise PreconditionError(
+            f"{what} requires an NPT state (margin {verdict.raw_margin:.3e})")
+
+
 def wigner_cm(gamma: CorrelationMatrix) -> CorrelationMatrix:
     """The Wigner-form companion matrix J^T gamma^{-1} J (same partition).
 
@@ -392,7 +401,7 @@ def apply_symplectic(gamma: CorrelationMatrix, S) -> CorrelationMatrix:
     physicality, NPT-ness and the four block-determinant invariants of
     two-mode states are all preserved by it.
     """
-    S = np.asarray(getattr(S, "entries", S), dtype=float)
+    S = _as_matrix(S)
     g = _sym(S.T @ gamma.entries @ S)
     return CorrelationMatrix(entries=g, partition=gamma.partition)
 

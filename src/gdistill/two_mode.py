@@ -142,14 +142,15 @@ class RcWitnessResult:
     asymptotic_value: float
 
 
-def _require_two_mode(gamma: CorrelationMatrix):
-    if gamma.partition != (1, 1):
-        raise ValueError(f"expected a 1x1-mode state, got partition {gamma.partition}")
+def require_two_mode(partition: tuple[int, int], what: str):
+    """ValueError naming the partition unless it is (1, 1)."""
+    if partition != (1, 1):
+        raise ValueError(f"{what} needs a 1x1 state, got partition {partition}")
 
 
 def det_invariants(gamma: CorrelationMatrix) -> tuple[float, float, float, float]:
     """(det A, det B, det C, det gamma) - invariant under local symplectics."""
-    _require_two_mode(gamma)
+    require_two_mode(gamma.partition, "determinant extraction")
     g = gamma.entries
     return (
         float(np.linalg.det(g[:2, :2])),
@@ -228,7 +229,7 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     and a standard-form input returns its own entries.  Degenerate cross
     blocks are fine: any rotation pair works.
     """
-    _require_two_mode(gamma)
+    require_two_mode(gamma.partition, "standard form")
     m = gamma.entries
     n_a, MA = _equalizer(m[:2, :2])
     n_b, MB = _equalizer(m[2:, 2:])
@@ -331,7 +332,7 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     scale of cosh^2(2r): up to 1e-3 relative error at r = 8 on squeezed
     states, where rc_sweep on standard-form parameters keeps about 1e-12.
     """
-    _require_two_mode(gamma_rho)
+    require_two_mode(gamma_rho.partition, "reduction-criterion witness")
     if r <= 0:
         raise ValueError(f"probe squeezing must be > 0, got {r}")
     g = gamma_rho.entries + tmss_cm(r).entries

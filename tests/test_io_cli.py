@@ -264,7 +264,8 @@ def test_cli_pipeline_exits_5_when_the_witness_is_not_negative(tmp_path):
     assert res.stdout == "" and "rc_witness" in res.stderr
 
 
-@pytest.mark.parametrize("command", ["validate", "pipeline", "concentrate"])
+@pytest.mark.parametrize("command", ["validate", "pipeline", "concentrate",
+                                     "standard-form", "symmetrize"])
 def test_cli_one_sided_state_is_refused_without_traceback(tmp_path, command):
     for n_a, n_b in ((0, 2), (2, 0)):
         doc = {"schema_version": 1,
@@ -356,16 +357,18 @@ def test_cli_pipeline_json_deterministic(tmp_path):
 
 def test_cli_stage_failure_exit(tmp_path):
     sep = write_state(tmp_path, "sep.json", vacuum(1, 1))
-    res = run_cli("symmetrize", sep)
-    assert res.returncode == 5
-    assert "stage failure" in res.stderr
+    for command, what in (("symmetrize", "symmetrization"), ("concentrate", "concentration")):
+        res = run_cli(command, sep)
+        assert res.returncode == 5
+        assert res.stdout == ""
+        assert f"stage failure: {what} requires an NPT state" in res.stderr
 
+    # a wrong partition is an input the library refuses, not a stage failure
     wide = write_state(tmp_path, "wide.json", random_npt_cm(2, 1, seed=2))
-    res = run_cli("standard-form", wide)
-    assert res.returncode == 5
-
-    res = run_cli("symmetrize", wide)
-    assert res.returncode == 5
+    for command in ("standard-form", "symmetrize"):
+        res = run_cli(command, wide)
+        assert res.returncode == 1
+        assert res.stdout == "" and "partition (2, 1)" in res.stderr
 
 
 def test_cli_random_deterministic_bytes():

@@ -29,6 +29,7 @@ from gdistill import (
     validate_physical,
     wigner_cm,
 )
+from gdistill.states import require_npt
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
 
@@ -316,6 +317,13 @@ def test_is_npt_requires_physical_input():
         is_npt(CorrelationMatrix(entries=0.5 * np.eye(4), partition=(1, 1)))
     with pytest.raises(ValueError):
         is_npt(vacuum(0, 2))
+
+
+def test_require_npt_names_the_stage_and_the_margin():
+    with pytest.raises(PreconditionError) as err:
+        require_npt(vacuum(1, 1), "x")
+    assert "x requires an NPT state (margin" in str(err.value)
+    require_npt(tmss_cm(0.5), "x")
 
 
 def test_is_npt_invariant_under_local_symplectics():
