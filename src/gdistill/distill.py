@@ -78,8 +78,8 @@ symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              The denominator of tan^2(theta) cancels near the degenerate
              family, so it is evaluated in the input's parameters as
              (n_lo - n_hi / d_p) / sqrt(d_x d_p), n_lo the hotter side's n.
-             The blocks are diagonal, so gamma_out, its standard form and
-             every postcondition are 2x2 algebra on these parameters.
+             The blocks are diagonal, so gamma_out (validated on first read),
+             its standard form and every postcondition are 2x2 closed forms.
 
 The final symmetric state satisfies (n - k_x)(n + k_p) < 1 in standard-form
 parameters, which makes the reduction-criterion witness negative for large
@@ -88,6 +88,7 @@ probe squeezing: distillability is certified by an explicit protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -101,9 +102,9 @@ from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
-                       StdFormParams, check_inseparable,
-                       check_symmetric_inseparable, is_symmetric, rc_sweep,
-                       require_two_mode, standard_form_transform)
+                       StdFormParams, check_inseparable, check_symmetric_inseparable,
+                       diagonal_block_entries, is_symmetric, rc_sweep, require_two_mode,
+                       standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
@@ -154,11 +155,15 @@ class Concentration:
 class SymmetrizationReport:
     theta: float
     swapped_sides: bool
-    gamma_out: CorrelationMatrix
+    gamma_out_entries: np.ndarray = field(repr=False)  # read-only 4x4
     insep_residual_in: float    # Wigner-picture inseparability residual of the input
     insep_residual_out: float
     scale_factor: float         # residual_out / residual_in = (N_hot tan^2 theta + 1)^{-1}
     output_params: StdFormParams  # standard-form parameters of gamma_out
+
+    @functools.cached_property
+    def gamma_out(self) -> CorrelationMatrix:
+        return CorrelationMatrix(entries=self.gamma_out_entries)
 
 
 @dataclass(frozen=True)
@@ -332,7 +337,9 @@ def symmetrize(gamma: CorrelationMatrix) -> SymmetrizationReport:
 
 def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
     """symmetrize for the standard form p of a 1x1 state the caller has
-    decided is NPT (the input is not re-decided; the output checks all run)."""
+    decided is NPT (the input is not re-decided; the output checks all run).
+    p.companion() and w_out.companion() are the positive-definiteness checks of
+    gamma_std and gamma_out: a NumericsError, a stage error, not Cholesky's ValueError."""
     w = p.companion()
     residual_in = check_inseparable(w).residual
     symmetric = abs(w.n_a - w.n_b) <= 1e-9
@@ -378,9 +385,8 @@ def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
 
     # J^T (.)^{-1} J: the inverses of the x and p 2x2 blocks, exchanged by J
     det_x, det_p = a[0] * b[0] - k[0] ** 2, a[1] * b[1] - k[1] ** 2
-    gamma_out = CorrelationMatrix.from_blocks(
-        np.diag([b[1] / det_p, b[0] / det_x]), np.diag([a[1] / det_p, a[0] / det_x]),
-        np.diag([-k[1] / det_p, -k[0] / det_x]))
+    g_out = diagonal_block_entries((b[1] / det_p, b[0] / det_x), (a[1] / det_p, a[0] / det_x),
+                                   (-k[1] / det_p, -k[0] / det_x))
     params_out = w_out.companion()
     if not is_symmetric(params_out):
         raise NumericsError(
@@ -396,7 +402,7 @@ def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
         raise NumericsError(
             f"symmetrization lost NPT-ness (residual {out_check.residual:.3e})")
     return SymmetrizationReport(
-        theta=theta, swapped_sides=swapped, gamma_out=gamma_out,
+        theta=theta, swapped_sides=swapped, gamma_out_entries=g_out,
         insep_residual_in=residual_in, insep_residual_out=residual_out,
         scale_factor=scale, output_params=params_out)
 

@@ -158,7 +158,7 @@ def standard_form_to_dict(sf: StandardForm) -> dict:
     return {
         "s_a": sf.s_a.entries.tolist(),
         "s_b": sf.s_b.entries.tolist(),
-        "gamma_std": sf.gamma_std.entries.tolist(),
+        "gamma_std": sf.params.entries().tolist(),
         "params": params_to_dict(sf.params),
     }
 
@@ -190,7 +190,7 @@ def symmetrization_to_dict(rep: SymmetrizationReport) -> dict:
     return {
         "theta": rep.theta,
         "swapped_sides": rep.swapped_sides,
-        "gamma_out": rep.gamma_out.entries.tolist(),
+        "gamma_out": rep.gamma_out_entries.tolist(),
         "insep_residual_in": rep.insep_residual_in,
         "insep_residual_out": rep.insep_residual_out,
         "scale_factor": rep.scale_factor,

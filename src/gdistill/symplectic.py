@@ -75,7 +75,7 @@ def _form_matrix(n: int) -> np.ndarray:
 
 
 def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
-    """True when max|S^T J S - J| <= tol.
+    """True when max|S^T J S - J| <= tol, which for 2x2 S is |det S - 1| <= tol.
 
     Raises ValueError for non-square or odd-dimensioned input.
     """
@@ -84,6 +84,8 @@ def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     if S.shape[0] % 2 != 0 or S.shape[0] == 0:
         raise ValueError(f"dimension must be even and positive, got {S.shape[0]}")
+    if S.shape[0] == 2:  # S^T J S = det(S) J exactly: no product needed
+        return bool(abs(S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0] - 1.0) <= tol)
     J = form_matrix(S.shape[0] // 2)
     return float(np.abs(S.T @ J @ S - J).max()) <= tol
 

@@ -37,6 +37,7 @@ require physicality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,14 @@ SYMMETRY_TOL = 1e-8         # |n_a - n_b| allowed in a symmetric state's paramet
 MAX_PROBE_R = 350           # largest probe squeezing rc_sweep evaluates: exp(-2r) stays normal
 
 
+def diagonal_block_entries(a, b, c) -> np.ndarray:
+    """The read-only 4x4 [[diag(a), diag(c)], [diag(c), diag(b)]], pairs in (x, p)."""
+    (ax, ap), (bx, bp), (cx, cp) = a, b, c
+    g = np.array([[ax, 0.0, cx, 0.0], [0.0, ap, 0.0, cp], [cx, 0.0, bx, 0.0], [0.0, cp, 0.0, bp]])
+    g.flags.writeable = False
+    return g
+
+
 @dataclass(frozen=True)
 class StdFormParams:
     """Standard-form parameters of a two-mode correlation matrix.
@@ -66,11 +75,13 @@ class StdFormParams:
     k_x: float
     k_p: float
 
+    def entries(self) -> np.ndarray:
+        """The read-only 4x4 [[n_a I, K], [K, n_b I]], K = diag(k_x, k_p)."""
+        return diagonal_block_entries((self.n_a,) * 2, (self.n_b,) * 2, (self.k_x, self.k_p))
+
     def matrix(self) -> CorrelationMatrix:
-        """[[n_a I, K], [K, n_b I]] with K = diag(k_x, k_p): the one place that
-        knows where each parameter sits in a standard-form matrix."""
-        return CorrelationMatrix.from_blocks(self.n_a * np.eye(2), self.n_b * np.eye(2),
-                                             np.diag([self.k_x, self.k_p]))
+        """entries() as a CorrelationMatrix, validated by one Cholesky."""
+        return CorrelationMatrix(entries=self.entries())
 
     def companion(self) -> "StdFormParams":
         """Standard-form parameters of the Wigner-form companion J^T gamma^{-1} J
@@ -106,12 +117,15 @@ class StdFormParams:
 class StandardForm:
     """A two-mode matrix gamma brought to standard form by local symplectics:
     gamma_std = params.matrix() = (s_a (+) s_b)^T gamma (s_a (+) s_b) within
-    rounding."""
+    rounding, built and validated on first read (serializers read params)."""
 
     s_a: SymplecticMatrix
     s_b: SymplecticMatrix
-    gamma_std: CorrelationMatrix
     params: StdFormParams
+
+    @functools.cached_property
+    def gamma_std(self) -> CorrelationMatrix:
+        return self.params.matrix()
 
 
 @dataclass(frozen=True)
@@ -225,8 +239,7 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     R((a_1 - a_2)/2) on side B take C1 to diag(k_x, k_p) = diag(rho_1 +
     rho_2, rho_1 - rho_2): k_x >= |k_p|, and k_p carries the sign of
     det C = det C1 = rho_1^2 - rho_2^2.  params holds the two n and (k_x,
-    k_p); gamma_std = params.matrix() equals the congruence within rounding,
-    and a standard-form input returns its own entries.  Degenerate cross
+    k_p); a standard-form input returns its own entries.  Degenerate cross
     blocks are fine: any rotation pair works.
     """
     require_two_mode(gamma.partition, "standard form")
@@ -238,9 +251,8 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     rho_1, rho_2 = math.hypot(e, h), math.hypot(f, g)
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
     params = StdFormParams(n_a=n_a, n_b=n_b, k_x=rho_1 + rho_2, k_p=rho_1 - rho_2)
-    return StandardForm(s_a=SymplecticMatrix(n=1, entries=MA @ _rotation(0.5 * (a1 + a2))),
-                        s_b=SymplecticMatrix(n=1, entries=MB @ _rotation(0.5 * (a1 - a2))),
-                        gamma_std=params.matrix(), params=params)
+    return StandardForm(SymplecticMatrix(n=1, entries=MA @ _rotation(0.5 * (a1 + a2))),
+                        SymplecticMatrix(n=1, entries=MB @ _rotation(0.5 * (a1 - a2))), params)
 
 
 def check_physical(p: StdFormParams) -> TwoModePhysicality:

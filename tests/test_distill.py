@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 import sys
 from dataclasses import astuple
@@ -716,6 +717,47 @@ def test_pipeline_takes_each_standard_form_once(monkeypatch):
     assert calls == {"standard_form_params": 0, "wigner_cm": 0, "is_npt": 1, "det_4x4": 0}
     # concentration projects onto the kept pairs: no transformed 10x10 state
     assert built and (g.dim, g.dim) not in built
+
+
+def test_distillable_run_factors_only_the_reduced_state(monkeypatch):
+    # gamma_std and gamma_out are derived on read, and the serializers write
+    # their entries, so after the input's own Cholesky (made before counting)
+    # the run and its report factor and build gamma_1x1 only
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    factored, built = [], []
+    real_cholesky = np.linalg.cholesky
+    real_post_init = CorrelationMatrix.__post_init__
+
+    def cholesky(a):
+        factored.append(np.shape(a))
+        return real_cholesky(a)
+
+    def recording(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(CorrelationMatrix, "__post_init__", recording)
+    rep = distill_pipeline(g)
+    pipeline_report_to_dict(rep)
+    assert rep.verdict == VERDICT_DISTILLABLE
+    assert factored == [(4, 4)]
+    assert len(built) == 1 and built[0] is rep.concentration.gamma_1x1
+
+
+def test_stage_matrices_are_derived_on_read():
+    rep = distill_pipeline(local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
+    stages = json.loads(dumps(pipeline_report_to_dict(rep)))["stages"]
+    std, sym = rep.standard_form, rep.symmetrization
+    # nothing built them yet: the report holds params and entries only
+    assert "gamma_std" not in vars(std) and "gamma_out" not in vars(sym)
+    gamma_std = std.gamma_std.entries
+    assert gamma_std.tobytes() == std.params.matrix().entries.tobytes()
+    assert gamma_std.tobytes() == np.array(stages["standard_form"]["gamma_std"]).tobytes()
+    gamma_out = sym.gamma_out.entries
+    assert gamma_out.tobytes() == np.array(stages["symmetrize"]["gamma_out"]).tobytes()
+    assert not gamma_out.flags.writeable and not sym.gamma_out_entries.flags.writeable
+    assert std.gamma_std is std.gamma_std and sym.gamma_out is sym.gamma_out
 
 
 def test_pipeline_not_distillable():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gdistill.symplectic as symplectic_module
+import gdistill.two_mode as two_mode_module
 from gdistill import (
     NumericsError,
     apply_symplectic,
@@ -65,6 +66,38 @@ def test_is_symplectic_basic():
     S = np.eye(2) + 1e-8
     assert is_symplectic(S, tol=1e-6)
     assert not is_symplectic(S, tol=1e-12)
+
+
+def test_is_symplectic_2x2_is_the_determinant_test(monkeypatch):
+    # S^T J S = det(S) J for 2x2 S: |det S - 1| decides as max|S^T J S - J| does,
+    # on matrices with det S = +-(1 + delta), |delta| straddling the tolerance
+    rng = np.random.default_rng(11)
+    tol = symplectic_module.TOL_SYMPLECTIC
+    verdicts = []
+    for _ in range(200):
+        M = rng.normal(size=(2, 2))
+        M /= np.sqrt(abs(np.linalg.det(M)))
+        S = M * np.sqrt(1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -6.0))
+        explicit = np.abs(S.T @ J1 @ S - J1).max() <= tol
+        assert is_symplectic(S) == explicit
+        verdicts.append(explicit)
+    assert 20 <= sum(verdicts) <= 180
+
+    equalizers = [two_mode_module._equalizer(block)[1]
+                  for g in (tmss_cm(0.6), local_scramble(tmss_cm(0.6), seed=3))
+                  for block in (g.a_block, g.b_block)]
+
+    def no_form(n):
+        raise AssertionError("a 2x2 check built J")
+
+    monkeypatch.setattr(symplectic_module, "form_matrix", no_form)
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticMatrix(n=1, entries=2.0 * np.eye(2))
+    for S in [np.diag([2.0, 0.5])] + equalizers:
+        SymplecticMatrix(n=1, entries=S)
+    for odd in (np.eye(1), np.eye(3)):
+        with pytest.raises(ValueError, match="dimension must be even and positive"):
+            is_symplectic(odd)
 
 
 def test_symplectic_matrix_validates_on_construction():
