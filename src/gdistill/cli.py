@@ -3,8 +3,9 @@
 Subcommands: validate, pipeline, random, fuzz, standard-form, symmetrize,
 concentrate.  State files are JSON (see statefile module).  All randomized
 commands are deterministic for fixed flags: identical invocations produce
-identical bytes on stdout.  Every verdict uses the fixed tolerance
-TOL_VERDICT = 1e-9.  When the environment variable GDISTILL_TOL is set, to
+identical bytes on stdout.  Every verdict uses the fixed rounding band
+max(TOL_VERDICT = 1e-9, dim * machine eps * max|gamma|), worked out from the
+state.  When the environment variable GDISTILL_TOL is set, to
 any value, every command exits 1 and names it on stderr instead of running
 with a tolerance the user did not ask for.  The library decides every
 refusal of an input: a ValueError it raises (a bad state file, a one-sided
@@ -217,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "GDISTILL_TOL" in os.environ:
-        return _fail(f"GDISTILL_TOL is not supported: the verdict tolerance is fixed "
-                     f"at {TOL_VERDICT:g}; unset the variable", EXIT_PARSE)
+        return _fail(f"GDISTILL_TOL is not supported: verdicts use the rounding band "
+                     f"max({TOL_VERDICT:g}, dim * eps * max|gamma|), worked out from "
+                     f"the state; unset the variable", EXIT_PARSE)
     try:
         return args.func(args)
     except ValueError as exc:  # the library's refusal, StateFileError included

@@ -24,15 +24,17 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              Im(z) per side of the eigenvector are bounded away from zero.
              For unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
              m = z^dag (gamma - i*Jtilde) z = q + 2 (s_A - s_B), while
-             physicality (gamma - iJ >= -TOL_VERDICT) applied to z and
-             conj(z) gives q +- 2 (s_A + s_B) >= -TOL_VERDICT; so for m < 0,
-             s_B >= (|m| - TOL_VERDICT)/4 and s_A <= -(|m| - TOL_VERDICT)/4.
-             The raw eigenvector (m = -eps) clears the skew floor 1e-8 once
-             eps > 4e-8 + TOL_VERDICT, which the boundary band 1e-7
-             guarantees (TOL_VERDICT < BOUNDARY_BAND - 4 * SKEW_FLOOR_FACTOR,
-             pinned by a test).  This bound is why there is no retry: the
-             eigenvector is the witness, and a witness below the floor or a
-             failed concentration is a stage failure.
+             physicality (gamma - iJ >= -tau, tau the rounding band of
+             is_npt) applied to z and conj(z) gives q +- 2 (s_A + s_B) >=
+             -tau; so for m < 0, s_B >= (|m| - tau)/4 and s_A <= -(|m| -
+             tau)/4.  The raw eigenvector (m = -eps) clears the skew floor
+             1e-8 once eps > 4e-8 + tau.  Where tau = TOL_VERDICT the
+             boundary band 1e-7 guarantees it (TOL_VERDICT < BOUNDARY_BAND -
+             4 * SKEW_FLOOR_FACTOR, pinned by a test); for a gamma so large
+             that tau exceeds TOL_VERDICT, the floor check is the guard.
+             This bound is why there is no retry: the eigenvector is the
+             witness, and a witness below the floor or a failed
+             concentration is a stage failure.
 
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              a canonical pair (f1^T J f2 = -1) spanning the same plane as
@@ -142,8 +144,8 @@ class NptWitness:
 @dataclass(frozen=True)
 class Concentration:
     """concentrate's result: the local symplectics, the kept pair's state
-    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) <
-    -TOL_VERDICT."""
+    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) < -tau
+    (is_npt's rounding band)."""
 
     s_a: SymplecticMatrix
     s_b: SymplecticMatrix
@@ -194,7 +196,7 @@ def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     when a solve is singular, the iteration does not converge (module
     docstring), the form is not negative or a skew product does not clear
     1e-8, which the bound in the module docstring excludes for physical
-    gamma and eps > 4e-8 + TOL_VERDICT.
+    gamma and eps > 4e-8 + tau (tau the rounding band of is_npt).
     """
     require_npt(gamma, "witness search")
     return _witness(gamma)
@@ -269,7 +271,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
 
     Raises ConcentrationError when the basis extension fails, witness
     support leaks beyond the kept modes (> 1e-6) or the reduced state comes
-    out PPT.
+    out PPT (is_npt's rule).
     """
     require_two_sides(gamma.partition, "concentration")
     n_a = gamma.n_a
@@ -291,9 +293,9 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
     gamma_red = CorrelationMatrix(entries=F.T @ gamma.entries @ F, partition=(1, 1))
     # congruence and reduction keep gamma physical: only NPT is left to check,
-    # on the margin is_npt would read from the same memo
+    # by is_npt's rule on the margin it would read from the same memo
     raw = gamma_red._pt_margin
-    if not raw < -TOL_VERDICT:
+    if not raw < -gamma_red._band:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
     return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red, npt_margin=raw)

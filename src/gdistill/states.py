@@ -13,10 +13,11 @@ occupying the first N modes.  The vacuum has gamma = identity.  A symmetric
 positive definite gamma describes a physical state exactly when the
 Hermitian matrix gamma - iJ is positive semidefinite, equivalently when
 every symplectic eigenvalue is >= 1.  Physicality is decided as
-gamma - iJ >= 0: the margin is the smallest eigenvalue of gamma - iJ.  The
-symplectic spectrum is reported alongside but takes no part in the verdict;
-its rounding error grows with cond(gamma), while the margin's stays at
-machine precision times |gamma|.  In exact arithmetic the verdicts agree:
+gamma - iJ >= 0, within the rounding band below; the margin, the smallest
+eigenvalue of gamma - iJ, is reported.  The symplectic spectrum is reported
+alongside but takes no part in the verdict; its rounding error grows with
+cond(gamma), while that of the eigenvalues of gamma - iJ stays at machine
+precision times |gamma|.  In exact arithmetic the verdicts agree:
 by Williamson, gamma - iJ = S^T (D - iJ) S with S symplectic, and by
 Sylvester's law of inertia it has as many negative eigenvalues as gamma has
 symplectic eigenvalues below 1 (each mode of D - iJ has eigenvalues nu +- 1);
@@ -32,11 +33,17 @@ For bipartite Gaussian states NPT is equivalent to distillability, which is
 what the rest of the package exploits constructively.
 
 Each CorrelationMatrix is factored once, at construction, by Cholesky
-(gamma = L L^T, the positive definiteness test).  Both reported spectra from
-L, cond(gamma) from eigvalsh (the guard applied on every call) and the
-margins lambda_min(gamma - iJ) and lambda_min(gamma - i*Jtilde) are computed
-on first use and kept on the instance; validate_physical and is_npt compare
-them with TOL_VERDICT.
+(gamma = L L^T, the positive definiteness test).  Verdicts are decided
+against a rounding band tau = max(TOL_VERDICT, dim * machine eps *
+max|gamma_ij|): rounding gamma to floats, plus the eigensolver's backward
+error, moves each eigenvalue of gamma - iJ or gamma - i*Jtilde by about tau
+(Weyl's inequality), so no sign inside it means anything.  Physicality is
+the success of one complex Cholesky factorization of gamma - iJ + tau*I,
+the verdict of both validate_physical and is_npt; NPT is lambda_min(gamma -
+i*Jtilde) < -tau.  The band, the physicality verdict, both reported spectra
+(from L) and the margins lambda_min(gamma - iJ) and lambda_min(gamma -
+i*Jtilde) are computed on first use and kept on the instance.  cond(gamma)
+decides nothing; it guards wigner_cm, which inverts gamma.
 A bare array given to validate_physical is validated as a CorrelationMatrix
 with every mode on side A.
 """
@@ -52,8 +59,8 @@ from .errors import MeasurementError, NumericsError, PreconditionError
 from .symplectic import (_as_matrix, _sym, cholesky_factor, direct_sum,
                          form_matrix, spectrum_from_factor)
 
-TOL_VERDICT = 1e-9          # tolerance of every physicality / NPT verdict
-COND_LIMIT = 1e12           # refuse to decide or invert beyond this condition number
+TOL_VERDICT = 1e-9          # least rounding band of every physicality / NPT verdict
+COND_LIMIT = 1e12           # refuse to invert beyond this condition number
 WIGNER_INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
 QVAR_FLOOR = 1e-12          # degenerate-measurement guard
@@ -95,6 +102,22 @@ class CorrelationMatrix:
     # reference back to the instance (no cycle to collect)
 
     @functools.cached_property
+    def _band(self) -> float:
+        """Rounding band tau = max(TOL_VERDICT, dim * eps * max|gamma_ij|)."""
+        return max(TOL_VERDICT,
+                   self.dim * np.finfo(float).eps * float(np.abs(self.entries).max()))
+
+    @functools.cached_property
+    def _physical(self) -> bool:
+        """gamma - iJ >= -tau, decided by a Cholesky of gamma - iJ + tau*I."""
+        try:
+            np.linalg.cholesky(self.entries - 1j * form_matrix(self.n_modes)
+                               + self._band * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @functools.cached_property
     def _margin(self) -> float:
         """lambda_min(gamma - iJ)."""
         return float(np.linalg.eigvalsh(self.entries - 1j * form_matrix(self.n_modes))[0])
@@ -116,7 +139,8 @@ class CorrelationMatrix:
 
     @functools.cached_property
     def _cond(self) -> float:
-        """cond(gamma) from eigvalsh; inf when rounding leaves lambda_min <= 0."""
+        """cond(gamma) from eigvalsh, for wigner_cm; inf when rounding leaves
+        lambda_min <= 0."""
         w = np.linalg.eigvalsh(self.entries)
         return float(w[-1] / w[0]) if w[0] > 0 else np.inf
 
@@ -198,7 +222,7 @@ class GaussianState:
 @dataclass(frozen=True)
 class PhysicalityVerdict:
     physical: bool
-    margin: float                    # min eigenvalue of gamma - iJ (decides)
+    margin: float                    # min eigenvalue of gamma - iJ, reported only
     min_symplectic_eigenvalue: float  # reported only
 
 
@@ -240,31 +264,22 @@ def require_two_sides(partition: tuple[int, int], what: str):
                          f"partition {partition}")
 
 
-def _check_conditioning(gamma: CorrelationMatrix, what: str):
-    if gamma._cond > COND_LIMIT:
-        raise NumericsError(
-            f"{what}: matrix condition number exceeds {COND_LIMIT:.0e}; "
-            "result would not be trustworthy")
-
-
 def validate_physical(gamma) -> PhysicalityVerdict:
     """Decide physicality of a correlation matrix as gamma - iJ >= 0.
 
-    The margin is the smallest eigenvalue of the Hermitian matrix gamma - iJ
-    and the state is physical iff margin >= -TOL_VERDICT.  The minimum symplectic
-    eigenvalue is reported alongside; it is not consulted.  A bare array is
-    validated as CorrelationMatrix(gamma, (n, 0)), so it must be symmetric
-    positive definite.
-
-    Raises NumericsError when cond(gamma) exceeds COND_LIMIT.
+    The state is physical iff a Cholesky factorization of gamma - iJ +
+    tau*I succeeds, tau being the rounding band (module docstring); is_npt
+    reads the same verdict.  The margin, the smallest eigenvalue of the
+    Hermitian matrix gamma - iJ, and the minimum symplectic eigenvalue are
+    reported alongside; neither is consulted.  A bare array is validated as
+    CorrelationMatrix(gamma, (n, 0)), so it must be symmetric positive
+    definite.
     """
     if not isinstance(gamma, CorrelationMatrix):
         gamma = CorrelationMatrix(entries=gamma, partition=(len(gamma) // 2, 0))
-    _check_conditioning(gamma, "validate_physical")
-    margin = gamma._margin
     return PhysicalityVerdict(
-        physical=bool(margin >= -TOL_VERDICT),
-        margin=margin,
+        physical=gamma._physical,
+        margin=gamma._margin,
         min_symplectic_eigenvalue=float(gamma._spectrum[0]),
     )
 
@@ -286,21 +301,20 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     The margin is the most negative eigenvalue of the Hermitian matrix
     gamma - i*Jtilde (clipped at zero for PPT states, where small positive
     eigenvalues carry no meaning: pure product states sit exactly at zero);
-    NPT iff it is < -TOL_VERDICT.  The symplectic spectrum of the transposed matrix
-    is reported alongside; it is not consulted.
+    NPT iff it is < -tau, the rounding band (module docstring).  The
+    symplectic spectrum of the transposed matrix is reported alongside; it
+    is not consulted.
 
-    Raises PreconditionError when gamma is not physical (gamma - iJ >= 0
-    decided as in validate_physical), NumericsError when it is too
-    ill-conditioned.
+    Raises PreconditionError, citing the margin lambda_min(gamma - iJ), when
+    gamma is not physical as validate_physical decides it.
     """
     require_two_sides(gamma.partition, "NPT test")
-    _check_conditioning(gamma, "is_npt")
-    if gamma._margin < -TOL_VERDICT:
+    if not gamma._physical:
         raise PreconditionError(
             f"is_npt requires a physical state (margin {gamma._margin:.3e})")
     raw = gamma._pt_margin
     return NptVerdict(
-        npt=bool(raw < -TOL_VERDICT),
+        npt=bool(raw < -gamma._band),
         margin=min(raw, 0.0),
         min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
         raw_margin=raw,
@@ -323,8 +337,13 @@ def wigner_cm(gamma: CorrelationMatrix) -> CorrelationMatrix:
     physical matrix is generally *not* physical (the inequality direction of
     the purity-type condition reverses); it equals the input exactly for
     pure states, which is the purity test used elsewhere.
+
+    Raises NumericsError when cond(gamma) exceeds COND_LIMIT.
     """
-    _check_conditioning(gamma, "wigner_cm")
+    if gamma._cond > COND_LIMIT:
+        raise NumericsError(
+            f"wigner_cm: matrix condition number exceeds {COND_LIMIT:.0e}; "
+            "result would not be trustworthy")
     J = form_matrix(gamma.n_modes)
     w = _sym(J.T @ np.linalg.inv(gamma.entries) @ J)
     return CorrelationMatrix(entries=w, partition=gamma.partition)

@@ -722,7 +722,8 @@ def test_pipeline_takes_each_standard_form_once(monkeypatch):
 def test_distillable_run_factors_only_the_reduced_state(monkeypatch):
     # gamma_std and gamma_out are derived on read, and the serializers write
     # their entries, so after the input's own Cholesky (made before counting)
-    # the run and its report factor and build gamma_1x1 only
+    # the run and its report factor the input's gamma - iJ + tau*I (the
+    # physicality test) and build and factor gamma_1x1 only
     g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
     factored, built = [], []
     real_cholesky = np.linalg.cholesky
@@ -741,7 +742,7 @@ def test_distillable_run_factors_only_the_reduced_state(monkeypatch):
     rep = distill_pipeline(g)
     pipeline_report_to_dict(rep)
     assert rep.verdict == VERDICT_DISTILLABLE
-    assert factored == [(4, 4)]
+    assert factored == [(10, 10), (4, 4)]
     assert len(built) == 1 and built[0] is rep.concentration.gamma_1x1
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gdistill import (
+    VERDICT_DISTILLABLE,
     CorrelationMatrix,
     GaussianState,
     MeasurementError,
@@ -14,6 +15,7 @@ from gdistill import (
     beam_splitter,
     condition_on_x_measurement,
     direct_sum_states,
+    distill_pipeline,
     embed_pair,
     is_npt,
     is_pure,
@@ -136,9 +138,11 @@ def test_validate_physical_criteria_agree():
         assert verdict.physical == (verdict.min_symplectic_eigenvalue >= 1.0 - 1e-9)
 
 
-def test_validate_physical_rejects_ill_conditioned():
-    with pytest.raises(NumericsError):
-        validate_physical(np.diag([1e-13, 1e13, 1.0, 1.0]))
+def test_validate_physical_decides_ill_conditioned():
+    # a squeezed vacuum mode and a vacuum mode: pure, so margin 0, whatever
+    # cond(gamma) = 1e26
+    verdict = validate_physical(np.diag([1e-13, 1e13, 1.0, 1.0]))
+    assert verdict.physical and verdict.margin == 0.0
 
 
 def test_validate_physical_checks_a_bare_array_as_a_correlation_matrix():
@@ -173,11 +177,12 @@ def test_each_matrix_is_factored_once_and_decided_from_a_memo(monkeypatch):
     assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 0}
     validate_physical(cm)
     first = is_npt(cm)
-    # cond(gamma), gamma - iJ, gamma - i*Jtilde and the two reported spectra
-    assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 5}
+    # the physicality Cholesky of gamma - iJ + tau*I; the reported margin of
+    # gamma - iJ, the deciding one of gamma - i*Jtilde and the two spectra
+    assert counts == {"cholesky": 2, "eigh": 0, "eigvalsh": 4}
     assert is_npt(cm) == first
     assert is_pure(cm)
-    assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 5}
+    assert counts == {"cholesky": 2, "eigh": 0, "eigvalsh": 4}
 
 
 def test_memoized_margins_decide_at_the_verdict_tolerance():
@@ -193,18 +198,20 @@ def test_memoized_margins_decide_at_the_verdict_tolerance():
 
 
 def test_ill_conditioned_matrix_is_refused_on_every_call():
+    # cond(gamma) = 1e26 decides nothing: the pure product state is physical
+    # and PPT; only wigner_cm, which inverts gamma, refuses it
     cm = CorrelationMatrix(entries=np.diag([1e-13, 1e13, 1.0, 1.0]), partition=(1, 1))
     for _ in range(2):
-        for decide in (validate_physical, is_npt, wigner_cm):
-            with pytest.raises(NumericsError, match="condition number"):
-                decide(cm)
+        verdict = validate_physical(cm)
+        assert verdict.physical and verdict.margin == 0.0
+        assert not is_npt(cm).npt
+        with pytest.raises(NumericsError, match="condition number"):
+            wigner_cm(cm)
 
 
 def test_matrix_at_the_rounding_edge_of_positive_definiteness_is_refused():
     # Q diag(lam, 1, 3, 10) Q^T with |lam| < 1e-15: the Cholesky factorization
-    # succeeds, so the matrix is constructed, but eigvalsh(gamma) puts
-    # lambda_min at -2.7e-15; cond(gamma) then counts as infinite and deciding
-    # the matrix is refused
+    # succeeds, so the matrix is constructed, but it is far from physical
     g = np.array([
         [4.25656955803323, -3.403113210290711, 2.0636418862121646, -2.3416631191325443],
         [-3.403113210290711, 2.774371379827649, -1.3924946166633985, 1.6377550107932144],
@@ -212,9 +219,61 @@ def test_matrix_at_the_rounding_edge_of_positive_definiteness_is_refused():
         [-2.3416631191325443, 1.6377550107932144, -1.710771880139686, 2.4457385075563374],
     ])
     cm = CorrelationMatrix(entries=g, partition=(1, 1))
-    for decide in (validate_physical, is_npt):
-        with pytest.raises(NumericsError, match="condition number"):
-            decide(cm)
+    verdict = validate_physical(cm)
+    assert not verdict.physical
+    assert verdict.margin == pytest.approx(-0.270, abs=1e-3)
+    assert verdict.min_symplectic_eigenvalue == pytest.approx(5.6e-8, rel=0.01)
+    with pytest.raises(PreconditionError, match=r"margin -2\.70"):
+        is_npt(cm)
+
+
+def scrambled_sum(core, pad):
+    return [local_scramble(direct_sum_states(core, pad), seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize("r", [6.5, 6.8, 7.5, 8.5])
+def test_strongly_squeezed_pairs_are_decided_and_distilled(r):
+    # scrambled tmss_cm(r) + vacuum: NPT with nu_tilde = e^{-2r} by
+    # construction; cond(gamma) reaches 1e15, which used to refuse the decision
+    for g in scrambled_sum(tmss_cm(r), vacuum(1, 1)):
+        assert is_npt(g).npt
+        assert distill_pipeline(g).verdict == VERDICT_DISTILLABLE
+        if r == 8.5:
+            with pytest.raises(NumericsError, match="condition number"):
+                wigner_cm(g)
+
+
+@pytest.mark.parametrize("noise", [1e6, 1e7, 1e8])
+def test_loud_classical_noise_is_physical_and_ppt(noise):
+    # I + N V V^T / |V|^2 >= I: a classical mixture of coherent states, so
+    # physical and separable by construction.  At N = 1e8 rounding alone moves
+    # the margins by about 1e-9, which the absolute tolerance called
+    # unphysical or NPT.
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        v = rng.standard_normal((8, 2))
+        g = CorrelationMatrix(entries=np.eye(8) + noise * v @ v.T / np.linalg.norm(v) ** 2,
+                              partition=(2, 2))
+        assert validate_physical(g).physical
+        assert not is_npt(g).npt
+
+
+@pytest.mark.parametrize("noise", [1e6, 1e7, 1e8])
+def test_hot_padded_pairs_are_npt(noise):
+    # scrambled tmss_cm(1) + thermal modes of variance N: NPT with nu_tilde =
+    # e^{-2} by construction
+    hot = CorrelationMatrix(entries=noise * np.eye(4), partition=(1, 1))
+    for g in scrambled_sum(tmss_cm(1.0), hot):
+        assert is_npt(g).npt
+
+
+def test_unphysical_matrix_beyond_the_band_is_refused():
+    # symplectic eigenvalue 0.7: margin -7.3e-7, far outside the rounding
+    # band of |gamma| = 7e5 (about 6e-10, so tau = TOL_VERDICT)
+    cm = CorrelationMatrix(entries=np.diag([0.7e6, 0.7e-6, 1.0, 1.0]), partition=(1, 1))
+    assert not validate_physical(cm).physical
+    with pytest.raises(PreconditionError, match="physical state"):
+        is_npt(cm)
 
 
 def test_failed_cholesky_names_the_factorization_and_the_eigenvalue_range():
