@@ -143,14 +143,17 @@ class NptWitness:
 
 @dataclass(frozen=True)
 class Concentration:
-    """concentrate's result: the local symplectics, the kept pair's state
-    gamma_1x1 and its NPT margin, lambda_min(gamma_1x1 - i*Jtilde) < -tau
-    (is_npt's rounding band)."""
+    """concentrate's result: the local symplectics and the kept pair's state
+    gamma_1x1.  npt_margin, lambda_min(gamma_1x1 - i*Jtilde) < -tau (is_npt's
+    rounding band), is read from the memo that concentrate decided on."""
 
     s_a: SymplecticMatrix
     s_b: SymplecticMatrix
     gamma_1x1: CorrelationMatrix
-    npt_margin: float
+
+    @property
+    def npt_margin(self) -> float:
+        return self.gamma_1x1._pt_margin
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,9 @@ class SymmetrizationReport:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """The records of the stages that ran; rc (the sweep's point at r_max) and
+    final_params (the symmetrized standard form) are read from them, or None."""
+
     input_partition: tuple[int, int]
     verdict: str                           # DISTILLABLE / NOT_DISTILLABLE / INCONCLUSIVE_BOUNDARY
     npt: NptVerdict
@@ -177,9 +183,15 @@ class PipelineReport:
     concentration: Concentration | None = None
     standard_form: StandardForm | None = None
     symmetrization: SymmetrizationReport | None = None
-    final_params: StdFormParams | None = None
-    rc: RcWitnessResult | None = None
     rc_sweep: tuple[RcWitnessResult, ...] = ()
+
+    @property
+    def rc(self) -> RcWitnessResult | None:
+        return self.rc_sweep[-1] if self.rc_sweep else None
+
+    @property
+    def final_params(self) -> StdFormParams | None:
+        return None if self.symmetrization is None else self.symmetrization.output_params
 
 
 def _side_split(z: np.ndarray, n_a: int):
@@ -269,11 +281,14 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     form value carries over, so the reduced two-mode state is NPT.  gamma
     must be physical (it is not re-checked).
 
-    Raises ConcentrationError when the basis extension fails, witness
-    support leaks beyond the kept modes (> 1e-6) or the reduced state comes
-    out PPT (is_npt's rule).
+    Raises ValueError for a witness whose length is not gamma.dim, and
+    ConcentrationError when the basis extension fails, witness support leaks
+    beyond the kept modes (> 1e-6) or the reduced state is PPT (is_npt's rule).
     """
     require_two_sides(gamma.partition, "concentration")
+    if np.shape(witness.z) != (gamma.dim,):
+        raise ValueError(f"witness length {np.size(witness.z)} is not the state "
+                         f"dimension {gamma.dim}")
     n_a = gamma.n_a
     za, zb = _side_split(np.asarray(witness.z), n_a)
     pairs = [_canonical_pair(za, witness.skew_a), _canonical_pair(zb, witness.skew_b)]
@@ -284,7 +299,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     leak = 0.0
     for s, z_side in ((sa, za), (sb, zb)):
         # S^{-1} = J^T S^T J for a validated symplectic S: no solve
-        J = form_matrix(s.n)
+        J = form_matrix(z_side.size // 2)
         z_hat = J.T @ (s.entries.T @ (J @ z_side))
         leak = max(leak, float(np.abs(z_hat[2:]).max(initial=0.0)))
     if leak > SUPPORT_LEAKAGE_LIMIT:
@@ -298,7 +313,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     if not raw < -gamma_red._band:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {raw:.3e})")
-    return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red, npt_margin=raw)
+    return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red)
 
 
 def _in_stage(stage: str, fn, *args, **kwargs):
@@ -445,10 +460,9 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8) -> PipelineReport
     # the concentrate stage decided gamma_1x1 is NPT, and the standard form
     # is a local congruence of it, so symmetrize's input is not re-decided
     sym = _in_stage("symmetrize", _symmetrize, std.params)
-    final = sym.output_params
 
     def rc_stage():
-        sweep = rc_sweep(final, range(1, r_max + 1))
+        sweep = rc_sweep(sym.output_params, range(1, r_max + 1))
         limit = sweep[-1].asymptotic_value
         if limit >= TOL_VERDICT:
             raise NumericsError(
@@ -468,7 +482,5 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8) -> PipelineReport
         concentration=conc,
         standard_form=std,
         symmetrization=sym,
-        final_params=final,
-        rc=sweep[-1],
         rc_sweep=sweep,
     )

@@ -129,7 +129,7 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
         "npt": bool(verdict.npt),
         "npt_margin": float(verdict.raw_margin),
     }
-    return GaussianState(n_a=n_a, n_b=n_b, gamma=g), meta
+    return GaussianState(gamma=g), meta
 
 
 def random_npt_cm(n_a: int, n_b: int, seed: int) -> CorrelationMatrix:

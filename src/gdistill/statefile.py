@@ -46,8 +46,8 @@ def state_to_dict(state: GaussianState, metadata: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "state": {
-            "n_a": state.n_a,
-            "n_b": state.n_b,
+            "n_a": state.gamma.n_a,
+            "n_b": state.gamma.n_b,
             "gamma": state.gamma.entries.tolist(),
             "d": state.d.tolist(),
         },
@@ -99,7 +99,7 @@ def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
     except ValueError as exc:
         raise StateFileError(f"field 'state.gamma': {exc}")
     try:
-        gs = GaussianState(n_a=n_a, n_b=n_b, gamma=cm, d=d)
+        gs = GaussianState(gamma=cm, d=d)
     except ValueError as exc:
         raise StateFileError(f"field 'state.d': {exc}")
     metadata = doc.get("metadata")

@@ -197,16 +197,12 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: correlation matrix plus displacement vector."""
+    """A Gaussian state: correlation matrix (and its partition) plus displacement."""
 
-    n_a: int
-    n_b: int
     gamma: CorrelationMatrix
     d: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if (self.n_a, self.n_b) != self.gamma.partition:
-            raise ValueError("state partition does not match its correlation matrix")
         d = self.d
         if d is None:
             d = np.zeros(self.gamma.dim)

@@ -40,15 +40,13 @@ def _as_matrix(S) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticMatrix:
-    """A validated symplectic matrix (S^T J S = J within tolerance)."""
+    """A validated symplectic matrix (S^T J S = J within tolerance), 2n x 2n
+    for n modes; is_symplectic refuses a non-square, odd or empty shape."""
 
-    n: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         S = np.array(self.entries, dtype=float)
-        if S.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(f"expected shape {(2*self.n, 2*self.n)}, got {S.shape}")
         if not is_symplectic(S, tol=TOL_SYMPLECTIC):
             raise ValueError("matrix is not symplectic within tolerance")
         S.flags.writeable = False
@@ -77,7 +75,7 @@ def _form_matrix(n: int) -> np.ndarray:
 def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
     """True when max|S^T J S - J| <= tol, which for 2x2 S is |det S - 1| <= tol.
 
-    Raises ValueError for non-square or odd-dimensioned input.
+    Raises ValueError for non-square, odd-dimensioned or empty input.
     """
     S = _as_matrix(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -131,8 +129,9 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     by cholesky_factor, as a CorrelationMatrix is.
     """
     g = _as_matrix(gamma)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
-        raise ValueError(f"expected an even-dimensional square matrix, got {g.shape}")
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 or g.shape[0] == 0:
+        raise ValueError("expected a square matrix; dimension must be even and "
+                         f"positive, got shape {g.shape}")
     L = cholesky_factor(g)[1]
     return spectrum_from_factor(L, form_matrix(g.shape[0] // 2))
 
@@ -187,7 +186,7 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
     if not np.isfinite(S).all():
         raise NumericsError("completed symplectic basis is not finite")
     try:
-        return SymplecticMatrix(n=n, entries=S)
+        return SymplecticMatrix(entries=S)
     except ValueError as exc:
         raise NumericsError(
             "completed symplectic basis failed validation; the input pair is "
@@ -215,7 +214,7 @@ def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     G = rng.normal(0.0, scale, size=(2 * n, 2 * n))
     H = 0.5 * (G + G.T)
     S = sys.modules[__name__].expm(form_matrix(n) @ H)
-    return SymplecticMatrix(n=n, entries=S)
+    return SymplecticMatrix(entries=S)
 
 
 def __getattr__(name: str):

@@ -251,8 +251,8 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
     rho_1, rho_2 = math.hypot(e, h), math.hypot(f, g)
     a1, a2 = math.atan2(g, f), math.atan2(h, e)
     params = StdFormParams(n_a=n_a, n_b=n_b, k_x=rho_1 + rho_2, k_p=rho_1 - rho_2)
-    return StandardForm(SymplecticMatrix(n=1, entries=MA @ _rotation(0.5 * (a1 + a2))),
-                        SymplecticMatrix(n=1, entries=MB @ _rotation(0.5 * (a1 - a2))), params)
+    return StandardForm(SymplecticMatrix(entries=MA @ _rotation(0.5 * (a1 + a2))),
+                        SymplecticMatrix(entries=MB @ _rotation(0.5 * (a1 - a2))), params)
 
 
 def check_physical(p: StdFormParams) -> TwoModePhysicality:

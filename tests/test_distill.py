@@ -2,7 +2,7 @@ import decimal
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import Decimal
 
 import numpy as np
@@ -14,10 +14,12 @@ import gdistill.two_mode as two_mode_module
 from gdistill import (
     ConcentrationError,
     DegeneracyError,
+    InseparabilityCheck,
     NumericsError,
     PipelineStageError,
     PreconditionError,
     StdFormParams,
+    SymplecticMatrix,
     VERDICT_BOUNDARY,
     VERDICT_DISTILLABLE,
     VERDICT_NOT_DISTILLABLE,
@@ -601,9 +603,106 @@ def test_failed_basis_completion_is_a_concentrate_stage_failure(monkeypatch, tmp
     assert len(calls) == 1
 
     path = tmp_path / "d.json"
-    save_state(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)), str(path))
+    save_state(GaussianState(gamma=tmss_cm(0.5)), str(path))
     for command in ("pipeline", "concentrate"):
         assert cli.main([command, str(path)]) == 5
+
+
+def _stage_failure(stage, cause, gamma=None):
+    """Run the pipeline, expecting the named stage to fail with cause."""
+    with pytest.raises(PipelineStageError) as err:
+        distill_pipeline(tmss_cm(0.5) if gamma is None else gamma)
+    assert err.value.stage == stage
+    assert isinstance(err.value.cause, cause)
+    return str(err.value.cause)
+
+
+def test_singular_witness_solve_is_a_witness_stage_failure(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert "is singular" in _stage_failure("witness", DegeneracyError)
+
+
+def test_unconverged_inverse_iteration_is_a_witness_stage_failure(monkeypatch):
+    # a solve that returns its right-hand side leaves z = (1, ..., 1), which
+    # is not an eigenvector: the residual never drops below the bound
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)
+    message = _stage_failure("witness", DegeneracyError)
+    assert f"after {distill_module.MAX_WITNESS_SOLVES} solves" in message
+
+
+def test_concentrate_refuses_a_witness_of_the_wrong_length():
+    g = random_npt_cm(2, 1, 3)
+    w = find_npt_witness(g)
+    for z in (w.z[:4], np.concatenate([w.z, np.zeros(2)])):
+        with pytest.raises(ValueError, match=f"witness length {z.size} is not the "
+                                             "state dimension 6"):
+            concentrate(g, replace(w, z=z))
+
+
+def test_concentrate_refuses_a_witness_side_without_real_part_or_skew():
+    g = random_npt_cm(2, 1, 3)
+    w = find_npt_witness(g)
+    z = np.array(w.z)
+    z[:4] = 1j * z[:4].imag
+    for crafted in (replace(w, z=z), replace(w, skew_b=0.0)):
+        with pytest.raises(ConcentrationError, match="vanishing real part"):
+            concentrate(g, crafted)
+
+
+def test_leaked_witness_support_is_a_concentrate_stage_failure(monkeypatch):
+    # identity bases keep every mode of z: its support is not concentrated
+    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis",
+                        lambda f1, f2: SymplecticMatrix(entries=np.eye(f1.size)))
+    message = _stage_failure("concentrate", ConcentrationError,
+                             local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
+    assert "beyond the first mode pair" in message
+
+
+def test_another_states_witness_leaves_a_ppt_state_ppt():
+    # a product state stays PPT under local congruence and reduction
+    w = find_npt_witness(padded_squeezed_pair(2, 2, seed=1))
+    thermal = CorrelationMatrix(entries=2.0 * np.eye(8), partition=(2, 2))
+    with pytest.raises(ConcentrationError, match="not NPT"):
+        concentrate(thermal, w)
+
+
+def _degenerate_standard_form(gamma):
+    # positive definite, but min(n) * d_p < max(n): no beam-splitter angle
+    return replace(standard_form_transform(gamma),
+                   params=StdFormParams(n_a=3.0, n_b=1.0, k_x=0.5, k_p=-0.9))
+
+
+def _second_residual_doubled():
+    calls = []
+
+    def check(p):
+        res = two_mode_module.check_inseparable(p)
+        calls.append(p)
+        return replace(res, residual=2.0 * res.residual) if len(calls) == 2 else res
+    return check
+
+
+@pytest.mark.parametrize("name, fake, message", [
+    ("standard_form_transform", _degenerate_standard_form, "angle formula degenerated"),
+    ("check_inseparable", None, "residual scaling violated"),
+    ("is_symmetric", lambda p: False, "is not symmetric"),
+    ("check_symmetric_inseparable",
+     lambda n, k_x, k_p: InseparabilityCheck(inseparable=False, residual=-1.0),
+     "lost NPT-ness"),
+], ids=["angle", "scaling", "symmetry", "npt"])
+def test_symmetrize_postconditions_are_stage_failures(monkeypatch, name, fake, message):
+    monkeypatch.setattr(distill_module, name, fake or _second_residual_doubled())
+    assert message in _stage_failure("symmetrize", NumericsError, lossy_squeezed_pair())
+
+
+def test_rc_limit_at_or_above_zero_is_an_rc_witness_stage_failure(monkeypatch):
+    real = distill_module.rc_sweep
+    monkeypatch.setattr(distill_module, "rc_sweep", lambda params, rs: tuple(
+        replace(res, asymptotic_value=1.0) for res in real(params, rs)))
+    assert "(n - k_x)(n + k_p) < 1" in _stage_failure("rc_witness", NumericsError)
 
 
 def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):

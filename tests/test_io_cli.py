@@ -40,7 +40,7 @@ def write_doc(tmp_path, name, doc):
 
 
 def write_state(tmp_path, name, gamma, metadata=None):
-    st = GaussianState(n_a=gamma.n_a, n_b=gamma.n_b, gamma=gamma)
+    st = GaussianState(gamma=gamma)
     path = tmp_path / name
     save_state(st, str(path), metadata=metadata)
     return str(path)
@@ -51,7 +51,7 @@ def write_state(tmp_path, name, gamma, metadata=None):
 
 
 def test_state_roundtrip_dict():
-    st = GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5), d=[0.1, 0.0, -0.2, 0.3])
+    st = GaussianState(gamma=tmss_cm(0.5), d=[0.1, 0.0, -0.2, 0.3])
     doc = state_to_dict(st, metadata={"tag": 7})
     back, meta = state_from_dict(doc)
     assert back.gamma.partition == (1, 1)
@@ -62,7 +62,7 @@ def test_state_roundtrip_dict():
 
 def test_state_roundtrip_file(tmp_path):
     g = random_npt_cm(2, 1, seed=3)
-    st = GaussianState(n_a=2, n_b=1, gamma=g)
+    st = GaussianState(gamma=g)
     path = tmp_path / "s.json"
     save_state(st, str(path), metadata={"seed": 3})
     back, meta = load_state(str(path))
@@ -71,7 +71,7 @@ def test_state_roundtrip_file(tmp_path):
 
 
 def test_state_from_dict_field_diagnostics():
-    good = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1)))
+    good = state_to_dict(GaussianState(gamma=vacuum(1, 1)))
 
     def expect_error(mutate, needle):
         doc = json.loads(json.dumps(good))
@@ -103,7 +103,7 @@ def test_state_from_dict_field_diagnostics():
                                         ("state.d", "1"), ("state.d", True),
                                         ("schema_version", True)])
 def test_state_from_dict_refuses_strings_and_booleans_as_numbers(field, bad):
-    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1)))
+    doc = state_to_dict(GaussianState(gamma=vacuum(1, 1)))
     if field == "schema_version":
         doc["schema_version"] = bad
     elif field == "state.gamma":
@@ -115,7 +115,7 @@ def test_state_from_dict_refuses_strings_and_booleans_as_numbers(field, bad):
 
 
 def test_state_from_dict_rejects_non_finite_numbers():
-    good = json.dumps(state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1))))
+    good = json.dumps(state_to_dict(GaussianState(gamma=vacuum(1, 1))))
     inf_diag, nan_pair, nan_d = (json.loads(good) for _ in range(3))
     inf_diag["state"]["gamma"][1][1] = float("inf")
     nan_pair["state"]["gamma"][0][3] = nan_pair["state"]["gamma"][3][0] = float("nan")
@@ -127,7 +127,7 @@ def test_state_from_dict_rejects_non_finite_numbers():
 
 
 def test_state_from_dict_metadata_must_be_an_object():
-    good = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1)))
+    good = state_to_dict(GaussianState(gamma=vacuum(1, 1)))
     assert state_from_dict(good)[1] == {}
     assert state_from_dict({**good, "metadata": None})[1] == {}
     assert state_from_dict({**good, "metadata": {}})[1] == {}
@@ -281,10 +281,10 @@ def test_cli_one_sided_state_is_refused_without_traceback(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["validate", "pipeline", "standard-form"])
 def test_cli_non_finite_state_is_refused_without_traceback(tmp_path, command):
-    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)))
+    doc = state_to_dict(GaussianState(gamma=tmss_cm(0.5)))
     doc["state"]["gamma"][2][2] = float("inf")
     bad_gamma = write_doc(tmp_path, "inf.json", doc)
-    doc = state_to_dict(GaussianState(n_a=1, n_b=1, gamma=tmss_cm(0.5)))
+    doc = state_to_dict(GaussianState(gamma=tmss_cm(0.5)))
     doc["state"]["d"][0] = float("nan")
     bad_d = write_doc(tmp_path, "nan_d.json", doc)
     for path, field in ((bad_gamma, "state.gamma"), (bad_d, "state.d")):

@@ -71,7 +71,7 @@ def test_non_finite_entries_are_rejected():
             CorrelationMatrix(entries=bad, partition=(1, 1))
     for d in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
-            GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1), d=d)
+            GaussianState(gamma=vacuum(1, 1), d=d)
 
 
 def test_correlation_matrix_blocks():
@@ -86,14 +86,12 @@ def test_correlation_matrix_blocks():
 
 
 def test_gaussian_state_container():
-    st = GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1))
+    st = GaussianState(gamma=vacuum(1, 1))
     assert np.array_equal(st.d, np.zeros(4))  # default displacement
-    st = GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1), d=[1.0, 0.0, 0.0, 2.0])
+    st = GaussianState(gamma=vacuum(1, 1), d=[1.0, 0.0, 0.0, 2.0])
     assert np.array_equal(st.d, [1.0, 0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
-        GaussianState(n_a=1, n_b=1, gamma=vacuum(1, 1), d=np.zeros(3))
-    with pytest.raises(ValueError):
-        GaussianState(n_a=2, n_b=1, gamma=vacuum(1, 1))  # partition mismatch
+        GaussianState(gamma=vacuum(1, 1), d=np.zeros(3))
 
 
 def test_vacuum_physical_not_npt():

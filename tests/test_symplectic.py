@@ -92,21 +92,21 @@ def test_is_symplectic_2x2_is_the_determinant_test(monkeypatch):
 
     monkeypatch.setattr(symplectic_module, "form_matrix", no_form)
     with pytest.raises(ValueError, match="not symplectic"):
-        SymplecticMatrix(n=1, entries=2.0 * np.eye(2))
+        SymplecticMatrix(entries=2.0 * np.eye(2))
     for S in [np.diag([2.0, 0.5])] + equalizers:
-        SymplecticMatrix(n=1, entries=S)
+        SymplecticMatrix(entries=S)
     for odd in (np.eye(1), np.eye(3)):
         with pytest.raises(ValueError, match="dimension must be even and positive"):
             is_symplectic(odd)
 
 
 def test_symplectic_matrix_validates_on_construction():
-    S = SymplecticMatrix(n=2, entries=beam_splitter(0.9))
+    S = SymplecticMatrix(entries=beam_splitter(0.9))
     assert np.array_equal(S.entries, beam_splitter(0.9))
     with pytest.raises(ValueError):
-        SymplecticMatrix(n=2, entries=np.diag([2.0, 2.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SymplecticMatrix(n=1, entries=np.eye(4))
+        SymplecticMatrix(entries=np.diag([2.0, 2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="dimension must be even"):
+        SymplecticMatrix(entries=np.eye(3))
 
 
 def test_symplectic_eigenvalues_known_states():
@@ -116,6 +116,12 @@ def test_symplectic_eigenvalues_known_states():
     assert np.allclose(symplectic_eigenvalues(g), [1.5, 3.0])
     # pure two-mode squeezed state stays at the vacuum floor
     assert np.allclose(symplectic_eigenvalues(tmss_cm(0.8)), [1.0, 1.0], atol=1e-12)
+
+
+def test_symplectic_eigenvalues_refuses_shapes_as_is_symplectic_does():
+    for bad in (np.zeros((0, 0)), np.eye(3), np.eye(4)[:2]):
+        with pytest.raises(ValueError, match="dimension must be even and positive"):
+            symplectic_eigenvalues(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
