@@ -99,7 +99,7 @@ import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError)
-from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt, pt_form,
+from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
 from .symplectic import (SymplecticMatrix, direct_sum,
                          extend_to_symplectic_basis, form_matrix, skew_product)
@@ -219,7 +219,7 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     by inverse iteration at lambda_min as is_npt computed it (eps =
     -lambda_min), checked for a negative form and skew products above the
     floor."""
-    herm = gamma.entries - 1j * pt_form(gamma.n_a, gamma.n_b)
+    herm = gamma._pt_herm
     lam = gamma._pt_margin
     scale = float(np.abs(herm).max())
     # shifted a rounding band below lambda_min (module docstring)

@@ -45,6 +45,8 @@ from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
 
 MAX_MODES = 4              # modes per side of a drawn state, 1..MAX_MODES
 NPT_FRACTION = 0.5         # share of draws from the entangled kind
+THERMAL_SHARE = 0.75       # share of the other draws from the thermal kind
+MIN_DRAW_SKEW = 0.1        # |f1^T J v| a basis-extension draw needs: keeps |f2| moderate
 
 # The campaign's bounds; an entry that repeats a library guard reads it.
 DEFAULT_TOLERANCES = MappingProxyType({
@@ -61,6 +63,15 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "leakage": SUPPORT_LEAKAGE_LIMIT,
     "form_identity": 1e-10,    # witness quadratic form under restriction
     "sign_floor": 1e-3,        # |asymptotic| needed before comparing signs
+    "closure": TOL_SYMPLECTIC * 10,  # inverse, transpose and product of symplectics
+    "congruence": 1e-8,        # standard form vs its own congruence, times max|gamma|
+    "ordering": 1e-9,          # k_x >= |k_p| of a standard form
+    "factorization_rel": 1e-9,  # symmetric-residual factorization
+    "boundary_clearance": 1e-6,  # physicality margin a duality sample needs
+    "duality": 1e-8,           # companion relations, each times its scale
+    "rc_closed_form_rel": 1e-9,  # rc_sweep vs rc_value
+    "scaling_abs": 1e-14,      # absolute floor of the residual scaling law
+    "unit_slack": 1e-12,       # symmetrization scale factor <= 1 + this
 })
 
 
@@ -116,7 +127,8 @@ class _Trial:
         u = self.rng.random()
         if u < NPT_FRACTION:
             return "entangled"
-        return "thermal" if (u - NPT_FRACTION) < 0.75 * (1.0 - NPT_FRACTION) else "boundary"
+        thermal = (u - NPT_FRACTION) < THERMAL_SHARE * (1.0 - NPT_FRACTION)
+        return "thermal" if thermal else "boundary"
 
     def state(self, n_a: int | None = None, n_b: int | None = None):
         if n_a is None:
@@ -152,12 +164,12 @@ def form_matrix_structure(t: _Trial):
 def symplectic_group_closure(t: _Trial):
     """Inverse, transpose and products of symplectics stay symplectic."""
     n = int(t.rng.integers(1, 5))
-    tol = DEFAULT_TOLERANCES["pairing"]
+    tol = DEFAULT_TOLERANCES["closure"]
     s1 = random_symplectic(n, t.seed(1)).entries
     s2 = random_symplectic(n, t.seed(2)).entries
     for label, cand in (("inverse", np.linalg.inv(s1)), ("transpose", s1.T),
                         ("product", s1 @ s2)):
-        if not is_symplectic(cand, tol=tol * 10):
+        if not is_symplectic(cand, tol=tol):
             raise Violation(f"{label} of a symplectic matrix failed the form test")
 
 
@@ -186,7 +198,7 @@ def basis_extension_pairing(t: _Trial):
     for _ in range(8):
         v = t.rng.normal(size=2 * n)
         s = skew_product(f1, v)
-        if abs(s) > 0.1:  # keeps |f2| moderate so the pairing check stays tight
+        if abs(s) > MIN_DRAW_SKEW:
             break
     else:
         return  # absurdly unlucky draws; nothing to check
@@ -322,11 +334,12 @@ def standard_form_local_invariance(t: _Trial):
                             f"{a!r} -> {b!r}", state=g)
     sf = standard_form_transform(g)
     direct = apply_symplectic(g, direct_sum(sf.s_a.entries, sf.s_b.entries))
-    if _maxdiff(direct.entries, sf.gamma_std.entries) > 1e-8 * _scale(g):
+    tol_congruence = DEFAULT_TOLERANCES["congruence"] * _scale(g)
+    if _maxdiff(direct.entries, sf.gamma_std.entries) > tol_congruence:
         raise Violation("standard-form transform does not reproduce its own "
                         "output by congruence", state=g)
     k = sf.params
-    if k.k_x < abs(k.k_p) - 1e-9:
+    if k.k_x < abs(k.k_p) - DEFAULT_TOLERANCES["ordering"]:
         raise Violation("transform output is not in standard form", state=g)
     q2 = standard_form_params(sf.gamma_std)
     if (abs(q2.k_x ** 2 + q2.k_p ** 2 - sigma) > tol * max(1.0, sigma)
@@ -356,7 +369,8 @@ def symmetric_specialization(t: _Trial):
     u = p.n_a * (p.k_x - p.k_p)
     v = abs(p.n_a ** 2 - p.k_x * p.k_p - 1.0)
     expected = special.residual * (u + v)
-    if abs(general.residual - expected) > 1e-9 * max(1.0, abs(expected)):
+    bound = DEFAULT_TOLERANCES["factorization_rel"] * max(1.0, abs(expected))
+    if abs(general.residual - expected) > bound:
         raise Violation(
             f"residual factorization broke: general {general.residual:.3e}, "
             f"special*(u+v) {expected:.3e}", state=g)
@@ -372,25 +386,26 @@ def wigner_duality_inequalities(t: _Trial):
     correlation inequality; exact relations N_a n_a = N_b n_b, det flips."""
     g, _ = t.state(1, 1)
     v = validate_physical(g)
-    if v.margin < 1e-6:
+    if v.margin < DEFAULT_TOLERANCES["boundary_clearance"]:
         return  # stay clear of the physicality boundary
     p = standard_form_params(g)
     w = wigner_params(g)
+    tol = DEFAULT_TOLERANCES["duality"]
     physicality = check_physical(w).physicality_residual
-    if physicality < -1e-8 * _scale(g) ** 4:
+    if physicality < -tol * _scale(g) ** 4:
         raise Violation(
             f"companion parameters violate the physicality inequality: "
             f"{physicality:.3e}", state=g)
     d_x = w.n_a * w.n_b - w.k_x ** 2
-    if d_x > 1.0 + 1e-8:
+    if d_x > 1.0 + tol:
         raise Violation(
             f"companion correlation inequality not reversed: N_aN_b - K_x^2 = "
             f"{d_x!r} > 1", state=g)
     det_g = float(np.linalg.det(g.entries))
-    if abs(w.n_a * p.n_a - w.n_b * p.n_b) > 1e-8 * _scale(g) ** 2:
+    if abs(w.n_a * p.n_a - w.n_b * p.n_b) > tol * _scale(g) ** 2:
         raise Violation("cross relation N_a n_a = N_b n_b violated", state=g)
     det_w = float(np.linalg.det(wigner_cm(g).entries))
-    if abs(det_w * det_g - 1.0) > 1e-8 * max(1.0, det_g):
+    if abs(det_w * det_g - 1.0) > tol * max(1.0, det_g):
         raise Violation("determinant of the companion is not 1/det gamma", state=g)
 
 
@@ -406,10 +421,11 @@ def rc_soundness(t: _Trial):
     sweep = [rc_value(g, r) for r in (0.5, 2.0, 8.0)]
     values = [res.value for res in sweep]
     # a symmetric draw is a standard form: (n_a, n_b, k_x, k_p) are its entries
-    if symmetric and any(abs(c.value - v) > 1e-9 * abs(v) for c, v in zip(rc_sweep(
+    rel = DEFAULT_TOLERANCES["rc_closed_form_rel"]
+    if symmetric and any(abs(c.value - v) > rel * abs(v) for c, v in zip(rc_sweep(
             StdFormParams(*g.entries[[0, 2, 0, 1], [0, 2, 2, 3]]), (0.5, 2.0)), values)):
         raise Violation("closed-form rc_sweep disagrees with rc_value", state=g)
-    if min(values) < -1e-9 and not npt:
+    if min(values) < -TOL_VERDICT and not npt:
         raise Violation(
             f"witness went negative ({min(values):.3e}) on a PPT state", state=g)
     if symmetric:
@@ -463,12 +479,13 @@ def symmetrization_invariants(t: _Trial):
     if not is_npt(rep.gamma_out).npt:
         raise Violation("symmetrization lost NPT-ness", state=g)
     expected = rep.insep_residual_in * rep.scale_factor
-    bound = DEFAULT_TOLERANCES["scaling_rel"] * abs(expected) + 1e-14
+    bound = (DEFAULT_TOLERANCES["scaling_rel"] * abs(expected)
+             + DEFAULT_TOLERANCES["scaling_abs"])
     if abs(rep.insep_residual_out - expected) > bound:
         raise Violation(
             f"residual scaling law violated: {rep.insep_residual_out:.6e} vs "
             f"{expected:.6e}", state=g)
-    if not 0.0 < rep.scale_factor <= 1.0 + 1e-12:
+    if not 0.0 < rep.scale_factor <= 1.0 + DEFAULT_TOLERANCES["unit_slack"]:
         raise Violation(f"scale factor {rep.scale_factor!r} outside (0, 1]", state=g)
 
 

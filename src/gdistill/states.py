@@ -123,9 +123,16 @@ class CorrelationMatrix:
         return float(np.linalg.eigvalsh(self.entries - 1j * form_matrix(self.n_modes))[0])
 
     @functools.cached_property
+    def _pt_herm(self) -> np.ndarray:
+        """gamma - i*Jtilde (read-only), shared by _pt_margin and the witness."""
+        herm = self.entries - 1j * pt_form(self.n_a, self.n_b)
+        herm.flags.writeable = False
+        return herm
+
+    @functools.cached_property
     def _pt_margin(self) -> float:
         """lambda_min(gamma - i*Jtilde)."""
-        return float(np.linalg.eigvalsh(self.entries - 1j * pt_form(self.n_a, self.n_b))[0])
+        return float(np.linalg.eigvalsh(self._pt_herm)[0])
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:

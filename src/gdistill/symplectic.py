@@ -21,7 +21,7 @@ the partial transpose's, since Lambda gamma Lambda = (Lambda L)(Lambda L)^T.
 from __future__ import annotations
 
 import functools
-import sys
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +204,10 @@ def seed_sequence(seed: int, *salt: int) -> np.random.SeedSequence:
 def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     """Seeded random symplectic matrix, S = expm(J H) with H symmetric.
 
+    J H is Hamiltonian, so its exponential is symplectic.  expm is the
+    scaling-and-squaring Pade approximant of Higham (2005), and for one mode
+    the Cayley-Hamilton closed form (see expm); it is read by its
+    module-level name, so rebinding ``symplectic.expm`` reroutes this call.
     The generator entries are scaled down with n to keep the condition number
     of S moderate, so downstream eigenvalue checks hold at tight tolerances.
     """
@@ -213,17 +217,73 @@ def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     scale = 0.45 / np.sqrt(n)
     G = rng.normal(0.0, scale, size=(2 * n, 2 * n))
     H = 0.5 * (G + G.T)
-    S = sys.modules[__name__].expm(form_matrix(n) @ H)
-    return SymplecticMatrix(entries=S)
+    return SymplecticMatrix(entries=expm(form_matrix(n) @ H))
 
 
-def __getattr__(name: str):
-    """scipy.linalg.expm, imported on first use so that importing the package
-    does not load scipy; random_symplectic reads it here, so rebinding works."""
-    if name != "expm":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import expm
-    return expm
+# b_0..b_13 of the degree-13 Pade approximant to exp and the 1-norm up to
+# which it needs no scaling (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# rows: the coefficients of (I, A^2, A^4, A^6) in the four sums that U and V
+# are built from; U = A (A^6 row0 + row1), V = A^6 row2 + row3
+_PADE13_MIX = np.array([(0.0, *_PADE13[9::2]), _PADE13[1:9:2],
+                        (0.0, *_PADE13[8::2]), _PADE13[0:8:2]])
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential of a real square matrix.
+
+    2 x 2 input is done in closed form.  With h = tr(A)/2, Cayley-Hamilton
+    gives (A - hI)^2 = delta I, so exp(A) = e^h (c I + s (A - hI)), where
+    (c, s) is (cosh w, sinh w / w) with w = sqrt(delta) for delta > 0,
+    (cos w, sin w / w) with w = sqrt(-delta) for delta < 0, and (1, 1) for
+    delta = 0.  Larger input takes the degree-13 Pade approximant with
+    scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
+    1179): A is scaled by 2^-s so that its 1-norm is at most theta_13,
+    r = (V - U)^{-1} (V + U) is built from A^2, A^4 and A^6 with one solve,
+    and r is squared s times.  ValueError unless A is square and finite.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    dim = A.shape[0]
+    if dim == 2:
+        (a, b), (c, d) = A.tolist()
+        h, m = 0.5 * (a + d), 0.5 * (a - d)  # A - hI = [[m, b], [c, -m]]
+        delta = m * m + b * c
+        if delta > 0:
+            w = math.sqrt(delta)
+            cw, sw = math.cosh(w), math.sinh(w) / w
+        elif delta < 0:
+            w = math.sqrt(-delta)
+            cw, sw = math.cos(w), math.sin(w) / w
+        else:
+            cw, sw = 1.0, 1.0
+        e = math.exp(h)
+        return np.array([[e * (cw + sw * m), e * sw * b],
+                         [e * sw * c, e * (cw - sw * m)]])
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    if s:
+        A = A * 2.0 ** -s
+    powers = np.empty((4, dim, dim))  # I, A^2, A^4, A^6
+    powers[0] = np.eye(dim)
+    np.matmul(A, A, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    sums = (_PADE13_MIX @ powers.reshape(4, -1)).reshape(4, dim, dim)
+    odd, even = powers[3] @ sums[0::2]
+    U = A @ (odd + sums[1])
+    V = even + sums[3]
+    r = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def direct_sum(*blocks) -> np.ndarray:

@@ -9,8 +9,8 @@ from gdistill import (DEFAULT_TOLERANCES, FuzzConfig, cli, distill, fuzz,
 from gdistill.fuzz import REGISTRY, Violation
 
 
-# every setting FuzzConfig dropped: the partition range, the kind mix and the
-# 13 bounds, which are now module constants
+# every setting FuzzConfig dropped, the partition range, the kind mix and the
+# 13 bounds it had, and the 9 bounds named since: no bound is settable
 REMOVED_KEYS = ["max_modes_a", "max_modes_b", "npt_fraction_target",
                 *DEFAULT_TOLERANCES]
 
@@ -55,7 +55,7 @@ def test_removed_config_keys_are_rejected(key, tmp_path, capsys):
 def test_default_tolerances_are_read_only_library_guards():
     with pytest.raises(TypeError):
         DEFAULT_TOLERANCES["purity"] = 1.0
-    assert len(DEFAULT_TOLERANCES) == 13 and len(REMOVED_KEYS) == 16
+    assert len(DEFAULT_TOLERANCES) == 22 and len(REMOVED_KEYS) == 25
     guards = {"verdict_band": distill.BOUNDARY_BAND,
               "pairing": symplectic.TOL_SYMPLECTIC,
               "purity": states.PURITY_TOL,

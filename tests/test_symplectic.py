@@ -24,7 +24,7 @@ from gdistill import (
     vacuum,
     validate_physical,
 )
-from gdistill.symplectic import SymplecticMatrix
+from gdistill.symplectic import SymplecticMatrix, expm
 
 J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -156,12 +156,14 @@ def test_symplectic_eigenvalues_congruence_invariant():
 
 
 def test_random_symplectic_deterministic_and_valid():
-    for seed in range(20):
-        n = seed % 3 + 1
+    for seed in range(36):
+        n = seed % 12 + 1
         S1 = random_symplectic(n, seed=seed).entries
         S2 = random_symplectic(n, seed=seed).entries
         assert np.array_equal(S1, S2)
         assert is_symplectic(S1)
+        J = form_matrix(n)
+        assert np.abs(S1.T @ J @ S1 - J).max() <= 1e-13
     assert not np.array_equal(
         random_symplectic(2, seed=0).entries, random_symplectic(2, seed=1).entries
     )
@@ -317,8 +319,88 @@ def test_importing_the_cli_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_drawing_random_states_and_fuzzing_do_not_load_scipy():
+    code = ("import sys\n"
+            "from gdistill import (FuzzConfig, local_scramble, random_state,\n"
+            "                      run_fuzz)\n"
+            "state, _ = random_state('entangled', 2, 3, 5)\n"
+            "local_scramble(state.gamma, 6)\n"
+            "assert run_fuzz(FuzzConfig(trials=1))['total_violations'] == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_expm_one_mode_closed_forms():
+    t = 0.7
+    rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    assert np.allclose(expm(t * J1), rotation, rtol=0, atol=1e-15)
+    # a trace part is the scalar factor e^h
+    assert np.allclose(expm(t * J1 + 0.3 * np.eye(2)), np.exp(0.3) * rotation,
+                       rtol=1e-15, atol=0)
+    hyperbolic = np.array([[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]])
+    assert np.allclose(expm(np.array([[0.0, t], [t, 0.0]])), hyperbolic,
+                       rtol=1e-15, atol=0)
+    assert np.allclose(expm(np.diag([t, -2.0])), np.diag([np.exp(t), np.exp(-2.0)]),
+                       rtol=1e-15, atol=0)
+    # delta = 0: the nilpotent generator of a shear, exactly
+    assert np.array_equal(expm(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                          [[1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(expm(np.zeros((2, 2))), np.eye(2))
+
+
+def test_expm_pade_on_two_mode_generators():
+    # squeezer and beam splitter are exponentials of generators X, Y with
+    # X^2 = I and Y^2 = -I; theta = 30 runs the squaring branch
+    Z = np.diag([1.0, -1.0])
+    X = np.block([[np.zeros((2, 2)), Z], [Z, np.zeros((2, 2))]])
+    Y = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    for r in (0.3, 2.0):
+        assert np.allclose(expm(r * X), two_mode_squeezer(r), rtol=1e-14, atol=0)
+    for theta in (0.3, 2.0, 30.0):
+        assert np.allclose(expm(theta * Y), beam_splitter(theta), rtol=0, atol=1e-14)
+    assert np.allclose(expm(np.zeros((4, 4))), np.eye(4), rtol=0, atol=1e-15)
+
+
+def test_expm_squaring_branch_inverts():
+    rng = np.random.default_rng(8)
+    for dim in (3, 6, 12):
+        G = rng.normal(size=(dim, dim))
+        A = 3.0 * (G - G.T)  # exp(A) is orthogonal
+        assert np.abs(A).sum(axis=0).max() > symplectic_module._THETA13
+        E = expm(A)
+        assert np.abs(E @ expm(-A) - np.eye(dim)).max() <= 1e-13
+        assert np.abs(E.T @ E - np.eye(dim)).max() <= 1e-13
+
+
+def test_expm_refuses_non_square_and_non_finite_input():
+    for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            expm(bad)
+    for dim in (2, 4):
+        A = np.zeros((dim, dim))
+        A[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            expm(A)
+
+
+def test_expm_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in range(1, 13):  # Hamiltonian generators as random_symplectic draws
+        G = rng.normal(0.0, 0.45 / np.sqrt(n), size=(2 * n, 2 * n))
+        cases.append(form_matrix(n) @ (0.5 * (G + G.T)))
+    for dim in range(1, 13):  # general real matrices
+        cases.append(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim)))
+    for A in cases:
+        want = scipy_linalg.expm(A)
+        assert np.linalg.norm(expm(A) - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_random_symplectic_reads_expm_from_the_module(monkeypatch):
-    # expm is loaded lazily but stays a rebindable module attribute
+    # random_symplectic looks expm up by its module-level name at each call,
+    # so rebinding the attribute reroutes it
     calls = []
     expm = symplectic_module.expm
     plain = random_symplectic(2, seed=4).entries
