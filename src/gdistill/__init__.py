@@ -21,14 +21,14 @@ from .symplectic import (SymplecticMatrix, beam_splitter, direct_sum,
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict, apply_symplectic,
                      condition_on_x_measurement, direct_sum_states, is_npt,
-                     is_pure, partial_transpose, pt_form, pt_sign_vector,
-                     reduce_to_modes, vacuum, validate_physical, wigner_cm)
+                     is_pure, partial_transpose, pt_form, reduce_to_modes,
+                     vacuum, validate_physical, wigner_cm)
 from .two_mode import (InseparabilityCheck, RcWitnessResult, StandardForm,
                        StdFormParams, TwoModePhysicality, check_inseparable,
                        check_physical, check_symmetric_inseparable,
-                       det_invariants, inseparability_residual, is_symmetric,
-                       rc_sweep, rc_value, standard_form_params,
-                       standard_form_transform, tmss_cm, wigner_params)
+                       det_invariants, is_symmetric, rc_sweep, rc_value,
+                       standard_form_params, standard_form_transform,
+                       tmss_cm, wigner_params)
 from .distill import (Concentration, NptWitness, PipelineReport,
                       PipelineStageError, SymmetrizationReport,
                       VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
@@ -56,12 +56,12 @@ __all__ = [
     "form_matrix", "is_symplectic", "symplectic_eigenvalues",
     "skew_product", "extend_to_symplectic_basis", "random_symplectic",
     "direct_sum", "beam_splitter", "two_mode_squeezer", "embed_pair",
-    "vacuum", "pt_sign_vector", "pt_form", "validate_physical",
+    "vacuum", "pt_form", "validate_physical",
     "partial_transpose", "is_npt", "wigner_cm", "is_pure", "reduce_to_modes",
     "condition_on_x_measurement", "apply_symplectic", "direct_sum_states",
     "det_invariants", "standard_form_params", "standard_form_transform",
-    "check_physical", "check_inseparable", "inseparability_residual",
-    "is_symmetric", "check_symmetric_inseparable", "tmss_cm", "wigner_params",
+    "check_physical", "check_inseparable", "is_symmetric",
+    "check_symmetric_inseparable", "tmss_cm", "wigner_params",
     "rc_value", "rc_sweep",
     "find_npt_witness", "concentrate", "symmetrize", "distill_pipeline",
     "local_scramble", "random_physical_cm", "random_unphysical_pd",

@@ -30,8 +30,8 @@ import os
 import sys
 
 from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
-                      distill_pipeline, symmetrize, witness_and_concentrate)
+                      VERDICT_NOT_DISTILLABLE, distill_pipeline, symmetrize,
+                      witness_and_concentrate)
 from .errors import DistillError, PreconditionError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
@@ -78,10 +78,7 @@ def cmd_validate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     state, _ = load_state(args.path)
-    try:
-        report = distill_pipeline(state.gamma, r_max=args.r_max)
-    except PipelineStageError as exc:
-        return _fail(f"stage failure: {exc}", EXIT_STAGE_FAILURE)
+    report = distill_pipeline(state.gamma, r_max=args.r_max)
     if args.json:
         print(dumps(pipeline_report_to_dict(report)))
     else:

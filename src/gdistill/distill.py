@@ -101,7 +101,7 @@ from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError)
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
-from .symplectic import (SymplecticMatrix, direct_sum,
+from .symplectic import (SymplecticMatrix, _sym, direct_sum,
                          extend_to_symplectic_basis, form_matrix, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable, check_symmetric_inseparable,
@@ -283,7 +283,8 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
 
     Raises ValueError for a witness whose length is not gamma.dim, and
     ConcentrationError when the basis extension fails, witness support leaks
-    beyond the kept modes (> 1e-6) or the reduced state is PPT (is_npt's rule).
+    beyond the kept modes (> 1e-6), the reduced matrix is not positive
+    definite or the reduced state is PPT (is_npt's rule).
     """
     require_two_sides(gamma.partition, "concentration")
     if np.shape(witness.z) != (gamma.dim,):
@@ -306,7 +307,10 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
         raise ConcentrationError(
             f"witness support leaked {leak:.3e} beyond the first mode pair")
     F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
-    gamma_red = CorrelationMatrix(entries=F.T @ gamma.entries @ F, partition=(1, 1))
+    try:
+        gamma_red = CorrelationMatrix(entries=_sym(F.T @ gamma.entries @ F), partition=(1, 1))
+    except ValueError as exc:
+        raise ConcentrationError(f"reduced two-mode state: {exc}") from exc
     # congruence and reduction keep gamma physical: only NPT is left to check,
     # by is_npt's rule on the margin it would read from the same memo
     raw = gamma_red._pt_margin
@@ -363,16 +367,15 @@ def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
     # a side swap of a standard form only exchanges N_a and N_b
     swapped = not symmetric and w.n_a < w.n_b
     n_big, n_hot = (w.n_b, w.n_a) if swapped else (w.n_a, w.n_b)
-    d_x = n_big * n_hot - w.k_x ** 2
+    d_x = w.d_x
     if symmetric:
         tan2 = 0.0
     else:
         numerator = n_big ** 2 - n_hot ** 2
         # N_hot - D_x N_big with N = f n, D_x = 1/d_p: no cancellation
         n_lo, n_hi = (p.n_b, p.n_a) if swapped else (p.n_a, p.n_b)
-        m = p.n_a * p.n_b
-        d_p = m - p.k_p ** 2
-        denominator = (n_lo - n_hi / d_p) / math.sqrt((m - p.k_x ** 2) * d_p)
+        d_p = p.d_p
+        denominator = (n_lo - n_hi / d_p) / math.sqrt(p.d_x * d_p)
         if denominator <= 0.0 or numerator <= 0.0:
             raise NumericsError(
                 "beam-splitter angle formula degenerated "

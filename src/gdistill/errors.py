@@ -28,7 +28,8 @@ class DegeneracyError(NumericsError):
 
 class ConcentrationError(NumericsError):
     """Mode concentration failed: witness support leaked beyond the first
-    mode pair, or the reduced two-mode state came out PPT."""
+    mode pair, or the reduced two-mode matrix came out not positive definite
+    or PPT."""
 
 
 class MeasurementError(NumericsError):

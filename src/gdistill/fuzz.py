@@ -396,11 +396,10 @@ def wigner_duality_inequalities(t: _Trial):
         raise Violation(
             f"companion parameters violate the physicality inequality: "
             f"{physicality:.3e}", state=g)
-    d_x = w.n_a * w.n_b - w.k_x ** 2
-    if d_x > 1.0 + tol:
+    if w.d_x > 1.0 + tol:
         raise Violation(
             f"companion correlation inequality not reversed: N_aN_b - K_x^2 = "
-            f"{d_x!r} > 1", state=g)
+            f"{w.d_x!r} > 1", state=g)
     det_g = float(np.linalg.det(g.entries))
     if abs(w.n_a * p.n_a - w.n_b * p.n_b) > tol * _scale(g) ** 2:
         raise Violation("cross relation N_a n_a = N_b n_b violated", state=g)

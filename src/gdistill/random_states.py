@@ -26,7 +26,7 @@ import numpy as np
 from .states import (CorrelationMatrix, GaussianState, apply_symplectic,
                      direct_sum_states, is_npt, require_two_sides)
 from .symplectic import direct_sum, random_symplectic, seed_sequence
-from .two_mode import StdFormParams
+from .two_mode import StdFormParams, check_physical
 
 KINDS = ("thermal", "entangled", "boundary")
 
@@ -180,9 +180,8 @@ def random_symmetric_two_mode(seed: int) -> CorrelationMatrix:
         n = rng.uniform(1.02, 2.8)
         k_x = rng.uniform(0.0, 0.98 * np.sqrt(n * n - 1.0))
         k_p = rng.uniform(-k_x, k_x) if k_x > 0 else 0.0
-        m = n * n
-        residual = (m - k_x ** 2) * (m - k_p ** 2) + 1.0 - (2.0 * m + 2.0 * k_x * k_p)
-        if residual < SYM_MIN_PHYSICALITY:
+        p = StdFormParams(n_a=n, n_b=n, k_x=k_x, k_p=k_p)
+        if check_physical(p).physicality_residual < SYM_MIN_PHYSICALITY:
             continue
-        return StdFormParams(n_a=n, n_b=n, k_x=k_x, k_p=k_p).matrix()
+        return p.matrix()
     raise RuntimeError(f"no symmetric physical sample found in {MAX_TRIES} tries for seed {seed}")

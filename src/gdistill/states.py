@@ -232,9 +232,13 @@ class PhysicalityVerdict:
 @dataclass(frozen=True)
 class NptVerdict:
     npt: bool
-    margin: float                    # min eigenvalue of gamma - i*Jtilde, clipped at 0
     min_pt_symplectic_eigenvalue: float  # reported only
-    raw_margin: float                # same eigenvalue before clipping
+    raw_margin: float                # min eigenvalue of gamma - i*Jtilde
+
+    @property
+    def margin(self) -> float:
+        """raw_margin clipped at 0."""
+        return min(self.raw_margin, 0.0)
 
 
 def vacuum(n_a: int, n_b: int) -> CorrelationMatrix:
@@ -242,7 +246,7 @@ def vacuum(n_a: int, n_b: int) -> CorrelationMatrix:
     return CorrelationMatrix(entries=np.eye(2 * (n_a + n_b)), partition=(n_a, n_b))
 
 
-def pt_sign_vector(n_a: int, n_b: int) -> np.ndarray:
+def _pt_sign_vector(n_a: int, n_b: int) -> np.ndarray:
     """Diagonal of Lambda: +1 everywhere except B-side momenta."""
     lam = np.ones(2 * (n_a + n_b))
     lam[2 * n_a + 1 :: 2] = -1.0
@@ -253,7 +257,7 @@ def pt_sign_vector(n_a: int, n_b: int) -> np.ndarray:
 def pt_form(n_a: int, n_b: int) -> np.ndarray:
     """The read-only transposed-side form Jtilde = Lambda J Lambda, built once
     per partition and shared by every caller."""
-    lam = pt_sign_vector(n_a, n_b)
+    lam = _pt_sign_vector(n_a, n_b)
     J = form_matrix(n_a + n_b)
     Jt = (lam[:, None] * J) * lam[None, :]
     Jt.flags.writeable = False
@@ -293,7 +297,7 @@ def partial_transpose(gamma: CorrelationMatrix) -> CorrelationMatrix:
     An exact sign flip, so applying it twice returns the input bit for bit.
     """
     require_two_sides(gamma.partition, "partial transposition")
-    lam = pt_sign_vector(gamma.n_a, gamma.n_b)
+    lam = _pt_sign_vector(gamma.n_a, gamma.n_b)
     g = (lam[:, None] * gamma.entries) * lam[None, :]
     return CorrelationMatrix(entries=g, partition=gamma.partition)
 
@@ -318,7 +322,6 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     raw = gamma._pt_margin
     return NptVerdict(
         npt=bool(raw < -gamma._band),
-        margin=min(raw, 0.0),
         min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
         raw_margin=raw,
     )

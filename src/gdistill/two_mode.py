@@ -23,9 +23,10 @@ and a physical state is inseparable (equivalently NPT) iff
 
     (n_a n_b - k_x^2)(n_a n_b - k_p^2) + 1 < n_a^2 + n_b^2 - 2 k_x k_p.
 
-Both sides of these inequalities are polynomial in the block determinants,
-so the residuals reported here are computed from determinants directly and
-are local-transformation invariants.
+Here D_x = n_a n_b - k_x^2 and D_p = n_a n_b - k_p^2 (StdFormParams.d_x and
+.d_p) are the determinants of the x and p blocks.  Both sides of these
+inequalities are polynomial in the block determinants, so the residuals
+reported here are local-transformation invariants.
 
 The same parameter extraction applied to the Wigner-form companion matrix
 J^T gamma^{-1} J yields the Wigner-picture parameters: for physical states
@@ -75,6 +76,16 @@ class StdFormParams:
     k_x: float
     k_p: float
 
+    @property
+    def d_x(self) -> float:
+        """D_x = n_a n_b - k_x^2, the determinant of the x block."""
+        return self.n_a * self.n_b - self.k_x ** 2
+
+    @property
+    def d_p(self) -> float:
+        """D_p = n_a n_b - k_p^2, the determinant of the p block."""
+        return self.n_a * self.n_b - self.k_p ** 2
+
     def entries(self) -> np.ndarray:
         """The read-only 4x4 [[n_a I, K], [K, n_b I]], K = diag(k_x, k_p)."""
         return diagonal_block_entries((self.n_a,) * 2, (self.n_b,) * 2, (self.k_x, self.k_p))
@@ -85,19 +96,17 @@ class StdFormParams:
 
     def companion(self) -> "StdFormParams":
         """Standard-form parameters of the Wigner-form companion J^T gamma^{-1} J
-        of self.matrix(): (n_b, n_a, k_x, k_p) / sqrt(D_x D_p) with
-        D_x = n_a n_b - k_x^2, D_p = n_a n_b - k_p^2.
+        of self.matrix(): (n_b, n_a, k_x, k_p) / sqrt(D_x D_p).
 
         The inverse decouples into x and p 2x2 blocks, which J exchanges; a
         local squeeze, a quarter-turn and a sign flip bring it back to
         standard form (Serafini, Quantum Continuous Variables, 2017).  An
         involution.  Raises NumericsError unless self.matrix() is positive
         definite."""
-        m = self.n_a * self.n_b
-        d_x = m - self.k_x ** 2
-        if not (self.n_a > 0 and d_x > 0 and m - self.k_p ** 2 > 0):
+        d_x, d_p = self.d_x, self.d_p
+        if not (self.n_a > 0 and d_x > 0 and d_p > 0):
             raise NumericsError(f"no Wigner-form companion: {self} is not positive definite")
-        f = 1.0 / math.sqrt(d_x * (m - self.k_p ** 2))
+        f = 1.0 / math.sqrt(d_x * d_p)
         return StdFormParams(self.n_b * f, self.n_a * f, self.k_x * f, self.k_p * f)
 
     @classmethod
@@ -257,10 +266,8 @@ def standard_form_transform(gamma: CorrelationMatrix) -> StandardForm:
 
 def check_physical(p: StdFormParams) -> TwoModePhysicality:
     """Evaluate both standard-form physicality inequalities."""
-    m = p.n_a * p.n_b
-    lhs = (m - p.k_x ** 2) * (m - p.k_p ** 2) + 1.0
-    physicality_residual = lhs - (p.n_a ** 2 + p.n_b ** 2 + 2.0 * p.k_x * p.k_p)
-    correlation_residual = m - p.k_x ** 2 - 1.0
+    physicality_residual = (p.d_x * p.d_p + 1.0) - (p.n_a ** 2 + p.n_b ** 2 + 2.0 * p.k_x * p.k_p)
+    correlation_residual = p.d_x - 1.0
     return TwoModePhysicality(
         physical=bool(physicality_residual >= -TOL_VERDICT
                       and correlation_residual >= -TOL_VERDICT),
@@ -276,20 +283,9 @@ def check_inseparable(p: StdFormParams) -> InseparabilityCheck:
     k_p^2) - 1; strictly positive residual means inseparable (= NPT for two
     -mode states).  Inseparable states always have k_x k_p < 0.
     """
-    m = p.n_a * p.n_b
-    lhs = (m - p.k_x ** 2) * (m - p.k_p ** 2) + 1.0
-    residual = (p.n_a ** 2 + p.n_b ** 2 - 2.0 * p.k_x * p.k_p) - lhs
+    residual = (p.n_a ** 2 + p.n_b ** 2 - 2.0 * p.k_x * p.k_p) - (p.d_x * p.d_p + 1.0)
     return InseparabilityCheck(inseparable=bool(residual > TOL_VERDICT),
                                residual=float(residual))
-
-
-def inseparability_residual(gamma: CorrelationMatrix) -> float:
-    """The inseparability residual straight from determinant invariants:
-    det A + det B - 2 det C - det gamma - 1.  Positive iff inseparable
-    (for physical states); also used on Wigner-form companions, where the
-    same expression governs the symmetrization scaling law."""
-    det_a, det_b, det_c, det_g = det_invariants(gamma)
-    return float(det_a + det_b - 2.0 * det_c - det_g - 1.0)
 
 
 def is_symmetric(p: StdFormParams) -> bool:
@@ -361,8 +357,8 @@ def _rc_limit(p: StdFormParams) -> float:
 def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     """rc_value of params.matrix() at every probe squeezing in rs, in order.
 
-    The x and p quadratures decouple, so with u = exp(-2r), s = n_a + n_b,
-    D_x = n_a n_b - k_x^2 and D_p = n_a n_b - k_p^2,
+    The x and p quadratures decouple, so with u = exp(-2r), s = n_a + n_b
+    and params.d_x, params.d_p,
 
         value = u (2 / (n_a u + (1 + u^2) / 2) - 4 / sqrt(X_u P_u)),
         X_u = (D_x + 1) u + ((s - 2 k_x) + (s + 2 k_x) u^2) / 2,
@@ -382,9 +378,9 @@ def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     p = params
     u = np.exp(-2.0 * np.array(rs, dtype=float))
     u2 = u * u
-    m, s = p.n_a * p.n_b, p.n_a + p.n_b
-    x = (m - p.k_x ** 2 + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
-    q = (m - p.k_p ** 2 + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
+    s = p.n_a + p.n_b
+    x = (p.d_x + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
+    q = (p.d_p + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
     value = u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
     asymptotic = _rc_limit(p)
     return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=asymptotic)

@@ -608,6 +608,28 @@ def test_failed_basis_completion_is_a_concentrate_stage_failure(monkeypatch, tmp
         assert cli.main([command, str(path)]) == 5
 
 
+def test_hot_padded_pair_gets_a_verdict_or_a_stage_failure(monkeypatch, tmp_path, capsys):
+    # F^T gamma F carries absolute rounding of about eps * |gamma| (1e-6 at
+    # 1e10), so the projection is symmetrized like every other congruence
+    def padded(big, seed):
+        hot = CorrelationMatrix(entries=big * np.eye(4), partition=(1, 1))
+        return local_scramble(direct_sum_states(tmss_cm(1.0), hot), seed)
+
+    for big in (1e9, 1e10):
+        for seed in range(20):
+            try:
+                assert distill_pipeline(padded(big, seed)).verdict == VERDICT_DISTILLABLE
+            except PipelineStageError:
+                pass
+    path = tmp_path / "hot.json"
+    save_state(GaussianState(gamma=padded(1e10, 0)), str(path))
+    assert cli.main(["pipeline", str(path)]) == 0
+    assert "verdict: DISTILLABLE" in capsys.readouterr().out
+    # a projection that is still refused is a concentrate stage failure
+    monkeypatch.setattr(distill_module, "_sym", lambda m: -m)
+    assert "positive definite" in _stage_failure("concentrate", ConcentrationError)
+
+
 def _stage_failure(stage, cause, gamma=None):
     """Run the pipeline, expecting the named stage to fail with cause."""
     with pytest.raises(PipelineStageError) as err:

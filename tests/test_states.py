@@ -22,7 +22,6 @@ from gdistill import (
     local_scramble,
     partial_transpose,
     pt_form,
-    pt_sign_vector,
     random_physical_cm,
     random_symplectic,
     reduce_to_modes,
@@ -31,7 +30,7 @@ from gdistill import (
     validate_physical,
     wigner_cm,
 )
-from gdistill.states import require_npt
+from gdistill.states import _pt_sign_vector, require_npt
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
 
@@ -334,8 +333,8 @@ def test_pt_form_is_shared_and_read_only():
 
 
 def test_pt_sign_vector_pattern():
-    assert np.array_equal(pt_sign_vector(2, 1), [1, 1, 1, 1, 1, -1])
-    assert np.array_equal(pt_sign_vector(1, 2), [1, 1, 1, -1, 1, -1])
+    assert np.array_equal(_pt_sign_vector(2, 1), [1, 1, 1, 1, 1, -1])
+    assert np.array_equal(_pt_sign_vector(1, 2), [1, 1, 1, -1, 1, -1])
     J = pt_form(1, 1)
     assert np.array_equal(J, -J.T)
     # A-side block keeps its orientation, B-side block flips

@@ -16,7 +16,6 @@ from gdistill import (
     direct_sum,
     direct_sum_states,
     distill_pipeline,
-    inseparability_residual,
     is_npt,
     is_symmetric,
     local_scramble,
@@ -170,10 +169,16 @@ def test_standard_form_transform_of_product_and_standard_forms():
 
 
 def test_std_form_params_matrix_layout():
-    g = StdFormParams(n_a=2.0, n_b=1.5, k_x=0.8, k_p=-0.3).matrix()
+    p = StdFormParams(n_a=2.0, n_b=1.5, k_x=0.8, k_p=-0.3)
+    g = p.matrix()
     assert g.partition == (1, 1)
     assert np.array_equal(g.entries, [[2.0, 0.0, 0.8, 0.0], [0.0, 2.0, 0.0, -0.3],
                                       [0.8, 0.0, 1.5, 0.0], [0.0, -0.3, 0.0, 1.5]])
+    # D_x and D_p are the determinants of the x and p blocks
+    x, q = np.ix_([0, 2], [0, 2]), np.ix_([1, 3], [1, 3])
+    assert p.d_x == pytest.approx(np.linalg.det(g.entries[x]), rel=1e-14)
+    assert p.d_p == pytest.approx(np.linalg.det(g.entries[q]), rel=1e-14)
+    assert (p.d_x, p.d_p) == pytest.approx((2.36, 2.91), rel=1e-15)
     # the squeezed vacuum is built through it, bit-identical to its blocks
     for r in (0.0, 0.25, 1.0, 3.0):
         ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
@@ -212,7 +217,9 @@ def test_inseparability_residual_matches_param_form():
         k_p = rng.uniform(-k_x, k_x) if k_x > 0 else 0.0
         g = CorrelationMatrix.from_blocks(
             n_a * np.eye(2), n_b * np.eye(2), np.diag([k_x, k_p]))
-        direct = inseparability_residual(scrambled(g, seed))
+        # det A + det B - 2 det C - det gamma - 1, straight from the invariants
+        det_a, det_b, det_c, det_g = det_invariants(scrambled(g, seed))
+        direct = det_a + det_b - 2.0 * det_c - det_g - 1.0
         via_params = check_inseparable(StdFormParams(n_a, n_b, k_x, k_p)).residual
         assert direct == pytest.approx(via_params, rel=1e-9, abs=1e-9)
 
