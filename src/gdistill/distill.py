@@ -83,9 +83,10 @@ symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              The blocks are diagonal, so gamma_out (validated on first read),
              its standard form and every postcondition are 2x2 closed forms.
 
-The final symmetric state satisfies (n - k_x)(n + k_p) < 1 in standard-form
-parameters, which makes the reduction-criterion witness negative for large
-probe squeezing: distillability is certified by an explicit protocol.
+The symmetrized output's NPT is checked once, as StdFormParams.rc_limit =
+(n - k_x)(n + k_p) - 1 < -TOL_VERDICT.  A negative limit makes the
+reduction-criterion witness negative for large probe squeezing, and the
+rc_witness stage checks its value at r_max: an explicit protocol.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
 from .symplectic import (SymplecticMatrix, _sym, direct_sum,
                          extend_to_symplectic_basis, form_matrix, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
-                       StdFormParams, check_inseparable, check_symmetric_inseparable,
-                       diagonal_block_entries, is_symmetric, rc_sweep, require_two_mode,
+                       StdFormParams, check_inseparable, diagonal_block_entries,
+                       is_symmetric, rc_sweep, require_two_mode,
                        standard_form_transform)
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
@@ -311,12 +312,10 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
         gamma_red = CorrelationMatrix(entries=_sym(F.T @ gamma.entries @ F), partition=(1, 1))
     except ValueError as exc:
         raise ConcentrationError(f"reduced two-mode state: {exc}") from exc
-    # congruence and reduction keep gamma physical: only NPT is left to check,
-    # by is_npt's rule on the margin it would read from the same memo
-    raw = gamma_red._pt_margin
-    if not raw < -gamma_red._band:
+    # congruence and reduction keep gamma physical: only NPT is left to check
+    if not gamma_red._npt:
         raise ConcentrationError(
-            f"reduced two-mode state is not NPT (margin {raw:.3e})")
+            f"reduced two-mode state is not NPT (margin {gamma_red._pt_margin:.3e})")
     return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red)
 
 
@@ -412,15 +411,12 @@ def _symmetrize(p: StdFormParams) -> SymmetrizationReport:
         raise NumericsError(
             f"symmetrization output is not symmetric within {SYMMETRY_TOL:.0e}: "
             f"n_a={params_out.n_a!r}, n_b={params_out.n_b!r}")
-    # the symmetric form of Simon's criterion: its residual is linear in the
-    # distance to the PPT boundary, the general one quadratic (16 r^2 for
-    # tmss_cm(r)), too small for TOL_VERDICT on certifiable near-boundary
-    # states
-    out_check = check_symmetric_inseparable(
-        math.sqrt(params_out.n_a * params_out.n_b), params_out.k_x, params_out.k_p)
-    if not out_check.inseparable:
-        raise NumericsError(
-            f"symmetrization lost NPT-ness (residual {out_check.residual:.3e})")
+    # Simon's criterion in its symmetric form, (n - k_x)(n + k_p) < 1: linear
+    # in the distance to the PPT boundary, where the general residual is
+    # quadratic (16 r^2 for tmss_cm(r)), too small for TOL_VERDICT on
+    # certifiable near-boundary states; rc_witness reports the same number
+    if not params_out.rc_limit < -TOL_VERDICT:
+        raise NumericsError(f"symmetrization lost NPT-ness (rc_limit {params_out.rc_limit:.3e})")
     return SymmetrizationReport(
         theta=theta, swapped_sides=swapped, gamma_out_entries=g_out,
         insep_residual_in=residual_in, insep_residual_out=residual_out,
@@ -465,11 +461,8 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8) -> PipelineReport
     sym = _in_stage("symmetrize", _symmetrize, std.params)
 
     def rc_stage():
+        # symmetrize decided its output's rc_limit < 0: only the value is left
         sweep = rc_sweep(sym.output_params, range(1, r_max + 1))
-        limit = sweep[-1].asymptotic_value
-        if limit >= TOL_VERDICT:
-            raise NumericsError(
-                f"symmetric NPT output violates (n - k_x)(n + k_p) < 1: {limit:.3e}")
         if not sweep[-1].value < 0:
             raise NumericsError(
                 f"reduction-criterion witness is not negative at r={r_max}: "

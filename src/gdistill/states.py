@@ -61,7 +61,6 @@ from .symplectic import (_as_matrix, _sym, cholesky_factor, direct_sum,
 
 TOL_VERDICT = 1e-9          # least rounding band of every physicality / NPT verdict
 COND_LIMIT = 1e12           # refuse to invert beyond this condition number
-WIGNER_INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
 QVAR_FLOOR = 1e-12          # degenerate-measurement guard
 
@@ -133,6 +132,11 @@ class CorrelationMatrix:
     def _pt_margin(self) -> float:
         """lambda_min(gamma - i*Jtilde)."""
         return float(np.linalg.eigvalsh(self._pt_herm)[0])
+
+    @property
+    def _npt(self) -> bool:
+        """The NPT rule: lambda_min(gamma - i*Jtilde) < -tau."""
+        return bool(self._pt_margin < -self._band)
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
@@ -308,7 +312,8 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     The margin is the most negative eigenvalue of the Hermitian matrix
     gamma - i*Jtilde (clipped at zero for PPT states, where small positive
     eigenvalues carry no meaning: pure product states sit exactly at zero);
-    NPT iff it is < -tau, the rounding band (module docstring).  The
+    NPT iff it is < -tau, the rounding band (module docstring), by the rule
+    CorrelationMatrix._npt that concentrate reads too.  The
     symplectic spectrum of the transposed matrix is reported alongside; it
     is not consulted.
 
@@ -319,11 +324,10 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     if not gamma._physical:
         raise PreconditionError(
             f"is_npt requires a physical state (margin {gamma._margin:.3e})")
-    raw = gamma._pt_margin
     return NptVerdict(
-        npt=bool(raw < -gamma._band),
+        npt=gamma._npt,
         min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
-        raw_margin=raw,
+        raw_margin=gamma._pt_margin,
     )
 
 

@@ -86,6 +86,13 @@ class StdFormParams:
         """D_p = n_a n_b - k_p^2, the determinant of the p block."""
         return self.n_a * self.n_b - self.k_p ** 2
 
+    @property
+    def rc_limit(self) -> float:
+        """(n - k_x)(n + k_p) - 1, n = sqrt(n_a n_b), the witness's large-squeezing
+        limit; < 0 exactly when a physical symmetric state is NPT."""
+        n = math.sqrt(self.n_a * self.n_b)
+        return (n - self.k_x) * (n + self.k_p) - 1.0
+
     def entries(self) -> np.ndarray:
         """The read-only 4x4 [[n_a I, K], [K, n_b I]], K = diag(k_x, k_p)."""
         return diagonal_block_entries((self.n_a,) * 2, (self.n_b,) * 2, (self.k_x, self.k_p))
@@ -155,9 +162,8 @@ class RcWitnessResult:
     """Reduction-criterion witness evaluated against a two-mode squeezed probe.
 
     value < 0 certifies distillability directly.  asymptotic_value is the
-    large-squeezing limit (n - k_x)(n + k_p) - 1 computed from the
-    standard-form parameters with n the geometric mean of n_a and n_b
-    (meaningful for symmetric states, where n_a = n_b = n).
+    large-squeezing limit StdFormParams.rc_limit (meaningful for symmetric
+    states, where n_a = n_b = n).
     """
 
     r: float
@@ -298,7 +304,9 @@ def check_symmetric_inseparable(n: float, k_x: float, k_p: float) -> Inseparabil
 
         |n^2 - k_x k_p - 1| < n (k_x - k_p).
 
-    Agrees with check_inseparable at n_a = n_b = n.
+    Agrees with check_inseparable at n_a = n_b = n.  A physical state has
+    n^2 - k_x k_p >= 1, so the residual is -StdFormParams.rc_limit, which
+    symmetrize decides on; this form is the reference it is tested against.
     """
     residual = n * (k_x - k_p) - abs(n * n - k_x * k_p - 1.0)
     return InseparabilityCheck(inseparable=bool(residual > TOL_VERDICT),
@@ -346,12 +354,7 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     g = gamma_rho.entries + tmss_cm(r).entries
     value = 2.0 / np.sqrt(np.linalg.det(g[:2, :2])) - 4.0 / np.sqrt(np.linalg.det(g))
     return RcWitnessResult(r=float(r), value=float(value),
-                           asymptotic_value=_rc_limit(standard_form_params(gamma_rho)))
-
-
-def _rc_limit(p: StdFormParams) -> float:
-    n = math.sqrt(p.n_a * p.n_b)
-    return (n - p.k_x) * (n + p.k_p) - 1.0
+                           asymptotic_value=standard_form_params(gamma_rho).rc_limit)
 
 
 def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
@@ -368,8 +371,8 @@ def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     with cosh^2 - sinh^2 = 1 exact: the values match exact rational
     arithmetic to about 1e-12 relative at r = 1..8.  In u nothing overflows
     (X P does from r = 178), so the sign stays right up to MAX_PROBE_R.
-    The asymptotic value (n - k_x)(n + k_p) - 1, n = sqrt(n_a n_b), is of
-    the same params.  Raises ValueError unless 0 < r <= MAX_PROBE_R.
+    Every point's asymptotic value is params.rc_limit, the number symmetrize
+    decided its output NPT on.  Raises ValueError unless 0 < r <= MAX_PROBE_R.
     """
     rs = tuple(rs)
     for r in rs:
@@ -382,6 +385,6 @@ def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     x = (p.d_x + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
     q = (p.d_p + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
     value = u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
-    asymptotic = _rc_limit(p)
-    return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=asymptotic)
+    limit = p.rc_limit
+    return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=limit)
                  for r, v in zip(rs, value))

@@ -41,9 +41,7 @@ from gdistill import (
     vacuum,
     wigner_cm,
 )
-from gdistill.distill import witness_and_concentrate
-
-BOUNDARY_BAND = 1e-7
+from gdistill.distill import BOUNDARY_BAND, witness_and_concentrate
 
 
 def report(ok: bool, line: str):

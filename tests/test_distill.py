@@ -14,7 +14,6 @@ import gdistill.two_mode as two_mode_module
 from gdistill import (
     ConcentrationError,
     DegeneracyError,
-    InseparabilityCheck,
     NumericsError,
     PipelineStageError,
     PreconditionError,
@@ -707,24 +706,17 @@ def _second_residual_doubled():
     return check
 
 
-@pytest.mark.parametrize("name, fake, message", [
-    ("standard_form_transform", _degenerate_standard_form, "angle formula degenerated"),
-    ("check_inseparable", None, "residual scaling violated"),
-    ("is_symmetric", lambda p: False, "is not symmetric"),
-    ("check_symmetric_inseparable",
-     lambda n, k_x, k_p: InseparabilityCheck(inseparable=False, residual=-1.0),
-     "lost NPT-ness"),
+@pytest.mark.parametrize("target, name, fake, message", [
+    (distill_module, "standard_form_transform", _degenerate_standard_form,
+     "angle formula degenerated"),
+    (distill_module, "check_inseparable", None, "residual scaling violated"),
+    (distill_module, "is_symmetric", lambda p: False, "is not symmetric"),
+    (StdFormParams, "rc_limit", property(lambda p: -TOL_VERDICT), "lost NPT-ness"),
 ], ids=["angle", "scaling", "symmetry", "npt"])
-def test_symmetrize_postconditions_are_stage_failures(monkeypatch, name, fake, message):
-    monkeypatch.setattr(distill_module, name, fake or _second_residual_doubled())
+def test_symmetrize_postconditions_are_stage_failures(monkeypatch, target, name, fake,
+                                                      message):
+    monkeypatch.setattr(target, name, fake or _second_residual_doubled())
     assert message in _stage_failure("symmetrize", NumericsError, lossy_squeezed_pair())
-
-
-def test_rc_limit_at_or_above_zero_is_an_rc_witness_stage_failure(monkeypatch):
-    real = distill_module.rc_sweep
-    monkeypatch.setattr(distill_module, "rc_sweep", lambda params, rs: tuple(
-        replace(res, asymptotic_value=1.0) for res in real(params, rs)))
-    assert "(n - k_x)(n + k_p) < 1" in _stage_failure("rc_witness", NumericsError)
 
 
 def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
@@ -746,7 +738,7 @@ def test_pipeline_tail_decides_npt_once_and_builds_no_probe_states(monkeypatch):
     assert rep.verdict == VERDICT_DISTILLABLE
     assert len(rep.rc_sweep) == 8
     # npt_check only: the concentrate stage decided the symmetrize input NPT,
-    # and the output postcondition is Simon's criterion on its parameters
+    # and the output postcondition is its parameters' rc_limit
     assert calls == {"is_npt": 1, "tmss_cm": 0}
 
 

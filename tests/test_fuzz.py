@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from gdistill.fuzz import REGISTRY, Violation
 
 
 # every setting FuzzConfig dropped, the partition range, the kind mix and the
-# 13 bounds it had, and the 9 bounds named since: no bound is settable
+# 13 bounds it had, the 9 bounds named since, and the two scaling-law bounds
+# that left with their check: no bound is settable
 REMOVED_KEYS = ["max_modes_a", "max_modes_b", "npt_fraction_target",
-                *DEFAULT_TOLERANCES]
+                "scaling_rel", "scaling_abs", *DEFAULT_TOLERANCES]
 
 
 def test_config_defaults_and_overrides():
@@ -55,16 +58,21 @@ def test_removed_config_keys_are_rejected(key, tmp_path, capsys):
 def test_default_tolerances_are_read_only_library_guards():
     with pytest.raises(TypeError):
         DEFAULT_TOLERANCES["purity"] = 1.0
-    assert len(DEFAULT_TOLERANCES) == 22 and len(REMOVED_KEYS) == 25
+    assert len(DEFAULT_TOLERANCES) == 20 and len(REMOVED_KEYS) == 25
     guards = {"verdict_band": distill.BOUNDARY_BAND,
               "pairing": symplectic.TOL_SYMPLECTIC,
               "purity": states.PURITY_TOL,
-              "involution": states.WIGNER_INVOLUTION_TOL,
               "leakage": distill.SUPPORT_LEAKAGE_LIMIT,
-              "symmetry": distill.SYMMETRY_TOL,
-              "scaling_rel": distill.SCALING_REL_TOL}
+              "symmetry": distill.SYMMETRY_TOL}
     for name, guard in guards.items():
         assert DEFAULT_TOLERANCES[name] == guard, name
+
+
+def test_every_default_tolerance_is_read_by_a_check():
+    # a bound whose check was deleted must go with it
+    source = inspect.getsource(fuzz)
+    read = set(re.findall(r'DEFAULT_TOLERANCES\["(\w+)"\]', source))
+    assert set(DEFAULT_TOLERANCES) <= read, set(DEFAULT_TOLERANCES) - read
 
 
 def test_registry_names_are_stable():

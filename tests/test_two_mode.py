@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from gdistill import (
     validate_physical,
     wigner_params,
 )
+from gdistill.states import TOL_VERDICT
 
 # a positive definite two-mode matrix already in standard form, with all four
 # parameters distinct so no root of the extraction is degenerate
@@ -265,6 +267,26 @@ def test_check_symmetric_inseparable_matches_general_form():
         v = abs(n * n - k_x * k_p - 1.0)
         if u + v > 1e-9:
             assert gen.residual == pytest.approx(sym.residual * (u + v), rel=1e-9, abs=1e-12)
+
+
+def test_rc_limit_is_the_symmetric_residual_negated():
+    # every physical symmetric state has n^2 - k_x k_p >= 1, so the symmetric
+    # residual n (k_x - k_p) - |n^2 - k_x k_p - 1| is -(n - k_x)(n + k_p) + 1
+    checked = npt = 0
+    for seed in range(300):
+        # a symmetric draw is a standard form: its entries are the parameters
+        e = random_symmetric_two_mode(seed).entries
+        for k_p in (e[1, 3], -e[1, 3]):
+            p = StdFormParams(e[0, 0], e[2, 2], e[0, 2], k_p)
+            if not check_physical(p).physical:
+                continue
+            n = math.sqrt(p.n_a * p.n_b)
+            sym = check_symmetric_inseparable(n, p.k_x, p.k_p)
+            assert abs(p.rc_limit + sym.residual) <= 1e-15 * max(1.0, n * n), (seed, k_p)
+            assert (p.rc_limit < -TOL_VERDICT) == sym.inseparable, (seed, k_p)
+            checked += 1
+            npt += sym.inseparable
+    assert checked >= 300 and 0 < npt < checked
 
 
 def test_tmss_cm_validation_and_purity():
