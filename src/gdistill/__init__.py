@@ -28,7 +28,7 @@ from .two_mode import (InseparabilityCheck, RcWitnessResult, StandardForm,
                        check_physical, check_symmetric_inseparable,
                        det_invariants, is_symmetric, rc_sweep, rc_value,
                        standard_form_params, standard_form_transform,
-                       tmss_cm, wigner_params)
+                       tmss_cm)
 from .distill import (Concentration, NptWitness, PipelineReport,
                       PipelineStageError, SymmetrizationReport,
                       VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
@@ -61,7 +61,7 @@ __all__ = [
     "condition_on_x_measurement", "apply_symplectic", "direct_sum_states",
     "det_invariants", "standard_form_params", "standard_form_transform",
     "check_physical", "check_inseparable", "is_symmetric",
-    "check_symmetric_inseparable", "tmss_cm", "wigner_params",
+    "check_symmetric_inseparable", "tmss_cm",
     "rc_value", "rc_sweep",
     "find_npt_witness", "concentrate", "symmetrize", "distill_pipeline",
     "local_scramble", "random_physical_cm", "random_unphysical_pd",

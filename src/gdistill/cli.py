@@ -19,7 +19,8 @@ Exit codes:
     2  validate: unphysical state; fuzz: invariant violations found
     3  pipeline: NOT_DISTILLABLE
     4  pipeline: INCONCLUSIVE_BOUNDARY
-    5  pipeline or single-stage command: stage failure (stage named on stderr)
+    5  stage failure, on stderr: pipeline and concentrate name the stage;
+       standard-form and symmetrize print only its cause
 """
 
 from __future__ import annotations

@@ -46,8 +46,9 @@ concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
              pairs, so the reduced state is the projection
              gamma_1x1 = F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2] (2n x 4),
              with no 2n x 2n congruence.  S_A and S_B are still completed,
-             in closed form (extend_to_symplectic_basis): the leakage guard
-             applies their inverses J^T S^T J, and the report carries them.
+             in closed form (extend_to_symplectic_basis), because the report
+             carries them.  The certificate link is that gamma_1x1 is NPT,
+             and that is decided on gamma_1x1 itself.
 
 symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              standard form (n_a, n_b, k_x, k_p) its standard-form parameters
@@ -103,7 +104,7 @@ from .errors import (ConcentrationError, DegeneracyError, DistillError,
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
 from .symplectic import (SymplecticMatrix, _sym, direct_sum,
-                         extend_to_symplectic_basis, form_matrix, skew_product)
+                         extend_to_symplectic_basis, skew_product)
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable, diagonal_block_entries,
                        is_symmetric, rc_sweep, require_two_mode,
@@ -113,7 +114,6 @@ BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide const
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
 WITNESS_RESIDUAL_TOL = 1e-12  # eigen-residual of the witness, times max|gamma - i*Jtilde|
 MAX_WITNESS_SOLVES = 3
-SUPPORT_LEAKAGE_LIMIT = 1e-6
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
 VERDICT_DISTILLABLE = "DISTILLABLE"
@@ -277,36 +277,25 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
 
     Builds local symplectic bases S_A, S_B whose first canonical pairs span
     (Re z, Im z) on each side; the kept pair's state is the projection
-    F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2], and the full bases serve the
-    leakage guard and the report (see the module docstring).  The witness
-    form value carries over, so the reduced two-mode state is NPT.  gamma
-    must be physical (it is not re-checked).
+    F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2], and the full bases go into
+    the report (see the module docstring).  The witness form value carries
+    over, so the reduced two-mode state is NPT, and that is decided on it
+    directly.  gamma must be physical (it is not re-checked).
 
     Raises ValueError for a witness whose length is not gamma.dim, and
-    ConcentrationError when the basis extension fails, witness support leaks
-    beyond the kept modes (> 1e-6), the reduced matrix is not positive
-    definite or the reduced state is PPT (is_npt's rule).
+    ConcentrationError when the basis extension fails, the reduced matrix is
+    not positive definite or the reduced state is PPT (is_npt's rule).
     """
     require_two_sides(gamma.partition, "concentration")
     if np.shape(witness.z) != (gamma.dim,):
         raise ValueError(f"witness length {np.size(witness.z)} is not the state "
                          f"dimension {gamma.dim}")
-    n_a = gamma.n_a
-    za, zb = _side_split(np.asarray(witness.z), n_a)
+    za, zb = _side_split(np.asarray(witness.z), gamma.n_a)
     pairs = [_canonical_pair(za, witness.skew_a), _canonical_pair(zb, witness.skew_b)]
     try:
         sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
     except NumericsError as exc:
         raise ConcentrationError(f"basis extension failed: {exc}") from exc
-    leak = 0.0
-    for s, z_side in ((sa, za), (sb, zb)):
-        # S^{-1} = J^T S^T J for a validated symplectic S: no solve
-        J = form_matrix(z_side.size // 2)
-        z_hat = J.T @ (s.entries.T @ (J @ z_side))
-        leak = max(leak, float(np.abs(z_hat[2:]).max(initial=0.0)))
-    if leak > SUPPORT_LEAKAGE_LIMIT:
-        raise ConcentrationError(
-            f"witness support leaked {leak:.3e} beyond the first mode pair")
     F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
     try:
         gamma_red = CorrelationMatrix(entries=_sym(F.T @ gamma.entries @ F), partition=(1, 1))

@@ -27,9 +27,8 @@ class DegeneracyError(NumericsError):
 
 
 class ConcentrationError(NumericsError):
-    """Mode concentration failed: witness support leaked beyond the first
-    mode pair, or the reduced two-mode matrix came out not positive definite
-    or PPT."""
+    """Mode concentration failed: the basis extension failed, or the reduced
+    two-mode matrix came out not positive definite or PPT."""
 
 
 class MeasurementError(NumericsError):

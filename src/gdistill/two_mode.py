@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .states import TOL_VERDICT, CorrelationMatrix, wigner_cm
+from .states import TOL_VERDICT, CorrelationMatrix
 from .symplectic import SymplecticMatrix
 
 # relative slack when clamping tiny negative discriminants / roots that are
@@ -323,11 +323,6 @@ def tmss_cm(r: float) -> CorrelationMatrix:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     return StdFormParams(n_a=ch, n_b=ch, k_x=sh, k_p=-sh).matrix()
-
-
-def wigner_params(gamma: CorrelationMatrix) -> StdFormParams:
-    """Standard-form parameters of the Wigner-form companion of gamma."""
-    return standard_form_params(wigner_cm(gamma))
 
 
 def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:

@@ -16,14 +16,9 @@ from gdistill import (
     FuzzConfig,
     VERDICT_DISTILLABLE,
     VERDICT_NOT_DISTILLABLE,
-    apply_symplectic,
-    beam_splitter,
     check_inseparable,
     check_physical,
-    condition_on_x_measurement,
-    direct_sum_states,
     distill_pipeline,
-    embed_pair,
     is_npt,
     partial_transpose,
     random_asymmetric_npt_1x1,
@@ -38,10 +33,10 @@ from gdistill import (
     symmetrize,
     symplectic_eigenvalues,
     tmss_cm,
-    vacuum,
     wigner_cm,
 )
 from gdistill.distill import BOUNDARY_BAND, witness_and_concentrate
+from gdistill.fuzz import symmetrization_oracle
 
 
 def report(ok: bool, line: str):
@@ -143,24 +138,15 @@ def test_04_symmetrization_matches_measurement_oracle():
     for seed in range(500):
         g = random_asymmetric_npt_1x1(seed)
         rep = symmetrize(g)
-        gw_std = standard_form_transform(wigner_cm(g))
-        e = gw_std.gamma_std.entries
-        perm = [2, 3, 0, 1]
-        if rep.swapped_sides:
-            e = e[np.ix_(perm, perm)]
-        core = CorrelationMatrix(entries=e, partition=(1, 1))
-        joint = direct_sum_states(core, vacuum(0, 1))
-        joint = apply_symplectic(joint, embed_pair(beam_splitter(rep.theta), 3, 1, 2))
-        oracle = condition_on_x_measurement(joint, 2).entries
-        if rep.swapped_sides:
-            oracle = oracle[np.ix_(perm, perm)]
+        oracle = symmetrization_oracle(g, rep.theta, rep.swapped_sides)
         got = wigner_cm(rep.gamma_out).entries
         worst_entry = max(worst_entry, float(np.abs(got - oracle).max()))
         p = standard_form_params(rep.gamma_out)
         worst_sym = max(worst_sym, abs(p.n_a - p.n_b))
         if not is_npt(rep.gamma_out).npt:
             npt_failures += 1
-        n_hot = min(gw_std.params.n_a, gw_std.params.n_b)
+        gw = standard_form_transform(wigner_cm(g)).params
+        n_hot = min(gw.n_a, gw.n_b)
         expect = 1.0 / (n_hot * np.tan(rep.theta) ** 2 + 1.0)
         worst_scale = max(worst_scale, abs(rep.scale_factor - expect) / expect)
     ok = (worst_entry <= 1e-10 and worst_sym <= 1e-8

@@ -27,7 +27,6 @@ from gdistill import (
     apply_symplectic,
     beam_splitter,
     concentrate,
-    condition_on_x_measurement,
     direct_sum,
     direct_sum_states,
     distill_pipeline,
@@ -53,6 +52,7 @@ from gdistill import (
     vacuum,
     wigner_cm,
 )
+from gdistill.fuzz import symmetrization_oracle
 from gdistill.states import TOL_VERDICT
 from gdistill.statefile import dumps
 
@@ -216,8 +216,9 @@ def test_distillable_run_makes_no_eigh_of_the_input_dimension(monkeypatch):
 
 
 def test_distillable_run_factorizes_nothing_after_the_witness(monkeypatch):
-    # the basis completion, the leakage guard and the standard form are
-    # closed forms: the witness's inverse iteration is the only solve
+    # the basis completion, the projection onto the kept pair and the
+    # standard form are closed forms: the witness's inverse iteration is
+    # the only solve
     g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
     calls = []
     for name in ("qr", "svd", "det", "eigh", "solve"):
@@ -328,18 +329,7 @@ def test_symmetrize_matches_measurement_oracle():
     for seed in range(25):
         g = lossy_squeezed_pair(r=0.4 + 0.02 * seed, theta=0.3 + 0.02 * seed)
         rep = symmetrize(g)
-        e = standard_form_transform(wigner_cm(g)).gamma_std.entries
-        if rep.swapped_sides:
-            perm = [2, 3, 0, 1]
-            e = e[np.ix_(perm, perm)]
-        core = CorrelationMatrix(entries=e, partition=(1, 1))
-        joint = direct_sum_states(core, vacuum(0, 1))  # ancilla = global mode 2
-        joint = apply_symplectic(joint, embed_pair(beam_splitter(rep.theta), 3, 1, 2))
-        cond = condition_on_x_measurement(joint, 2)
-        out = cond.entries
-        if rep.swapped_sides:
-            perm = [2, 3, 0, 1]
-            out = out[np.ix_(perm, perm)]
+        out = symmetrization_oracle(g, rep.theta, rep.swapped_sides)
         got = wigner_cm(rep.gamma_out).entries
         assert np.abs(got - out).max() <= 1e-10 * max(1.0, np.abs(out).max())
 
@@ -673,13 +663,17 @@ def test_concentrate_refuses_a_witness_side_without_real_part_or_skew():
             concentrate(g, crafted)
 
 
-def test_leaked_witness_support_is_a_concentrate_stage_failure(monkeypatch):
-    # identity bases keep every mode of z: its support is not concentrated
+def test_concentrate_decides_only_that_the_kept_pair_is_npt(monkeypatch):
+    # identity bases leave the witness spread over every mode; the stage's
+    # outcome is then the NPT decision on the first-mode block alone
     monkeypatch.setattr(distill_module, "extend_to_symplectic_basis",
                         lambda f1, f2: SymplecticMatrix(entries=np.eye(f1.size)))
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    conc = concentrate(g, find_npt_witness(g))
+    assert np.array_equal(conc.gamma_1x1.entries, reduce_to_modes(g, [0], [0]).entries)
     message = _stage_failure("concentrate", ConcentrationError,
-                             local_scramble(random_npt_cm(3, 2, seed=7), seed=7))
-    assert "beyond the first mode pair" in message
+                             direct_sum_states(vacuum(1, 1), tmss_cm(0.5)))
+    assert "reduced two-mode state is not NPT" in message
 
 
 def test_another_states_witness_leaves_a_ppt_state_ppt():

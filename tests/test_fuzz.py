@@ -62,7 +62,6 @@ def test_default_tolerances_are_read_only_library_guards():
     guards = {"verdict_band": distill.BOUNDARY_BAND,
               "pairing": symplectic.TOL_SYMPLECTIC,
               "purity": states.PURITY_TOL,
-              "leakage": distill.SUPPORT_LEAKAGE_LIMIT,
               "symmetry": distill.SYMMETRY_TOL}
     for name, guard in guards.items():
         assert DEFAULT_TOLERANCES[name] == guard, name

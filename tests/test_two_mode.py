@@ -32,7 +32,7 @@ from gdistill import (
     tmss_cm,
     vacuum,
     validate_physical,
-    wigner_params,
+    wigner_cm,
 )
 from gdistill.states import TOL_VERDICT
 
@@ -298,9 +298,9 @@ def test_tmss_cm_validation_and_purity():
         assert abs(np.linalg.det(tmss_cm(r).entries) - 1.0) < 1e-10
 
 
-def test_wigner_params_frozen():
+def test_companion_params_frozen():
     # pure states are fixed points of the companion map: same parameters
-    wp = wigner_params(tmss_cm(0.5))
+    wp = standard_form_params(wigner_cm(tmss_cm(0.5)))
     assert abs(wp.n_a - np.cosh(1.0)) < 1e-12
     assert abs(wp.n_b - np.cosh(1.0)) < 1e-12
     assert abs(wp.k_x - np.sinh(1.0)) < 1e-12
@@ -309,7 +309,7 @@ def test_wigner_params_frozen():
     assert wp.n_a * wp.n_b - wp.k_p ** 2 == pytest.approx(1.0, abs=1e-10)
     # thermal product: occupations invert, correlations stay zero
     g = CorrelationMatrix(entries=np.diag([2.0, 2.0, 4.0, 4.0]), partition=(1, 1))
-    wp = wigner_params(g)
+    wp = standard_form_params(wigner_cm(g))
     assert (wp.n_a, wp.n_b) == pytest.approx((0.5, 0.25), abs=1e-12)
     assert (wp.k_x, wp.k_p) == pytest.approx((0.0, 0.0), abs=1e-12)
     assert wp.n_a * wp.n_b - wp.k_x ** 2 == pytest.approx(0.125, abs=1e-12)
