@@ -8,12 +8,13 @@
 # symplectic basis whose first canonical pair spans (Re z, Im z) on each
 # side and discarding every other mode leaves a 1x1 state that inherits the
 # witness -- so it is NPT, and two-mode methods finish the job.  That state
-# is the projection F^T gamma F onto the two kept canonical pairs.
+# is the projection F^T gamma F onto the two kept canonical pairs, which is
+# all that concentrate returns besides the state.
 #
 import numpy as np
 
-from gdistill import (concentrate, find_npt_witness, is_npt, local_scramble,
-                      random_npt_cm, standard_form_params)
+from gdistill import (concentrate, extend_to_symplectic_basis, find_npt_witness,
+                      is_npt, local_scramble, random_npt_cm, standard_form_params)
 
 
 def main():
@@ -28,7 +29,10 @@ def main():
     print("  (both nonzero, so each side yields a canonical basis pair)\n")
 
     conc = concentrate(g, w)
-    s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
+    # the record keeps each side's canonical pair; complete each to a local
+    # symplectic to see the whole transformation
+    s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
+    g_red = conc.gamma_1x1
     print(f"local transforms: S_A is {s_a.entries.shape}, "
           f"S_B is {s_b.entries.shape}")
     print("reduced state (one mode pair), F^T gamma F with F the first "

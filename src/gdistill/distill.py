@@ -37,18 +37,15 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              concentration is a stage failure.
 
 concentrate  Per side, f1 = Re(z)/|Re(z)| and f2 = -Im(z)*|Re(z)|/skew form
-             a canonical pair (f1^T J f2 = -1) spanning the same plane as
-             (Re z, Im z).  Completing each pair to a symplectic basis gives
-             local transformations S_A, S_B after which z is supported on
-             the first mode of each side only, so tracing out every other
-             mode leaves a two-mode state that inherits the witness: it is
-             NPT.  The kept mode pair depends only on the first canonical
-             pairs, so the reduced state is the projection
-             gamma_1x1 = F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2] (2n x 4),
-             with no 2n x 2n congruence.  S_A and S_B are still completed,
-             in closed form (extend_to_symplectic_basis), because the report
-             carries them.  The certificate link is that gamma_1x1 is NPT,
-             and that is decided on gamma_1x1 itself.
+             a canonical pair (f1^T J f2 = -1, checked within TOL_SYMPLECTIC)
+             spanning (Re z, Im z).  Any local symplectic with that first
+             pair leaves z on the first mode of each side only, so the kept
+             mode pair inherits the witness: it is NPT.  Its state is the
+             projection gamma_1x1 = F^T gamma F, F = (f1, f2)_A (+) (f1, f2)_B
+             (2n x 4).  The record keeps the pairs; no basis is completed
+             (extend_to_symplectic_basis completes one for a caller that
+             wants the transformation).  The certificate link is that
+             gamma_1x1 is NPT, decided on gamma_1x1 itself.
 
 symmetrize   Work on the Wigner-form companion J^T gamma^{-1} J.  For a
              standard form (n_a, n_b, k_x, k_p) its standard-form parameters
@@ -103,8 +100,7 @@ from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError)
 from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
-from .symplectic import (SymplecticMatrix, _sym, direct_sum,
-                         extend_to_symplectic_basis, skew_product)
+from .symplectic import TOL_SYMPLECTIC, _sym, direct_sum, skew_product
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable, diagonal_block_entries,
                        is_symmetric, rc_sweep, require_two_mode,
@@ -144,12 +140,13 @@ class NptWitness:
 
 @dataclass(frozen=True)
 class Concentration:
-    """concentrate's result: the local symplectics and the kept pair's state
-    gamma_1x1.  npt_margin, lambda_min(gamma_1x1 - i*Jtilde) < -tau (is_npt's
-    rounding band), is read from the memo that concentrate decided on."""
+    """concentrate's result: the kept canonical pairs f_a (2n_a x 2) and f_b
+    (2n_b x 2), read-only, and gamma_1x1 = F^T gamma F, F = f_a (+) f_b.
+    npt_margin, lambda_min(gamma_1x1 - i*Jtilde) < -tau (is_npt's rounding
+    band), is read from the memo that concentrate decided on."""
 
-    s_a: SymplecticMatrix
-    s_b: SymplecticMatrix
+    f_a: np.ndarray = field(repr=False)
+    f_b: np.ndarray = field(repr=False)
     gamma_1x1: CorrelationMatrix
 
     @property
@@ -275,28 +272,29 @@ def _canonical_pair(z_side: np.ndarray, skew: float):
 def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     """Concentrate the witnessed entanglement into one mode pair.
 
-    Builds local symplectic bases S_A, S_B whose first canonical pairs span
-    (Re z, Im z) on each side; the kept pair's state is the projection
-    F^T gamma F, F = S_A[:, :2] (+) S_B[:, :2], and the full bases go into
-    the report (see the module docstring).  The witness form value carries
-    over, so the reduced two-mode state is NPT, and that is decided on it
-    directly.  gamma must be physical (it is not re-checked).
+    Per side, the kept canonical pair (f1, f2) spans (Re z, Im z); the kept
+    pair's state is the projection F^T gamma F, F = f_a (+) f_b (see the
+    module docstring).  The witness form value carries over, so the reduced
+    two-mode state is NPT, and that is decided on it directly.  gamma must
+    be physical (it is not re-checked).
 
     Raises ValueError for a witness whose length is not gamma.dim, and
-    ConcentrationError when the basis extension fails, the reduced matrix is
-    not positive definite or the reduced state is PPT (is_npt's rule).
+    ConcentrationError when a side's pair is not canonical, the reduced
+    matrix is not positive definite or the reduced state is PPT (is_npt's rule).
     """
     require_two_sides(gamma.partition, "concentration")
     if np.shape(witness.z) != (gamma.dim,):
         raise ValueError(f"witness length {np.size(witness.z)} is not the state "
                          f"dimension {gamma.dim}")
-    za, zb = _side_split(np.asarray(witness.z), gamma.n_a)
-    pairs = [_canonical_pair(za, witness.skew_a), _canonical_pair(zb, witness.skew_b)]
-    try:
-        sa, sb = (extend_to_symplectic_basis(*pair) for pair in pairs)
-    except NumericsError as exc:
-        raise ConcentrationError(f"basis extension failed: {exc}") from exc
-    F = direct_sum(sa.entries[:, :2], sb.entries[:, :2])
+    sides = zip(_side_split(np.asarray(witness.z), gamma.n_a), (witness.skew_a, witness.skew_b))
+    f_a, f_b = (np.column_stack(_canonical_pair(z, skew)) for z, skew in sides)
+    for side, f in (("A", f_a), ("B", f_b)):
+        pairing = skew_product(f[:, 0], f[:, 1])
+        if not abs(pairing + 1.0) <= TOL_SYMPLECTIC:
+            raise ConcentrationError(f"side {side} pair is not canonical: "
+                                     f"f1^T J f2 = {pairing:.3e}, expected -1")
+        f.flags.writeable = False
+    F = direct_sum(f_a, f_b)
     try:
         gamma_red = CorrelationMatrix(entries=_sym(F.T @ gamma.entries @ F), partition=(1, 1))
     except ValueError as exc:
@@ -305,7 +303,7 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     if not gamma_red._npt:
         raise ConcentrationError(
             f"reduced two-mode state is not NPT (margin {gamma_red._pt_margin:.3e})")
-    return Concentration(s_a=sa, s_b=sb, gamma_1x1=gamma_red)
+    return Concentration(f_a=f_a, f_b=f_b, gamma_1x1=gamma_red)
 
 
 def _in_stage(stage: str, fn, *args, **kwargs):

@@ -485,15 +485,16 @@ def _witness_form(g: np.ndarray, n_a: int, n_b: int, z: np.ndarray) -> float:
 def concentration_invariants(t: _Trial):
     """Witness support stays on the first mode pair; the quadratic form value
     survives the congruence and the restriction; the reduced state is
-    physical and NPT and is the first-pair block of the full congruence, the
-    reference for the projection F^T gamma F."""
+    physical and NPT and is the first-pair block of the full congruence by
+    the reported pairs' completions, the reference for F^T gamma F."""
     n_a, n_b = t.partition()
     g = random_npt_cm(n_a, n_b, t.seed(1))
     try:
         witness, conc = witness_and_concentrate(g)
     except PipelineStageError as exc:
         raise Violation(str(exc), state=g)
-    s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
+    s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
+    g_red = conc.gamma_1x1
     z = np.asarray(witness.z)
     za, zb = z[: 2 * n_a], z[2 * n_a:]
     z_hat = np.concatenate([np.linalg.solve(s_a.entries, za),

@@ -176,8 +176,8 @@ def witness_to_dict(w: NptWitness) -> dict:
 
 def concentration_to_dict(c: Concentration) -> dict:
     return {
-        "s_a": c.s_a.entries.tolist(),
-        "s_b": c.s_b.entries.tolist(),
+        "f_a": c.f_a.tolist(),
+        "f_b": c.f_b.tolist(),
         "gamma_1x1": c.gamma_1x1.entries.tolist(),
     }
 

@@ -162,7 +162,8 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
     maps f1 into the first mode.  In that frame the basis vectors of modes
     2..n, each sheared along Q f1 so that it pairs to zero with Q f2,
     complete the pair; mapped back they are Q[:, 2:] - f1 (r^T J)[2:],
-    r = Q f2.  The work is O(n^2) before validation.  Raises NumericsError
+    r = Q f2.  The work is O(n^2) before validation; the pipeline does not
+    call it, as concentrate keeps only the pairs.  Raises NumericsError
     when the result is not finite or fails S^T J S = J within TOL_SYMPLECTIC.
     """
     f1 = np.asarray(f1, dtype=float)

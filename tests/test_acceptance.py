@@ -19,6 +19,7 @@ from gdistill import (
     check_inseparable,
     check_physical,
     distill_pipeline,
+    extend_to_symplectic_basis,
     is_npt,
     partial_transpose,
     random_asymmetric_npt_1x1,
@@ -173,9 +174,11 @@ def test_05_concentration_on_random_multimode_states():
         except Exception as exc:  # noqa: BLE001 - any failure counts
             hard_failures.append((seed, f"{type(exc).__name__}: {exc}"))
             continue
+        # complete the reported pairs to the local symplectics they start
+        s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
         z_hat = np.concatenate([
-            np.linalg.solve(conc.s_a.entries, w.z[: 2 * n_a]),
-            np.linalg.solve(conc.s_b.entries, w.z[2 * n_a :]),
+            np.linalg.solve(s_a.entries, w.z[: 2 * n_a]),
+            np.linalg.solve(s_b.entries, w.z[2 * n_a :]),
         ])
         leak = max(float(np.abs(z_hat[2 : 2 * n_a]).max(initial=0.0)),
                    float(np.abs(z_hat[2 * n_a + 2 :]).max(initial=0.0)))

@@ -18,7 +18,6 @@ from gdistill import (
     PipelineStageError,
     PreconditionError,
     StdFormParams,
-    SymplecticMatrix,
     VERDICT_BOUNDARY,
     VERDICT_DISTILLABLE,
     VERDICT_NOT_DISTILLABLE,
@@ -31,6 +30,7 @@ from gdistill import (
     direct_sum_states,
     distill_pipeline,
     embed_pair,
+    extend_to_symplectic_basis,
     find_npt_witness,
     form_matrix,
     is_npt,
@@ -54,6 +54,7 @@ from gdistill import (
 )
 from gdistill.fuzz import symmetrization_oracle
 from gdistill.states import TOL_VERDICT
+from gdistill.symplectic import TOL_SYMPLECTIC, _sym
 from gdistill.statefile import dumps
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
@@ -254,7 +255,8 @@ def test_concentrate_padded_scrambled_states():
         g = padded_squeezed_pair(3, 2, seed)
         w = find_npt_witness(g)
         conc = concentrate(g, w)
-        s_a, s_b, g_red = conc.s_a, conc.s_b, conc.gamma_1x1
+        s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
+        g_red = conc.gamma_1x1
         assert g_red.partition == (1, 1)
         red_verdict = is_npt(g_red)
         assert red_verdict.npt
@@ -278,7 +280,7 @@ def test_concentrate_witness_columns():
     g = padded_squeezed_pair(2, 2, seed=7)
     w = find_npt_witness(g)
     conc = concentrate(g, w)
-    s_a, s_b = conc.s_a, conc.s_b
+    s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
     za, zb = w.z[:4], w.z[4:]
     for side, z in ((s_a, za), (s_b, zb)):
         f1, f2 = side.entries[:, 0], side.entries[:, 1]
@@ -287,6 +289,31 @@ def test_concentrate_witness_columns():
         resid = np.column_stack([z.real, z.imag]) - span @ np.linalg.lstsq(
             span, np.column_stack([z.real, z.imag]), rcond=None)[0]
         assert np.abs(resid).max() < 1e-9
+
+
+def test_concentration_record_carries_the_kept_pairs():
+    # f_a, f_b are the kept canonical pairs: their completion starts with
+    # them exactly, and gamma_1x1 is the projection onto them, bit for bit
+    for n_a, n_b in ((1, 1), (3, 2), (4, 4)):
+        g = random_npt_cm(n_a, n_b, seed=7)
+        conc = concentrate(g, find_npt_witness(g))
+        assert conc.f_a.shape == (2 * n_a, 2)
+        assert conc.f_b.shape == (2 * n_b, 2)
+        for f in (conc.f_a, conc.f_b):
+            assert not f.flags.writeable
+            assert abs(skew_product(f[:, 0], f[:, 1]) + 1.0) <= TOL_SYMPLECTIC
+            assert np.array_equal(extend_to_symplectic_basis(*f.T).entries[:, :2], f)
+        F = direct_sum(conc.f_a, conc.f_b)
+        assert np.array_equal(conc.gamma_1x1.entries, _sym(F.T @ g.entries @ F))
+
+
+def test_non_canonical_kept_pair_is_a_concentration_error():
+    # a tampered skew product halves f2, so f1^T J f2 = -1/2: the pair cannot
+    # be completed to a symplectic, and the stage says so in its own error
+    g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
+    w = find_npt_witness(g)
+    with pytest.raises(ConcentrationError, match="f1\\^T J f2 = -5.000e-01"):
+        concentrate(g, replace(w, skew_a=2 * w.skew_a))
 
 
 def test_concentrate_validates_partition():
@@ -571,24 +598,27 @@ def test_witness_below_the_skew_floor_is_a_witness_stage_failure():
 
 
 def test_failed_basis_completion_is_a_concentrate_stage_failure(monkeypatch, tmp_path):
-    # a completion that fails validation raises NumericsError; concentrate
-    # turns it into ConcentrationError, and nothing retries it
+    # a kept pair that could not be completed to a symplectic (f1^T J f2 is
+    # not -1) is a ConcentrationError, and nothing retries it
     real_concentrate = distill_module.concentrate
+    real_pair = distill_module._canonical_pair
     calls = []
 
-    def fails(f1, f2):
-        raise NumericsError("injected")
+    def fails(z_side, skew):
+        f1, f2 = real_pair(z_side, skew)
+        return f1, 2.0 * f2
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real_concentrate(*args, **kwargs)
 
-    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis", fails)
+    monkeypatch.setattr(distill_module, "_canonical_pair", fails)
     monkeypatch.setattr(distill_module, "concentrate", counted)
     with pytest.raises(PipelineStageError) as err:
         distill_pipeline(tmss_cm(0.5))
     assert err.value.stage == "concentrate"
     assert isinstance(err.value.cause, ConcentrationError)
+    assert "not canonical" in str(err.value.cause)
     assert len(calls) == 1
 
     path = tmp_path / "d.json"
@@ -664,10 +694,11 @@ def test_concentrate_refuses_a_witness_side_without_real_part_or_skew():
 
 
 def test_concentrate_decides_only_that_the_kept_pair_is_npt(monkeypatch):
-    # identity bases leave the witness spread over every mode; the stage's
-    # outcome is then the NPT decision on the first-mode block alone
-    monkeypatch.setattr(distill_module, "extend_to_symplectic_basis",
-                        lambda f1, f2: SymplecticMatrix(entries=np.eye(f1.size)))
+    # the identity's first pair on each side leaves the witness spread over
+    # every mode; the stage's outcome is then the NPT decision on the
+    # first-mode block alone
+    monkeypatch.setattr(distill_module, "_canonical_pair",
+                        lambda z_side, skew: tuple(np.eye(z_side.size)[:2]))
     g = local_scramble(random_npt_cm(3, 2, seed=7), seed=7)
     conc = concentrate(g, find_npt_witness(g))
     assert np.array_equal(conc.gamma_1x1.entries, reduce_to_modes(g, [0], [0]).entries)
@@ -907,7 +938,8 @@ def test_pipeline_transforms_compose():
     rep = distill_pipeline(g)
     assert rep.verdict == VERDICT_DISTILLABLE
     conc = rep.concentration
-    moved = apply_symplectic(g, direct_sum(conc.s_a.entries, conc.s_b.entries))
+    s_a, s_b = (extend_to_symplectic_basis(*f.T) for f in (conc.f_a, conc.f_b))
+    moved = apply_symplectic(g, direct_sum(s_a.entries, s_b.entries))
     red = reduce_to_modes(moved, [0], [0])
     assert np.abs(red.entries - conc.gamma_1x1.entries).max() < 1e-12
     # standard-form stage transforms the reduced state to its gamma_std

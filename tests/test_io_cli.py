@@ -412,7 +412,8 @@ def test_cli_concentrate(tmp_path):
     res = run_cli("concentrate", path, "--json")
     assert res.returncode == 0
     doc = json.loads(res.stdout)
-    assert set(doc) == {"witness", "s_a", "s_b", "gamma_1x1", "npt_margin_1x1"}
+    assert set(doc) == {"witness", "f_a", "f_b", "gamma_1x1", "npt_margin_1x1"}
+    assert np.shape(doc["f_a"]) == (4, 2) and np.shape(doc["f_b"]) == (4, 2)
     assert doc["npt_margin_1x1"] < 0
     assert len(doc["gamma_1x1"]) == 4
     assert doc["witness"]["margin"] < 0
@@ -420,7 +421,7 @@ def test_cli_concentrate(tmp_path):
     res = run_cli("pipeline", path, "--json")
     assert res.returncode == 0
     stage = json.loads(res.stdout)["stages"]["concentrate"]
-    assert stage == {key: doc[key] for key in ("s_a", "s_b", "gamma_1x1")}
+    assert stage == {key: doc[key] for key in ("f_a", "f_b", "gamma_1x1")}
     conc = distill_pipeline(g).concentration
     assert doc["npt_margin_1x1"] == conc.npt_margin
     assert doc["gamma_1x1"] == conc.gamma_1x1.entries.tolist()
