@@ -5,13 +5,13 @@ concentrate.  State files are JSON (see statefile module).  All randomized
 commands are deterministic for fixed flags: identical invocations produce
 identical bytes on stdout.  Every verdict uses the fixed rounding band
 max(TOL_VERDICT = 1e-9, dim * machine eps * max|gamma|), worked out from the
-state.  When the environment variable GDISTILL_TOL is set, to
-any value, every command exits 1 and names it on stderr instead of running
-with a tolerance the user did not ask for.  The library decides every
-refusal of an input: a ValueError it raises (a bad state file, a one-sided
-partition, a partition other than 1x1 for standard-form or symmetrize,
---r-max out of range, a negative seed) is printed as one stderr line and
-exits 1.
+state.  When the environment variable GDISTILL_TOL is set, to any value,
+every command exits 1 and names it on stderr instead of running with a
+tolerance the user did not ask for.  The library decides every refusal of
+an input: a ValueError it raises (a bad state file or fuzz config file,
+numbers that are not real or that no float holds, a one-sided partition, a
+partition other than 1x1 for standard-form or symmetrize, --r-max out of
+range, a negative seed) is printed as one stderr line and exits 1.
 
 Exit codes:
     0  success (validate: physical; pipeline: DISTILLABLE)
@@ -26,21 +26,21 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .distill import (VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
                       VERDICT_NOT_DISTILLABLE, distill_pipeline, symmetrize,
                       witness_and_concentrate)
-from .errors import DistillError, PreconditionError
+from .errors import DistillError
 from .fuzz import FuzzConfig, run_fuzz
 from .random_states import KINDS, random_state
 from .statefile import (concentration_to_dict, dumps, load_state, npt_to_dict,
-                        physicality_to_dict, pipeline_report_to_dict,
+                        physicality_to_dict, pipeline_report_to_dict, read_json,
                         standard_form_to_dict, state_to_dict,
                         symmetrization_to_dict, witness_to_dict)
-from .states import TOL_VERDICT, is_npt, require_npt, validate_physical
+from .states import (TOL_VERDICT, is_npt, require_npt, require_two_sides,
+                     validate_physical)
 from .two_mode import MAX_PROBE_R, standard_form_transform
 
 EXIT_OK = 0
@@ -65,14 +65,11 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_validate(args) -> int:
     gamma = load_state(args.path)[0].gamma
-    # is_npt first, so that its refusal of a one-sided partition precedes any
-    # verdict; its PreconditionError means unphysical, decided exactly as
-    # validate_physical decides it
-    try:
-        npt = npt_to_dict(is_npt(gamma))
-    except PreconditionError:
-        npt = {"npt": None}
+    # the NPT test's refusal of a one-sided partition precedes any verdict;
+    # is_npt runs only on what validate_physical decides is physical
+    require_two_sides(gamma.partition, "NPT test")
     verdict = validate_physical(gamma)
+    npt = npt_to_dict(is_npt(gamma)) if verdict.physical else {"npt": None}
     print(dumps({**physicality_to_dict(verdict), **npt}))
     return EXIT_OK if verdict.physical else EXIT_UNPHYSICAL
 
@@ -101,16 +98,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.config is None:
-        config = FuzzConfig()
-    else:
-        try:
-            with open(args.config) as fh:
-                config = FuzzConfig.from_dict(json.load(fh))
-        except OSError as exc:
-            return _fail(f"cannot read {args.config}: {exc}", EXIT_PARSE)
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            return _fail(f"bad fuzz config: {exc}", EXIT_PARSE)
+    config = (FuzzConfig() if args.config is None
+              else FuzzConfig.from_dict(read_json(args.config)))
     summary = run_fuzz(config)
     elapsed = summary.pop("elapsed_seconds")
     print(dumps(summary))

@@ -27,8 +27,8 @@ class DegeneracyError(NumericsError):
 
 
 class ConcentrationError(NumericsError):
-    """Mode concentration failed: the basis extension failed, or the reduced
-    two-mode matrix came out not positive definite or PPT."""
+    """Mode concentration failed: a non-canonical pair, a witness side with a vanishing
+    real part or skew, or a reduced matrix that is not positive definite or is PPT."""
 
 
 class MeasurementError(NumericsError):

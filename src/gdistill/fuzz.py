@@ -15,6 +15,7 @@ the seed and the trial count are settable: no config loosens DEFAULT_TOLERANCES.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
@@ -77,6 +78,11 @@ class FuzzConfig:
     trials: int = 1000
 
     def __post_init__(self):
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         seed_sequence(self.seed)  # refuses a negative seed before any trial runs
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
@@ -88,9 +94,6 @@ class FuzzConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown fuzz config fields: {sorted(unknown)}")
-        for key, value in doc.items():
-            if not (isinstance(value, int) and not isinstance(value, bool)):
-                raise ValueError(f"config field {key!r} must be an integer")
         return cls(**doc)
 
     def to_dict(self) -> dict:

@@ -34,7 +34,8 @@ SCHEMA_VERSION = 1
 
 
 class StateFileError(ValueError):
-    """Raised when a state file cannot be parsed or fails validation."""
+    """Raised when a JSON input file (a state file or a fuzz config, see
+    read_json) cannot be read or parsed, or a state file fails validation."""
 
 
 def _require(cond: bool, field: str, message: str):
@@ -108,15 +109,20 @@ def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
     return gs, {} if metadata is None else metadata
 
 
-def load_state(path: str) -> tuple[GaussianState, dict]:
+def read_json(path: str):
+    """The JSON document in the file at path, the one reader of input files;
+    StateFileError naming the path when it cannot be read or parsed."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}")
-    return state_from_dict(doc)
+
+
+def load_state(path: str) -> tuple[GaussianState, dict]:
+    return state_from_dict(read_json(path))
 
 
 def save_state(state: GaussianState, path: str, metadata: dict | None = None):

@@ -87,7 +87,7 @@ class CorrelationMatrix:
         n_a, n_b = self.partition
         if n_a < 0 or n_b < 0 or n_a + n_b < 1:
             raise ValueError(f"bad partition {self.partition}")
-        g = np.asarray(self.entries, dtype=float)
+        g = _as_matrix(self.entries)
         dim = 2 * (n_a + n_b)
         if g.shape != (dim, dim):
             raise ValueError(
@@ -189,9 +189,7 @@ class CorrelationMatrix:
     @classmethod
     def from_blocks(cls, A, B, C) -> "CorrelationMatrix":
         """Assemble [[A, C], [C^T, B]] with partition inferred from A and B."""
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        C = np.asarray(C, dtype=float)
+        A, B, C = _as_matrix(A), _as_matrix(B), _as_matrix(C)
         if not (A.ndim == B.ndim == C.ndim == 2
                 and A.shape[0] == A.shape[1] == C.shape[0]
                 and B.shape[0] == B.shape[1] == C.shape[1]):
@@ -214,10 +212,7 @@ class GaussianState:
     d: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        d = self.d
-        if d is None:
-            d = np.zeros(self.gamma.dim)
-        d = np.array(d, dtype=float)
+        d = np.zeros(self.gamma.dim) if self.d is None else np.array(_as_matrix(self.d))
         if d.shape != (self.gamma.dim,):
             raise ValueError(f"displacement shape {d.shape}, expected ({self.gamma.dim},)")
         if not np.isfinite(d).all():

@@ -34,8 +34,16 @@ _J1 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _as_matrix(S) -> np.ndarray:
-    """Accept a bare array or a wrapper exposing .entries."""
-    return np.asarray(getattr(S, "entries", S), dtype=float)
+    """Caller data (an array or a wrapper exposing .entries) as floats, converted
+    here only; a float64 ndarray passes through uncopied.  ValueError for complex
+    numbers and numbers no float holds; callers check finiteness, naming the field."""
+    a = np.asarray(getattr(S, "entries", S))
+    if a.dtype.kind == "c":
+        raise ValueError("expected real numbers, got complex entries")
+    try:
+        return a.astype(dtype=float, copy=False)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"expected real numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,7 @@ class SymplecticMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        S = np.array(self.entries, dtype=float)
+        S = np.array(_as_matrix(self.entries))
         if not is_symplectic(S, tol=TOL_SYMPLECTIC):
             raise ValueError("matrix is not symplectic within tolerance")
         S.flags.writeable = False
@@ -139,8 +147,7 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
 def skew_product(u: np.ndarray, v: np.ndarray) -> float:
     """u^T J v for real vectors of even length; ValueError unless u and v are
     1-D of one even length."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _as_matrix(u), _as_matrix(v)
     if u.shape != v.shape or u.ndim != 1 or u.size % 2:
         raise ValueError("expected two real vectors of equal even length")
     J = form_matrix(u.size // 2)
@@ -166,8 +173,7 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
     call it, as concentrate keeps only the pairs.  Raises NumericsError
     when the result is not finite or fails S^T J S = J within TOL_SYMPLECTIC.
     """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
+    f1, f2 = _as_matrix(f1), _as_matrix(f2)
     pairing = skew_product(f1, f2)
     if abs(pairing + 1.0) > TOL_SYMPLECTIC:
         raise ValueError(
@@ -212,13 +218,12 @@ def random_symplectic(n: int, seed: int) -> SymplecticMatrix:
     The generator entries are scaled down with n to keep the condition number
     of S moderate, so downstream eigenvalue checks hold at tight tolerances.
     """
-    if n < 1:
-        raise ValueError(f"mode count must be >= 1, got {n}")
+    J = form_matrix(n)  # refuses n < 1 before any draw
     rng = np.random.default_rng(seed_sequence(seed, 0x5f))
     scale = 0.45 / np.sqrt(n)
     G = rng.normal(0.0, scale, size=(2 * n, 2 * n))
     H = 0.5 * (G + G.T)
-    return SymplecticMatrix(entries=expm(form_matrix(n) @ H))
+    return SymplecticMatrix(entries=expm(J @ H))
 
 
 # b_0..b_13 of the degree-13 Pade approximant to exp and the 1-norm up to
@@ -247,7 +252,7 @@ def expm(A) -> np.ndarray:
     r = (V - U)^{-1} (V + U) is built from A^2, A^4 and A^6 with one solve,
     and r is squared s times.  ValueError unless A is square and finite.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():

@@ -969,3 +969,17 @@ def test_pipeline_verdict_matches_ppt_test():
             assert rep.rc_sweep[-1].value < 0 or rep.final_params is not None
         checked += 1
     assert checked >= 30
+
+
+def test_non_positive_definite_standard_form_is_a_symmetrize_stage_failure(monkeypatch):
+    # StdFormParams.companion() is symmetrize's closed-form positive-definiteness
+    # check: params with D_x <= 0 are a NumericsError there, a stage failure
+    real_transform = distill_module.standard_form_transform
+    bad = StdFormParams(2.0, 2.0, 2.0, 0.5)  # D_x = n_a n_b - k_x^2 = 0
+    monkeypatch.setattr(distill_module, "standard_form_transform",
+                        lambda g: replace(real_transform(g), params=bad))
+    with pytest.raises(PipelineStageError) as err:
+        distill_pipeline(tmss_cm(0.5))
+    assert err.value.stage == "symmetrize"
+    assert isinstance(err.value.cause, NumericsError)
+    assert "not positive definite" in str(err.value.cause)

@@ -36,6 +36,21 @@ def test_config_validation():
             FuzzConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("name, value", [("seed", 1.5), ("seed", np.float64(2.0)),
+                                         ("seed", True), ("trials", True),
+                                         ("trials", 20.0), ("trials", "20")])
+def test_config_refuses_a_value_that_is_not_an_integer(name, value):
+    # a float seed used to run the campaign of its integer part under its own name
+    with pytest.raises(ValueError, match=f"config field '{name}' must be an integer"):
+        FuzzConfig(**{name: value})
+
+
+def test_config_stores_integers_as_int():
+    cfg = FuzzConfig(seed=np.int64(3), trials=np.uint8(7))
+    assert type(cfg.seed) is int and type(cfg.trials) is int
+    assert cfg == FuzzConfig(seed=3, trials=7)
+
+
 def test_config_dict_roundtrip():
     cfg = FuzzConfig(seed=3, trials=42)
     assert cfg.to_dict() == {"seed": 3, "trials": 42}
@@ -125,3 +140,15 @@ def test_run_fuzz_records_violations_without_crashing(monkeypatch):
     assert first["state"] == {"n_a": 1, "n_b": 1, "gamma": np.eye(4).tolist()}
     assert last["invariant"] == "crashes" and "state" not in last
     assert last["message"] == "unexpected RuntimeError: boom"
+
+
+def test_run_fuzz_caps_the_dumped_violations(monkeypatch):
+    # every violation is counted, but only the first 25 are dumped
+    def fails(t):
+        raise Violation("deliberate")
+
+    monkeypatch.setattr(fuzz, "REGISTRY", (("first", fails), ("second", fails)))
+    summary = run_fuzz(FuzzConfig(trials=15, seed=0))
+    assert summary["total_violations"] == 30
+    assert len(summary["violations"]) == 25
+    assert [v["invariant"] for v in summary["violations"]] == ["first"] * 15 + ["second"] * 10

@@ -1,12 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gdistill.cli as cli
 from gdistill import (
     CorrelationMatrix,
+    FuzzConfig,
     GaussianState,
     StateFileError,
     distill_pipeline,
@@ -23,7 +26,8 @@ from gdistill import (
     vacuum,
     validate_physical,
 )
-from gdistill.statefile import dumps, npt_to_dict, params_to_dict, witness_to_dict
+from gdistill.statefile import (dumps, npt_to_dict, params_to_dict, read_json,
+                                witness_to_dict)
 from gdistill.two_mode import standard_form_params
 
 CLI = [sys.executable, "-m", "gdistill.cli"]
@@ -296,6 +300,23 @@ def test_cli_non_finite_state_is_refused_without_traceback(tmp_path, command):
         assert f"field '{field}'" in res.stderr
 
 
+def test_cli_numbers_no_float_holds_are_refused_without_traceback(tmp_path):
+    # JSON integers are unbounded; 10**400 loads and is refused as a number
+    huge = 10 ** 400
+    doc = state_to_dict(GaussianState(gamma=tmss_cm(0.5)))
+    doc["state"]["gamma"][0][0] = huge
+    bad_gamma = write_doc(tmp_path, "huge_gamma.json", doc)
+    doc = state_to_dict(GaussianState(gamma=tmss_cm(0.5)))
+    doc["state"]["d"][3] = huge
+    bad_d = write_doc(tmp_path, "huge_d.json", doc)
+    for path, field in ((bad_gamma, "state.gamma"), (bad_d, "state.d")):
+        res = run_cli("validate", path)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == (f"field '{field}': expected real numbers: "
+                              "int too large to convert to float\n")
+
+
 def test_cli_random_refuses_empty_sides_without_traceback():
     for flags in (("--modes-a", "0"), ("--modes-b", "0"), ("--modes-a", "-2")):
         res = run_cli("random", *flags)
@@ -441,6 +462,27 @@ def test_cli_fuzz_small_run(tmp_path):
     unknown = write_doc(tmp_path, "unk.json", {"trils": 5})
     assert run_cli("fuzz", unknown).returncode == 1
     assert run_cli("fuzz", str(tmp_path / "missing.json")).returncode == 1
+
+
+def test_cli_fuzz_prints_the_config_refusal_verbatim(tmp_path, capsys):
+    # a config file is read as a state file is: one reader, one stderr line
+    junk = tmp_path / "junk.json"
+    junk.write_text('{"seed": 1,\n "trials": }')
+    paths = [str(tmp_path / "missing.json"), str(junk),
+             write_doc(tmp_path, "list.json", [1, 2]),
+             write_doc(tmp_path, "float.json", {"seed": 1.5})]
+    for path in paths:
+        with pytest.raises(ValueError) as err:
+            FuzzConfig.from_dict(read_json(path))
+        assert cli.main(["fuzz", path]) == 1
+        out, err_text = capsys.readouterr()
+        assert out == "" and err_text == f"{err.value}\n"
+    assert str(err.value) == "config field 'seed' must be an integer, got 1.5"
+    invalid = f"^{re.escape(str(junk))} is not valid JSON: line 2: "
+    with pytest.raises(StateFileError, match=invalid):
+        read_json(str(junk))
+    with pytest.raises(StateFileError, match="^cannot read .*missing.json"):
+        read_json(paths[0])
 
 
 def test_cli_tolerance_env(tmp_path):

@@ -31,6 +31,7 @@ from gdistill import (
     wigner_cm,
 )
 from gdistill.states import _pt_sign_vector, require_npt
+from gdistill.symplectic import _as_matrix
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
 
@@ -71,6 +72,35 @@ def test_non_finite_entries_are_rejected():
     for d in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             GaussianState(gamma=vacuum(1, 1), d=d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CorrelationMatrix(entries=np.eye(4) + 0.3j * np.eye(4)),
+    lambda: CorrelationMatrix(entries=(np.eye(4) + 0j).tolist()),
+    lambda: CorrelationMatrix.from_blocks(np.eye(2), np.eye(2), 0.1j * np.eye(2)),
+    lambda: GaussianState(gamma=vacuum(1, 1), d=[0.0, 0.5j, 0.0, 0.0]),
+], ids=["entries", "entries-list", "from_blocks", "displacement"])
+def test_complex_entries_are_refused_not_cast(call):
+    # a cast to float would drop the imaginary part and accept the real one
+    with pytest.raises(ValueError, match="expected real numbers, got complex"):
+        call()
+
+
+def test_numbers_no_float_holds_are_refused_as_such():
+    huge = 10 ** 400
+    gamma = np.eye(4, dtype=object)
+    gamma[1, 1] = huge
+    with pytest.raises(ValueError, match="expected real numbers: int too large"):
+        CorrelationMatrix(entries=gamma.tolist())
+    with pytest.raises(ValueError, match="expected real numbers: int too large"):
+        GaussianState(gamma=vacuum(1, 1), d=[0, huge, 0, 0])
+
+
+def test_float_arrays_pass_through_the_conversion_uncopied():
+    g, d, cm = np.eye(4), np.zeros(4), vacuum(1, 1)
+    assert _as_matrix(g) is g and _as_matrix(cm) is cm.entries
+    # a state keeps its own read-only copy of the displacement
+    assert GaussianState(gamma=cm, d=d).d is not d and d.flags.writeable
 
 
 def test_correlation_matrix_blocks():

@@ -54,6 +54,22 @@ def test_form_matrix_is_shared_and_read_only():
 def test_make_form_rejects_bad_mode_count():
     with pytest.raises(ValueError):
         form_matrix(0)
+    # random_symplectic refuses through form_matrix, before any draw
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"mode count must be >= 1, got {n}"):
+            random_symplectic(n, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SymplecticMatrix(entries=np.eye(2) + 0.3j * np.eye(2)),
+    lambda: skew_product(np.array([1.0, 0.5j]), np.array([0.0, 1.0])),
+    lambda: expm(0.3j * np.eye(4)),
+    lambda: extend_to_symplectic_basis(np.array([1.0, 0.0]), np.array([0.0, 1.0 + 0j])),
+], ids=["SymplecticMatrix", "skew_product", "expm", "extend_to_symplectic_basis"])
+def test_complex_input_is_refused_not_cast(call):
+    # casting to float would drop the imaginary part, leaving a valid input
+    with pytest.raises(ValueError, match="expected real numbers"):
+        call()
 
 
 def test_is_symplectic_basic():
@@ -240,6 +256,25 @@ def test_extend_to_symplectic_basis_degenerate_completion_is_numerics_error():
     f2 = np.array([0.0, 1.0, 0.0, 0.0])
     with pytest.raises(NumericsError):
         extend_to_symplectic_basis(f1, f2)
+
+
+def test_extend_to_symplectic_basis_refuses_a_completion_it_cannot_validate():
+    # 3 modes, a unit f1 and f2 = J f1 + 1e4 w, w a unit vector skew-orthogonal
+    # to both: the pair is canonical within rounding, but the sheared columns
+    # grow like |f1| |f2| and the completion misses S^T J S = J by more than
+    # TOL_SYMPLECTIC, which is a NumericsError, not the validator's ValueError
+    J = form_matrix(3)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        f1 = rng.normal(size=6)
+        f1 /= np.linalg.norm(f1)
+        w = rng.normal(size=6)
+        w -= (w @ f1) * f1 + (w @ (J @ f1)) * (J @ f1)
+        w /= np.linalg.norm(w)
+        f2 = J @ f1 + 1e4 * w
+        assert abs(skew_product(f1, f2) + 1.0) < 1e-11
+        with pytest.raises(NumericsError, match="too ill-conditioned to extend"):
+            extend_to_symplectic_basis(f1, f2)
 
 
 def test_extend_to_symplectic_basis_in_closed_form(monkeypatch):

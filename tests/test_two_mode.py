@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gdistill.two_mode as two_mode_module
 from gdistill import (
     CorrelationMatrix,
+    NumericsError,
     StdFormParams,
     VERDICT_DISTILLABLE,
     apply_symplectic,
@@ -313,6 +315,23 @@ def test_companion_params_frozen():
     assert (wp.n_a, wp.n_b) == pytest.approx((0.5, 0.25), abs=1e-12)
     assert (wp.k_x, wp.k_p) == pytest.approx((0.0, 0.0), abs=1e-12)
     assert wp.n_a * wp.n_b - wp.k_x ** 2 == pytest.approx(0.125, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [StdFormParams(1.0, 1.0, 1.0, 0.0),
+                                    StdFormParams(1.0, 1.0, 0.0, 1.5),
+                                    StdFormParams(-1.0, -1.0, 0.0, 0.0)])
+def test_companion_refuses_a_matrix_that_is_not_positive_definite(params):
+    # D_x = 0, D_p < 0 and n_a < 0 with D_x, D_p > 0: none has a companion
+    with pytest.raises(NumericsError, match="not positive definite"):
+        params.companion()
+
+
+def test_standard_form_params_refuses_inconsistent_invariants(monkeypatch):
+    # det A = det B = det C = det gamma = 1 has discriminant sigma^2 - 4 det C^2
+    # = -3: no real (k_x, k_p) fits, far beyond rounding
+    monkeypatch.setattr(two_mode_module, "det_invariants", lambda g: (1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(NumericsError, match="discriminant came out negative"):
+        standard_form_params(REF)
 
 
 def test_rc_value_vacuum_is_zero():
