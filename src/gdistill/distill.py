@@ -91,16 +91,15 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError)
-from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
+from .states import (_EPS, TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
-from .symplectic import TOL_SYMPLECTIC, _sym, direct_sum, skew_product
+from .symplectic import TOL_SYMPLECTIC, _is_integer, _skew, _sym
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
                        StdFormParams, check_inseparable, diagonal_block_entries,
                        is_symmetric, rc_sweep, require_two_mode,
@@ -221,7 +220,8 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     lam = gamma._pt_margin
     scale = float(np.abs(herm).max())
     # shifted a rounding band below lambda_min (module docstring)
-    shifted = herm - (lam - gamma.dim * np.finfo(float).eps * scale) * np.eye(gamma.dim)
+    shifted = herm.copy()
+    shifted.flat[:: gamma.dim + 1] -= lam - gamma.dim * _EPS * scale
     z = np.ones(gamma.dim, dtype=complex)
     for _ in range(MAX_WITNESS_SOLVES):
         try:
@@ -246,8 +246,7 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
             f"inverse iteration at lambda_min {lam:.3e} left residual "
             f"{residual:.3e} after {MAX_WITNESS_SOLVES} solves")
     eps = -lam
-    skew_a, skew_b = (skew_product(side.real, side.imag)
-                      for side in _side_split(z, gamma.n_a))
+    skew_a, skew_b = (_skew(side.real, side.imag) for side in _side_split(z, gamma.n_a))
     min_skew = min(abs(skew_a), abs(skew_b))
     if not (margin < 0 and min_skew > SKEW_FLOOR_FACTOR):
         raise DegeneracyError(
@@ -286,15 +285,20 @@ def concentrate(gamma: CorrelationMatrix, witness: NptWitness) -> Concentration:
     if np.shape(witness.z) != (gamma.dim,):
         raise ValueError(f"witness length {np.size(witness.z)} is not the state "
                          f"dimension {gamma.dim}")
-    sides = zip(_side_split(np.asarray(witness.z), gamma.n_a), (witness.skew_a, witness.skew_b))
-    f_a, f_b = (np.column_stack(_canonical_pair(z, skew)) for z, skew in sides)
-    for side, f in (("A", f_a), ("B", f_b)):
-        pairing = skew_product(f[:, 0], f[:, 1])
+    # F = f_a (+) f_b: each side's pair is written straight into its block
+    k = 2 * gamma.n_a
+    F = np.zeros((gamma.dim, 4))
+    blocks = (F[:k, :2], F[k:, 2:])
+    sides = zip("AB", blocks, _side_split(np.asarray(witness.z), gamma.n_a),
+                (witness.skew_a, witness.skew_b))
+    for side, f, z, skew in sides:
+        f[:, 0], f[:, 1] = _canonical_pair(z, skew)
+        pairing = _skew(f[:, 0], f[:, 1])
         if not abs(pairing + 1.0) <= TOL_SYMPLECTIC:
             raise ConcentrationError(f"side {side} pair is not canonical: "
                                      f"f1^T J f2 = {pairing:.3e}, expected -1")
-        f.flags.writeable = False
-    F = direct_sum(f_a, f_b)
+    f_a, f_b = (f.copy() for f in blocks)
+    f_a.flags.writeable = f_b.flags.writeable = False
     try:
         gamma_red = CorrelationMatrix(entries=_sym(F.T @ gamma.entries @ F), partition=(1, 1))
     except ValueError as exc:
@@ -428,7 +432,7 @@ def distill_pipeline(gamma: CorrelationMatrix, r_max: int = 8) -> PipelineReport
     Raises ValueError unless r_max is an integer (not a bool) with
     1 <= r_max <= MAX_PROBE_R (350).
     """
-    if isinstance(r_max, bool) or not isinstance(r_max, numbers.Integral):
+    if not _is_integer(r_max):
         raise ValueError(f"r_max must be an integer, got {r_max!r}")
     if not 1 <= r_max <= MAX_PROBE_R:
         raise ValueError(f"r_max must be >= 1 and <= {MAX_PROBE_R}, got {r_max}")

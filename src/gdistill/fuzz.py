@@ -15,7 +15,6 @@ the seed and the trial count are settable: no config loosens DEFAULT_TOLERANCES.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
@@ -32,8 +31,8 @@ from .states import (PURITY_TOL, TOL_VERDICT, CorrelationMatrix, apply_symplecti
                      condition_on_x_measurement, direct_sum_states, is_npt,
                      is_pure, partial_transpose, pt_form, reduce_to_modes,
                      vacuum, validate_physical, wigner_cm)
-from .symplectic import (TOL_SYMPLECTIC, beam_splitter, direct_sum, embed_pair,
-                         extend_to_symplectic_basis, form_matrix,
+from .symplectic import (TOL_SYMPLECTIC, _is_integer, beam_splitter, direct_sum,
+                         embed_pair, extend_to_symplectic_basis, form_matrix,
                          is_symplectic, random_symplectic, seed_sequence,
                          skew_product, symplectic_eigenvalues)
 from .two_mode import (SYMMETRY_TOL, StdFormParams, check_inseparable,
@@ -80,7 +79,7 @@ class FuzzConfig:
     def __post_init__(self):
         for name in ("seed", "trials"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         seed_sequence(self.seed)  # refuses a negative seed before any trial runs

@@ -28,6 +28,7 @@ from .distill import (Concentration, NptWitness, PipelineReport,
                       SymmetrizationReport)
 from .states import (CorrelationMatrix, GaussianState, NptVerdict,
                      PhysicalityVerdict)
+from .symplectic import _is_integer
 from .two_mode import RcWitnessResult, StandardForm, StdFormParams
 
 SCHEMA_VERSION = 1
@@ -58,11 +59,6 @@ def state_to_dict(state: GaussianState, metadata: dict | None = None) -> dict:
     return doc
 
 
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_numeric(value, depth: int) -> bool:
     """value is a JSON number (not a boolean or a string), or at depth > 0 an
     array of such values nested depth deep."""
@@ -78,14 +74,14 @@ def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
     errors are reported against the field."""
     _require(isinstance(doc, dict), "<root>", "expected a JSON object")
     version = doc.get("schema_version")
-    _require(_is_int(version) and version == SCHEMA_VERSION, "schema_version",
+    _require(_is_integer(version) and version == SCHEMA_VERSION, "schema_version",
              f"expected {SCHEMA_VERSION}, got {version!r}")
     _require("state" in doc, "state", "missing")
     state = doc["state"]
     _require(isinstance(state, dict), "state", "expected a JSON object")
     for key in ("n_a", "n_b"):
         _require(key in state, f"state.{key}", "missing")
-        _require(_is_int(state[key]), f"state.{key}",
+        _require(_is_integer(state[key]), f"state.{key}",
                  f"expected an integer, got {state[key]!r}")
         _require(state[key] >= 0, f"state.{key}", "must be >= 0")
     n_a, n_b = state["n_a"], state["n_b"]
@@ -111,7 +107,9 @@ def state_from_dict(doc: dict) -> tuple[GaussianState, dict]:
 
 def read_json(path: str):
     """The JSON document in the file at path, the one reader of input files;
-    StateFileError naming the path when it cannot be read or parsed."""
+    StateFileError naming the path when it cannot be read or parsed (nesting
+    too deep for the parser, integers too long to convert and undecodable
+    bytes included)."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -119,6 +117,8 @@ def read_json(path: str):
         raise StateFileError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path} is not valid JSON: line {exc.lineno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:
+        raise StateFileError(f"cannot parse {path}: {exc}")
 
 
 def load_state(path: str) -> tuple[GaussianState, dict]:

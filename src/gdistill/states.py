@@ -14,8 +14,8 @@ positive definite gamma describes a physical state exactly when the
 Hermitian matrix gamma - iJ is positive semidefinite, equivalently when
 every symplectic eigenvalue is >= 1.  Physicality is decided as
 gamma - iJ >= 0, within the rounding band below; the margin, the smallest
-eigenvalue of gamma - iJ, is reported.  The symplectic spectrum is reported
-alongside but takes no part in the verdict; its rounding error grows with
+eigenvalue of gamma - iJ, is reported.  The symplectic spectrum is derived
+on first read and takes no part in the verdict; its rounding error grows with
 cond(gamma), while that of the eigenvalues of gamma - iJ stays at machine
 precision times |gamma|.  In exact arithmetic the verdicts agree:
 by Williamson, gamma - iJ = S^T (D - iJ) S with S symplectic, and by
@@ -42,8 +42,10 @@ the success of one complex Cholesky factorization of gamma - iJ + tau*I,
 the verdict of both validate_physical and is_npt; NPT is lambda_min(gamma -
 i*Jtilde) < -tau.  The band, the physicality verdict, both reported spectra
 (from L) and the margins lambda_min(gamma - iJ) and lambda_min(gamma -
-i*Jtilde) are computed on first use and kept on the instance.  cond(gamma)
-decides nothing; it guards wigner_cm, which inverts gamma.
+i*Jtilde) are computed on first use and kept on the instance; a verdict
+derives its spectrum on first read, so a caller that reads only the
+decision pays for no spectrum.  cond(gamma) decides nothing; it guards
+wigner_cm, which inverts gamma.
 A bare array given to validate_physical is validated as a CorrelationMatrix
 with every mode on side A.
 """
@@ -56,13 +58,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeasurementError, NumericsError, PreconditionError
-from .symplectic import (_as_matrix, _sym, cholesky_factor, direct_sum,
-                         form_matrix, spectrum_from_factor)
+from .symplectic import (_as_matrix, _is_integer, _sym, cholesky_factor,
+                         direct_sum, form_matrix, spectrum_from_factor)
 
 TOL_VERDICT = 1e-9          # least rounding band of every physicality / NPT verdict
 COND_LIMIT = 1e12           # refuse to invert beyond this condition number
 PURITY_TOL = 1e-8
 QVAR_FLOOR = 1e-12          # degenerate-measurement guard
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ class CorrelationMatrix:
     """Symmetric positive definite correlation matrix with an A|B partition.
 
     ``entries`` is the 2(n_a+n_b) x 2(n_a+n_b) matrix; ``partition`` is
-    (n_a, n_b) with side A first.  Finiteness, symmetry and positive
+    (n_a, n_b) with side A first, two integers (numpy integers too, not
+    bools), stored as ints.  Finiteness, symmetry and positive
     definiteness are checked on construction and the stored array is made
     read-only.  Positive definiteness does not imply physicality: partial
     transposes of NPT states and Wigner-form companions are representable on
@@ -85,7 +89,8 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         n_a, n_b = self.partition
-        if n_a < 0 or n_b < 0 or n_a + n_b < 1:
+        if (not (_is_integer(n_a) and _is_integer(n_b))
+                or n_a < 0 or n_b < 0 or n_a + n_b < 1):
             raise ValueError(f"bad partition {self.partition}")
         g = _as_matrix(self.entries)
         dim = 2 * (n_a + n_b)
@@ -103,15 +108,15 @@ class CorrelationMatrix:
     @functools.cached_property
     def _band(self) -> float:
         """Rounding band tau = max(TOL_VERDICT, dim * eps * max|gamma_ij|)."""
-        return max(TOL_VERDICT,
-                   self.dim * np.finfo(float).eps * float(np.abs(self.entries).max()))
+        return max(TOL_VERDICT, self.dim * _EPS * float(np.abs(self.entries).max()))
 
     @functools.cached_property
     def _physical(self) -> bool:
         """gamma - iJ >= -tau, decided by a Cholesky of gamma - iJ + tau*I."""
+        herm = self.entries - _i_form(self.n_modes, 0)
+        herm.flat[:: self.dim + 1] += self._band
         try:
-            np.linalg.cholesky(self.entries - 1j * form_matrix(self.n_modes)
-                               + self._band * np.eye(self.dim))
+            np.linalg.cholesky(herm)
         except np.linalg.LinAlgError:
             return False
         return True
@@ -119,12 +124,12 @@ class CorrelationMatrix:
     @functools.cached_property
     def _margin(self) -> float:
         """lambda_min(gamma - iJ)."""
-        return float(np.linalg.eigvalsh(self.entries - 1j * form_matrix(self.n_modes))[0])
+        return float(np.linalg.eigvalsh(self.entries - _i_form(self.n_modes, 0))[0])
 
     @functools.cached_property
     def _pt_herm(self) -> np.ndarray:
         """gamma - i*Jtilde (read-only), shared by _pt_margin and the witness."""
-        herm = self.entries - 1j * pt_form(self.n_a, self.n_b)
+        herm = self.entries - _i_form(*self.partition)
         herm.flags.writeable = False
         return herm
 
@@ -221,18 +226,55 @@ class GaussianState:
         object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class PhysicalityVerdict:
+class _Verdict:
+    """Equality, hash and repr over every reported number, the spectrum
+    that gamma's memo derives on first read included.  gamma holds no
+    reference back to the verdict."""
+
+    _REPORTED: tuple[str, ...] = ()
+
+    def _numbers(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._REPORTED)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._numbers() == other._numbers()
+
+    def __hash__(self):
+        return hash(self._numbers())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._REPORTED)
+        return f"{type(self).__name__}({shown})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class PhysicalityVerdict(_Verdict):
     physical: bool
     margin: float                    # min eigenvalue of gamma - iJ, reported only
-    min_symplectic_eigenvalue: float  # reported only
+    gamma: CorrelationMatrix         # the matrix decided on
+
+    _REPORTED = ("physical", "margin", "min_symplectic_eigenvalue")
+
+    @property
+    def min_symplectic_eigenvalue(self) -> float:
+        """Reported only, derived on first read."""
+        return float(self.gamma._spectrum[0])
 
 
-@dataclass(frozen=True)
-class NptVerdict:
+@dataclass(frozen=True, eq=False, repr=False)
+class NptVerdict(_Verdict):
     npt: bool
-    min_pt_symplectic_eigenvalue: float  # reported only
     raw_margin: float                # min eigenvalue of gamma - i*Jtilde
+    gamma: CorrelationMatrix         # the matrix decided on
+
+    _REPORTED = ("npt", "min_pt_symplectic_eigenvalue", "raw_margin")
+
+    @property
+    def min_pt_symplectic_eigenvalue(self) -> float:
+        """Reported only, derived on first read."""
+        return self.gamma._min_pt_nu
 
     @property
     def margin(self) -> float:
@@ -263,6 +305,14 @@ def pt_form(n_a: int, n_b: int) -> np.ndarray:
     return Jt
 
 
+@functools.lru_cache(maxsize=64)
+def _i_form(n_a: int, n_b: int) -> np.ndarray:
+    """1j * Jtilde, read-only and built once per partition; (n, 0) gives 1j * J."""
+    form = 1j * pt_form(n_a, n_b)
+    form.flags.writeable = False
+    return form
+
+
 def require_two_sides(partition: tuple[int, int], what: str):
     """ValueError naming the partition unless both sides have a mode."""
     if partition[0] < 1 or partition[1] < 1:
@@ -276,18 +326,14 @@ def validate_physical(gamma) -> PhysicalityVerdict:
     The state is physical iff a Cholesky factorization of gamma - iJ +
     tau*I succeeds, tau being the rounding band (module docstring); is_npt
     reads the same verdict.  The margin, the smallest eigenvalue of the
-    Hermitian matrix gamma - iJ, and the minimum symplectic eigenvalue are
-    reported alongside; neither is consulted.  A bare array is validated as
-    CorrelationMatrix(gamma, (n, 0)), so it must be symmetric positive
-    definite.
+    Hermitian matrix gamma - iJ, is reported alongside, and the minimum
+    symplectic eigenvalue is derived on first read; neither is consulted.
+    A bare array is validated as CorrelationMatrix(gamma, (n, 0)), so it
+    must be symmetric positive definite.
     """
     if not isinstance(gamma, CorrelationMatrix):
         gamma = CorrelationMatrix(entries=gamma, partition=(len(gamma) // 2, 0))
-    return PhysicalityVerdict(
-        physical=gamma._physical,
-        margin=gamma._margin,
-        min_symplectic_eigenvalue=float(gamma._spectrum[0]),
-    )
+    return PhysicalityVerdict(physical=gamma._physical, margin=gamma._margin, gamma=gamma)
 
 
 def partial_transpose(gamma: CorrelationMatrix) -> CorrelationMatrix:
@@ -309,8 +355,8 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     eigenvalues carry no meaning: pure product states sit exactly at zero);
     NPT iff it is < -tau, the rounding band (module docstring), by the rule
     CorrelationMatrix._npt that concentrate reads too.  The
-    symplectic spectrum of the transposed matrix is reported alongside; it
-    is not consulted.
+    symplectic spectrum of the transposed matrix is derived on first read;
+    it is not consulted.
 
     Raises PreconditionError, citing the margin lambda_min(gamma - iJ), when
     gamma is not physical as validate_physical decides it.
@@ -319,11 +365,7 @@ def is_npt(gamma: CorrelationMatrix) -> NptVerdict:
     if not gamma._physical:
         raise PreconditionError(
             f"is_npt requires a physical state (margin {gamma._margin:.3e})")
-    return NptVerdict(
-        npt=gamma._npt,
-        min_pt_symplectic_eigenvalue=gamma._min_pt_nu,
-        raw_margin=gamma._pt_margin,
-    )
+    return NptVerdict(npt=gamma._npt, raw_margin=gamma._pt_margin, gamma=gamma)
 
 
 def require_npt(gamma: CorrelationMatrix, what: str):

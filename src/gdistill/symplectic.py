@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,11 @@ def _as_matrix(S) -> np.ndarray:
         return a.astype(dtype=float, copy=False)
     except (OverflowError, TypeError) as exc:
         raise ValueError(f"expected real numbers: {exc}") from None
+
+
+def _is_integer(n) -> bool:
+    """The integer rule for caller data: an int or numpy integer, not a bool."""
+    return type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,13 @@ def skew_product(u: np.ndarray, v: np.ndarray) -> float:
     u, v = _as_matrix(u), _as_matrix(v)
     if u.shape != v.shape or u.ndim != 1 or u.size % 2:
         raise ValueError("expected two real vectors of equal even length")
-    J = form_matrix(u.size // 2)
-    return float(u @ J @ v)
+    return _skew(u, v)
+
+
+def _skew(u: np.ndarray, v: np.ndarray) -> float:
+    """u^T J v for float vectors of one even length, which the caller has
+    fixed (skew_product checks them)."""
+    return float(u @ _form_matrix(u.size // 2) @ v)
 
 
 def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatrix:

@@ -381,5 +381,5 @@ def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     q = (p.d_p + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
     value = u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
     limit = p.rc_limit
-    return tuple(RcWitnessResult(r=float(r), value=float(v), asymptotic_value=limit)
-                 for r, v in zip(rs, value))
+    return tuple(RcWitnessResult(r=float(r), value=v, asymptotic_value=limit)
+                 for r, v in zip(rs, value.tolist()))

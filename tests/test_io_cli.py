@@ -317,6 +317,35 @@ def test_cli_numbers_no_float_holds_are_refused_without_traceback(tmp_path):
                               "int too large to convert to float\n")
 
 
+def _nested_too_deep():
+    return b"[" * 100_000
+
+
+def _integer_too_long():
+    doc = json.dumps(state_to_dict(GaussianState(gamma=tmss_cm(0.5))))
+    return doc.replace("[[", "[[" + "1" * 5000 + ", ", 1).encode()
+
+
+def _not_utf8():
+    return b'{"schema_version": 1, "\xff": 0}'
+
+
+# nesting deeper than the parser's recursion limit, an integer longer than
+# Python converts from a string and bytes that are not UTF-8 used to escape
+# read_json without the path
+@pytest.mark.parametrize("content", [_nested_too_deep, _integer_too_long, _not_utf8])
+def test_cli_json_the_parser_cannot_hold_is_refused_naming_the_path(tmp_path, content):
+    path = tmp_path / "state.json"
+    path.write_bytes(content())
+    with pytest.raises(StateFileError, match=f"^cannot parse {re.escape(str(path))}: "):
+        read_json(str(path))
+    res = run_cli("validate", str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1 and str(path) in res.stderr
+
+
 def test_cli_random_refuses_empty_sides_without_traceback():
     for flags in (("--modes-a", "0"), ("--modes-b", "0"), ("--modes-a", "-2")):
         res = run_cli("random", *flags)

@@ -9,7 +9,9 @@ from gdistill import (
     CorrelationMatrix,
     GaussianState,
     MeasurementError,
+    NptVerdict,
     NumericsError,
+    PhysicalityVerdict,
     PreconditionError,
     apply_symplectic,
     beam_splitter,
@@ -21,6 +23,7 @@ from gdistill import (
     is_pure,
     local_scramble,
     partial_transpose,
+    pipeline_report_to_dict,
     pt_form,
     random_physical_cm,
     random_symplectic,
@@ -30,8 +33,9 @@ from gdistill import (
     validate_physical,
     wigner_cm,
 )
+from gdistill.random_states import random_state
 from gdistill.states import _pt_sign_vector, require_npt
-from gdistill.symplectic import _as_matrix
+from gdistill.symplectic import _as_matrix, form_matrix, spectrum_from_factor
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
 
@@ -59,6 +63,16 @@ def test_correlation_matrix_validation():
     cm = vacuum(1, 1)
     with pytest.raises(ValueError):
         cm.entries[0, 0] = 9.0
+
+
+def test_partition_sides_must_be_integers():
+    # a fractional side used to be truncated: (1.5, 0.5) was stored as (1, 0)
+    # beside 4x4 entries, and True counted as 1
+    for partition in ((1.5, 0.5), (2.0, 0), (True, 1), (1, np.bool_(True))):
+        with pytest.raises(ValueError, match=r"^bad partition"):
+            CorrelationMatrix(entries=np.eye(4), partition=partition)
+    cm = CorrelationMatrix(entries=np.eye(4), partition=(np.int64(1), np.int32(1)))
+    assert cm.partition == (1, 1) and all(type(n) is int for n in cm.partition)
 
 
 def test_non_finite_entries_are_rejected():
@@ -202,14 +216,72 @@ def test_each_matrix_is_factored_once_and_decided_from_a_memo(monkeypatch):
     counts = counting_linalg(monkeypatch)
     cm = CorrelationMatrix(entries=entries, partition=(1, 1))
     assert counts == {"cholesky": 1, "eigh": 0, "eigvalsh": 0}
-    validate_physical(cm)
+    physical = validate_physical(cm)
     first = is_npt(cm)
     # the physicality Cholesky of gamma - iJ + tau*I; the reported margin of
-    # gamma - iJ, the deciding one of gamma - i*Jtilde and the two spectra
+    # gamma - iJ and the deciding one of gamma - i*Jtilde
+    assert counts == {"cholesky": 2, "eigh": 0, "eigvalsh": 2}
+    # the two reported spectra, each derived on its first read
+    spectra = (physical.min_symplectic_eigenvalue, first.min_pt_symplectic_eigenvalue)
     assert counts == {"cholesky": 2, "eigh": 0, "eigvalsh": 4}
     assert is_npt(cm) == first
+    assert (validate_physical(cm).min_symplectic_eigenvalue,
+            is_npt(cm).min_pt_symplectic_eigenvalue) == spectra
     assert is_pure(cm)
     assert counts == {"cholesky": 2, "eigh": 0, "eigvalsh": 4}
+
+
+def test_reported_spectra_are_the_memo_read_on_demand():
+    for cm in (local_scramble(tmss_cm(0.5), 3), random_physical_cm(2, 3, seed=4)):
+        physical, npt = validate_physical(cm), is_npt(cm)
+        assert physical.min_symplectic_eigenvalue == float(
+            spectrum_from_factor(cm._chol, form_matrix(cm.n_modes))[0])
+        assert npt.min_pt_symplectic_eigenvalue == float(
+            spectrum_from_factor(cm._chol, pt_form(cm.n_a, cm.n_b))[0])
+        assert is_npt(cm) == npt and hash(is_npt(cm)) == hash(npt)
+        assert validate_physical(cm) == physical
+    # equality compares the derived spectrum too: equal decisions and margins
+    # over matrices of different spectra give unequal verdicts
+    first, second = (PhysicalityVerdict(physical=True, margin=0.0, gamma=thermal_cm(nus, (1, 1)))
+                     for nus in ([1, 1], [2, 2]))
+    assert first != second
+    assert NptVerdict(npt=False, raw_margin=0.0, gamma=vacuum(1, 1)) != NptVerdict(
+        npt=False, raw_margin=0.0, gamma=thermal_cm([2, 2], (1, 1)))
+
+
+def test_random_state_makes_one_eigensolve_per_draw(monkeypatch):
+    counts = counting_linalg(monkeypatch)
+    for seed, kind in enumerate(("thermal", "entangled", "boundary")):
+        before = counts["eigvalsh"]
+        random_state(kind, 2, 2, seed)
+        assert counts["eigvalsh"] - before == 1
+
+
+def test_pipeline_reads_the_pt_spectrum_only_when_serialized(monkeypatch):
+    g = local_scramble(tmss_cm(0.5), 3)
+    counts = counting_linalg(monkeypatch)
+    report = distill_pipeline(g)
+    assert report.verdict == VERDICT_DISTILLABLE
+    # the deciding margin of gamma and the reduced pair's
+    assert counts["eigvalsh"] == 2
+    pipeline_report_to_dict(report)
+    assert counts["eigvalsh"] == 3
+
+
+def test_verdicts_keep_no_cycle_with_their_matrix():
+    gc.disable()
+    try:
+        cm = local_scramble(tmss_cm(0.5), 3)
+        verdicts = [validate_physical(cm), is_npt(cm)]
+        ref = weakref.ref(cm)
+        del cm
+        assert ref() is not None  # the verdicts read their spectra from it
+        assert verdicts[0].min_symplectic_eigenvalue > 0
+        assert verdicts[1].min_pt_symplectic_eigenvalue > 0
+        del verdicts
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_memoized_margins_decide_at_the_verdict_tolerance():
