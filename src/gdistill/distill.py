@@ -11,7 +11,7 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              is_npt computed it.  No second eigensolve finds it: inverse
              iteration solves (gamma - i*Jtilde - sigma*I) z' = z from z =
              (1, ..., 1), with the shift sigma a rounding band (dim *
-             machine eps * max|entry|) below lambda_min; each solve damps
+             machine eps * max|gamma_ij|) below lambda_min; each solve damps
              every other eigenvector by (lambda_min - sigma) / (lambda_k -
              sigma).  A shift of exactly lambda_min can meet an exact zero
              pivot.  One solve converges unless the start vector is
@@ -19,9 +19,12 @@ witness      An NPT state has a complex vector z with z^dag (gamma -
              squeezed pair with a quarter-turn phase on one side; then the
              next solve amplifies the part that rounding left along it.
              Iteration stops once the residual |(gamma - i*Jtilde) z - m z|
-             is below WITNESS_RESIDUAL_TOL * max|entry|, and gives up after
-             MAX_WITNESS_SOLVES solves.  The skew products s = Re(z)^T J
-             Im(z) per side of the eigenvector are bounded away from zero.
+             is below WITNESS_RESIDUAL_TOL * max|gamma_ij|, and gives up
+             after MAX_WITNESS_SOLVES solves; max|gamma_ij| = max|gamma -
+             i*Jtilde| for physical gamma, the only kind is_npt passes on
+             (|c -+ i|^2 = c^2 + 1 <= ab in each mode block [[a, c], [c,
+             b]]).  The skew products s = Re(z)^T J Im(z) per side of the
+             eigenvector are bounded away from zero.
              For unit z, x = Re z, y = Im z, q = x^T gamma x + y^T gamma y,
              m = z^dag (gamma - i*Jtilde) z = q + 2 (s_A - s_B), while
              physicality (gamma - iJ >= -tau, tau the rounding band of
@@ -97,7 +100,7 @@ import numpy as np
 
 from .errors import (ConcentrationError, DegeneracyError, DistillError,
                      NumericsError)
-from .states import (_EPS, TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
+from .states import (TOL_VERDICT, CorrelationMatrix, NptVerdict, is_npt,
                      require_npt, require_two_sides)
 from .symplectic import TOL_SYMPLECTIC, _is_integer, _skew, _sym
 from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
@@ -107,7 +110,7 @@ from .two_mode import (MAX_PROBE_R, SYMMETRY_TOL, RcWitnessResult, StandardForm,
 
 BOUNDARY_BAND = 1e-7        # |NPT margin| below this: too close to decide constructively
 SKEW_FLOOR_FACTOR = 1e-8    # minimum |Re(z)^T J Im(z)| per side, times |z|^2
-WITNESS_RESIDUAL_TOL = 1e-12  # eigen-residual of the witness, times max|gamma - i*Jtilde|
+WITNESS_RESIDUAL_TOL = 1e-12  # eigen-residual of the witness, times max|gamma_ij|
 MAX_WITNESS_SOLVES = 3
 SCALING_REL_TOL = 1e-8      # relative error allowed in the residual scaling law
 
@@ -218,10 +221,9 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     floor."""
     herm = gamma._pt_herm
     lam = gamma._pt_margin
-    scale = float(np.abs(herm).max())
     # shifted a rounding band below lambda_min (module docstring)
     shifted = herm.copy()
-    shifted.flat[:: gamma.dim + 1] -= lam - gamma.dim * _EPS * scale
+    shifted.flat[:: gamma.dim + 1] -= lam - gamma._rounding
     z = np.ones(gamma.dim, dtype=complex)
     for _ in range(MAX_WITNESS_SOLVES):
         try:
@@ -239,7 +241,7 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
         hz = herm @ z
         margin = float(np.real(np.conj(z) @ hz))
         residual = float(np.linalg.norm(hz - margin * z))
-        if residual <= WITNESS_RESIDUAL_TOL * scale:
+        if residual <= WITNESS_RESIDUAL_TOL * gamma._scale:
             break
     else:
         raise DegeneracyError(

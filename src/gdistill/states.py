@@ -33,19 +33,19 @@ For bipartite Gaussian states NPT is equivalent to distillability, which is
 what the rest of the package exploits constructively.
 
 Each CorrelationMatrix is factored once, at construction, by Cholesky
-(gamma = L L^T, the positive definiteness test).  Verdicts are decided
-against a rounding band tau = max(TOL_VERDICT, dim * machine eps *
-max|gamma_ij|): rounding gamma to floats, plus the eigensolver's backward
-error, moves each eigenvalue of gamma - iJ or gamma - i*Jtilde by about tau
-(Weyl's inequality), so no sign inside it means anything.  Physicality is
-the success of one complex Cholesky factorization of gamma - iJ + tau*I,
-the verdict of both validate_physical and is_npt; NPT is lambda_min(gamma -
-i*Jtilde) < -tau.  The band, the physicality verdict, both reported spectra
-(from L) and the margins lambda_min(gamma - iJ) and lambda_min(gamma -
-i*Jtilde) are computed on first use and kept on the instance; a verdict
-derives its spectrum on first read, so a caller that reads only the
-decision pays for no spectrum.  cond(gamma) decides nothing; it guards
-wigner_cm, which inverts gamma.
+(gamma = L L^T, the positive definiteness test), which also takes
+max|gamma_ij|, the one scale of its rounding band tau = max(TOL_VERDICT,
+dim * machine eps * max|gamma_ij|): rounding gamma to floats, plus the
+eigensolver's backward error, moves each eigenvalue of gamma - iJ or gamma
+- i*Jtilde by about tau (Weyl's inequality), so no sign inside it means
+anything.  Physicality is the success of one complex Cholesky factorization
+of gamma - iJ + tau*I, the verdict of both validate_physical and is_npt;
+NPT is lambda_min(gamma - i*Jtilde) < -tau.  The physicality verdict, both
+reported spectra (from L) and the margins lambda_min(gamma - iJ) and
+lambda_min(gamma - i*Jtilde) are computed on first use and kept on the
+instance; a verdict derives its spectrum on first read, so a caller that
+reads only the decision pays for no spectrum.  cond(gamma) decides nothing;
+it guards wigner_cm, which inverts gamma.
 A bare array given to validate_physical is validated as a CorrelationMatrix
 with every mode on side A.
 """
@@ -80,8 +80,9 @@ class CorrelationMatrix:
     transposes of NPT states and Wigner-form companions are representable on
     purpose.
 
-    Construction factors the matrix once by Cholesky, gamma = L L^T, and
-    keeps the read-only factor L in ``_chol``.
+    Construction factors the matrix once by Cholesky, gamma = L L^T, keeps
+    the read-only factor L in ``_chol`` and sets ``_scale`` = max|gamma_ij|,
+    ``_rounding`` = dim * eps * _scale and ``_band`` = tau (module docstring).
     """
 
     entries: np.ndarray = field(repr=False)
@@ -97,18 +98,16 @@ class CorrelationMatrix:
         if g.shape != (dim, dim):
             raise ValueError(
                 f"entries shape {g.shape} does not match partition {self.partition}")
-        g, L = cholesky_factor(g)
+        g, L, scale = cholesky_factor(g)
         object.__setattr__(self, "entries", g)
         object.__setattr__(self, "partition", (int(n_a), int(n_b)))
         object.__setattr__(self, "_chol", L)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_rounding", dim * _EPS * scale)
+        object.__setattr__(self, "_band", max(TOL_VERDICT, self._rounding))
 
     # computed on first use; the memo holds floats and arrays only, never a
     # reference back to the instance (no cycle to collect)
-
-    @functools.cached_property
-    def _band(self) -> float:
-        """Rounding band tau = max(TOL_VERDICT, dim * eps * max|gamma_ij|)."""
-        return max(TOL_VERDICT, self.dim * _EPS * float(np.abs(self.entries).max()))
 
     @functools.cached_property
     def _physical(self) -> bool:

@@ -103,30 +103,32 @@ def is_symplectic(S, tol: float = TOL_SYMPLECTIC) -> bool:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    # halved before the sum, so that no finite matrix overflows; equal to
+    # 0.5 * (m + m^T) bit for bit wherever neither half is subnormal
+    return 0.5 * m + 0.5 * m.T
 
 
-def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized float matrix g and its lower Cholesky factor L, both
-    read-only; ValueError unless the entries are finite, g is symmetric within
-    1e-8 * max(1, max|entry|) and Cholesky succeeds (positive definite).  A
-    failure cites the eigenvalue range: a positive lower end means g is too
-    ill-conditioned to factor, not that it has a negative eigenvalue."""
+def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The symmetrized float matrix s = (g + g^T)/2 and its lower Cholesky
+    factor L, both read-only, and max|s_ij|, the matrix's rounding scale.
+    ValueError unless the entries are finite, max|g - g^T| <= 1e-8 * max(1,
+    max|s_ij|) and Cholesky succeeds; a failed Cholesky cites the eigenvalue
+    range (a positive lower end: too ill-conditioned, not indefinite)."""
     if not np.isfinite(g).all():
         raise ValueError("correlation matrix entries must be finite")
-    scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > 1e-8 * scale:
+    s = _sym(g)
+    scale = float(np.abs(s).max())
+    if np.abs(g - g.T).max() > 1e-8 * max(1.0, scale):
         raise ValueError("correlation matrix must be symmetric")
-    g = _sym(g)
     try:
-        L = np.linalg.cholesky(g)
+        L = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(g)
+        w = np.linalg.eigvalsh(s)
         raise ValueError("correlation matrix must be positive definite: Cholesky "
                          f"factorization failed (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
                          ) from None
-    g.flags.writeable = L.flags.writeable = False
-    return g, L
+    s.flags.writeable = L.flags.writeable = False
+    return s, L, scale
 
 
 def spectrum_from_factor(L: np.ndarray, form: np.ndarray) -> np.ndarray:

@@ -33,11 +33,12 @@ from gdistill import (
     validate_physical,
     wigner_cm,
 )
-from gdistill.random_states import random_state
-from gdistill.states import _pt_sign_vector, require_npt
+from gdistill.random_states import KINDS, random_npt_cm, random_state
+from gdistill.states import TOL_VERDICT, _pt_sign_vector, require_npt
 from gdistill.symplectic import _as_matrix, form_matrix, spectrum_from_factor
 
 CH, SH = np.cosh(1.0), np.sinh(1.0)
+EPS = np.finfo(float).eps
 
 
 def thermal_cm(nus, partition):
@@ -86,6 +87,18 @@ def test_non_finite_entries_are_rejected():
     for d in ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             GaussianState(gamma=vacuum(1, 1), d=d)
+
+
+def test_entries_near_the_float_limit_stay_finite_when_symmetrized():
+    # the stored matrix is (g + g^T)/2, whose sum alone would overflow here
+    huge = np.diag([1.7e308, 1.7e308, 1.0, 1.0])
+    huge[0, 1] = huge[1, 0] = 1e308
+    cm = CorrelationMatrix(entries=huge, partition=(1, 1))
+    assert np.array_equal(cm.entries, huge) and cm._scale == 1.7e308
+    skew = np.eye(4)
+    skew[0, 1], skew[1, 0] = 1e308, 1.7e308
+    with pytest.raises(ValueError, match="symmetric"):
+        CorrelationMatrix(entries=skew, partition=(1, 1))
 
 
 @pytest.mark.parametrize("call", [
@@ -364,6 +377,45 @@ def test_hot_padded_pairs_are_npt(noise):
     hot = CorrelationMatrix(entries=noise * np.eye(4), partition=(1, 1))
     for g in scrambled_sum(tmss_cm(1.0), hot):
         assert is_npt(g).npt
+
+
+def test_each_matrix_keeps_one_rounding_scale():
+    draws = [random_state(kind, n_a, n_b, seed)[0].gamma for kind in KINDS
+             for n_a, n_b in ((1, 1), (2, 1), (1, 3), (3, 2)) for seed in range(3)]
+    # asymmetric within the symmetry tolerance: the scale is of the stored,
+    # symmetrized matrix
+    skew = np.eye(4)
+    skew[0, 1], skew[1, 0] = 0.3, 0.3 + 1e-9
+    draws.append(CorrelationMatrix(entries=skew, partition=(1, 1)))
+    for cm in draws:
+        assert cm._scale == float(np.abs(cm.entries).max())
+        assert cm._rounding == cm.dim * EPS * cm._scale
+        assert cm._band == max(TOL_VERDICT, cm._rounding)
+
+
+def squeezed_45(r):
+    # pure one-mode state squeezed at 45 degrees: a = b = cosh(2r), c =
+    # sinh(2r), the equality case of ab - c^2 >= 1
+    rot = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
+    return rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
+
+
+def test_physical_matrices_have_the_scale_of_their_pt_hermitian():
+    # max|gamma - i*Jtilde| = max|gamma| for physical gamma, the scale the
+    # witness reads: |c -+ i|^2 = c^2 + 1 <= ab in each mode block
+    # [[a, c], [c, b]], and |gamma_ij|^2 <= gamma_ii gamma_jj elsewhere
+    draws = [random_state(kind, n_a, n_b, seed)[0].gamma for kind in KINDS
+             for n_a, n_b in ((1, 1), (2, 2), (3, 1)) for seed in range(4)]
+    draws += [random_physical_cm(2, 3, seed) for seed in range(4)]
+    draws += [random_npt_cm(n, n, seed) for n in (1, 3) for seed in range(4)]
+    draws += scrambled_sum(tmss_cm(8.5), vacuum(1, 1))
+    draws += scrambled_sum(tmss_cm(1.0), CorrelationMatrix(entries=1e10 * np.eye(4),
+                                                           partition=(1, 1)))
+    draws += [CorrelationMatrix(entries=np.kron(np.eye(2), squeezed_45(r)), partition=(1, 1))
+              for r in (0.3, 0.7, 2.0)]
+    for cm in draws:
+        assert validate_physical(cm).physical
+        assert np.abs(cm._pt_herm).max() <= cm._scale * (1 + 4 * EPS)
 
 
 def test_unphysical_matrix_beyond_the_band_is_refused():
