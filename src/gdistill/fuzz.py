@@ -1,7 +1,8 @@
 """Randomized invariant campaign over the whole library.
 
-Every structural property the modules promise is registered here as a named
-invariant and exercised over a stream of seeded random states.  Trial seeds
+Each named invariant compares two independent computations of a property the
+modules promise, over a stream of seeded random states; none re-reads a library
+decision or restates an identity the code computes exactly.  Trial seeds
 are derived by counter from the master seed (SeedSequence entropy
 ``(seed, invariant_index, trial)``), so results are order-independent and
 adding invariants to the end of the registry does not disturb existing
@@ -21,8 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distill import (BOUNDARY_BAND, VERDICT_BOUNDARY, VERDICT_DISTILLABLE,
-                      VERDICT_NOT_DISTILLABLE, PipelineStageError,
+from .distill import (BOUNDARY_BAND, VERDICT_DISTILLABLE, PipelineStageError,
                       distill_pipeline, symmetrize, witness_and_concentrate)
 from .random_states import (_rng, _subseed, local_scramble, random_asymmetric_npt_1x1,
                             random_npt_cm, random_physical_cm, random_state,
@@ -44,15 +44,14 @@ NPT_FRACTION = 0.5         # share of draws from the entangled kind
 THERMAL_SHARE = 0.75       # share of the other draws from the thermal kind
 MIN_DRAW_SKEW = 0.1        # |f1^T J v| a basis-extension draw needs: keeps |f2| moderate
 
-# The campaign's bounds; an entry that repeats a library guard reads it.  The
-# leakage bound is the campaign's own: concentrate decides only that the kept
-# pair is NPT, and support leakage is the measured explanation of why.
+# The campaign's bounds, each read by a comparison of two computations; an entry
+# that repeats a library guard reads it.  The leakage bound is the campaign's
+# own: concentrate decides only that the kept pair is NPT; leakage measures why.
 DEFAULT_TOLERANCES = MappingProxyType({
     "spectrum_rel": 1e-8,      # symplectic spectrum under congruence
     "params_rel": 1e-8,        # standard-form parameters under local scrambles
     "involution": 1e-10,       # double Wigner-form companion
     "purity": PURITY_TOL,
-    "pairing": TOL_SYMPLECTIC,  # basis extension / symplectic group checks
     "verdict_band": BOUNDARY_BAND,  # |NPT margin| below this: verdicts not compared
     "residual_floor": 1e-9,    # |inequality residual| below this: not compared
     "oracle": 1e-10,           # closed form vs its reference construction
@@ -62,12 +61,10 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "sign_floor": 1e-3,        # |asymptotic| needed before comparing signs
     "closure": TOL_SYMPLECTIC * 10,  # inverse, transpose and product of symplectics
     "congruence": 1e-8,        # standard form vs its own congruence, times max|gamma|
-    "ordering": 1e-9,          # k_x >= |k_p| of a standard form
     "factorization_rel": 1e-9,  # symmetric-residual factorization
     "boundary_clearance": 1e-6,  # physicality margin a duality sample needs
     "duality": 1e-8,           # companion relations, each times its scale
     "rc_closed_form_rel": 1e-9,  # rc_sweep vs rc_value
-    "unit_slack": 1e-12,       # symmetrization scale factor <= 1 + this
 })
 
 
@@ -188,25 +185,16 @@ def symplectic_spectrum_congruence_invariance(t: _Trial):
 
 
 def basis_extension_pairing(t: _Trial):
-    """Completed bases satisfy every pairing relation (S^T J S = J)."""
+    """Completing a random canonical pair is not refused (NumericsError)."""
     n = int(t.rng.integers(1, 5))
-    J = form_matrix(n)
     f1 = t.rng.normal(size=2 * n)
     f1 /= np.linalg.norm(f1)
     for _ in range(8):
         v = t.rng.normal(size=2 * n)
         s = skew_product(f1, v)
-        if abs(s) > MIN_DRAW_SKEW:
-            break
-    else:
-        return  # absurdly unlucky draws; nothing to check
-    f2 = -v / s  # f1^T J f2 = -1
-    S = extend_to_symplectic_basis(f1, f2).entries
-    resid = _maxdiff(S.T @ J @ S, J)
-    if resid > DEFAULT_TOLERANCES["pairing"]:
-        raise Violation(f"extended basis violates pairing relations by {resid:.3e}")
-    if _maxdiff(S[:, 0], f1) > 0 or _maxdiff(S[:, 1], f2) > 0:
-        raise Violation("extended basis does not start with the given pair")
+        if abs(s) > MIN_DRAW_SKEW:  # eight unlucky draws in a row check nothing
+            extend_to_symplectic_basis(f1, -v / s)  # f1^T J f2 = -1
+            return
 
 
 def physicality_criteria_agree(t: _Trial):
@@ -281,16 +269,11 @@ def conditioning_preserves_physicality(t: _Trial):
     n_a, n_b = t.partition()
     g = random_physical_cm(n_a, n_b, t.seed(1))
     mode = int(t.rng.integers(0, n_a + n_b))
-    out = condition_on_x_measurement(g, mode)
-    v = validate_physical(out)
+    v = validate_physical(condition_on_x_measurement(g, mode))
     if not v.physical:
         raise Violation(
             f"conditioned state unphysical (margin {v.margin:.3e}) after "
             f"measuring mode {mode}", state=g)
-    want = (n_a - 1, n_b) if mode < n_a else (n_a, n_b - 1)
-    if out.partition != want:
-        raise Violation(f"conditioning returned partition {out.partition}, "
-                        f"expected {want}")
 
 
 def two_mode_equivalence(t: _Trial):
@@ -310,9 +293,9 @@ def two_mode_equivalence(t: _Trial):
 def standard_form_local_invariance(t: _Trial):
     """Parameters are local invariants; the transform realizes them by congruence.
 
-    Near the double root k_x = |k_p| the individual k values carry sqrt-of-
-    machine-epsilon noise, so the comparison is made on the polynomial
-    combinations (k_x^2 + k_p^2 and k_x k_p) at their natural scale.
+    Near the double root k_x = |k_p| each k carries sqrt-of-epsilon noise, so
+    k_x^2 + k_p^2 and k_x k_p are compared, at their natural scale; k_x >= |k_p|
+    is exact in floats (k = rho_1 +- rho_2, two hypots) and is not checked.
     """
     g, _ = t.state(1, 1)
     p = standard_form_params(g)
@@ -333,9 +316,6 @@ def standard_form_local_invariance(t: _Trial):
     if _maxdiff(direct.entries, sf.gamma_std.entries) > tol_congruence:
         raise Violation("standard-form transform does not reproduce its own "
                         "output by congruence", state=g)
-    k = sf.params
-    if k.k_x < abs(k.k_p) - DEFAULT_TOLERANCES["ordering"]:
-        raise Violation("transform output is not in standard form", state=g)
     q2 = standard_form_params(sf.gamma_std)
     if (abs(q2.k_x ** 2 + q2.k_p ** 2 - sigma) > tol * max(1.0, sigma)
             or abs(q2.k_x * q2.k_p - p.k_x * p.k_p) > tol * max(1.0, sigma)):
@@ -457,7 +437,7 @@ def symmetrization_oracle(gamma: CorrelationMatrix, theta: float,
 
 def symmetrization_invariants(t: _Trial):
     """Closed-form output equals the measurement oracle; output symmetric and
-    still NPT.  The residual scaling law is checked by symmetrize only."""
+    still NPT.  The scaling law and the scale factor's range are symmetrize's."""
     g = random_asymmetric_npt_1x1(t.seed(1))
     rep = symmetrize(g)
     oracle = symmetrization_oracle(g, rep.theta, rep.swapped_sides)
@@ -472,8 +452,6 @@ def symmetrization_invariants(t: _Trial):
                         state=g)
     if not is_npt(rep.gamma_out).npt:
         raise Violation("symmetrization lost NPT-ness", state=g)
-    if not 0.0 < rep.scale_factor <= 1.0 + DEFAULT_TOLERANCES["unit_slack"]:
-        raise Violation(f"scale factor {rep.scale_factor!r} outside (0, 1]", state=g)
 
 
 def _witness_form(g: np.ndarray, n_a: int, n_b: int, z: np.ndarray) -> float:
@@ -526,32 +504,18 @@ def concentration_invariants(t: _Trial):
 
 
 def pipeline_equivalence(t: _Trial):
-    """Verdict matches the PPT test everywhere (boundary band reported as
-    such); on DISTILLABLE runs every stage artifact is present and NPT."""
-    g, meta = t.state()
-    verdict = is_npt(g)
+    """On DISTILLABLE runs the concentrated pair is physical (concentrate decides
+    only its NPT-ness), and the standard form and the symmetrized pair are NPT."""
+    g, _ = t.state()
     rep = distill_pipeline(g)
-    if not verdict.npt:
-        want = VERDICT_NOT_DISTILLABLE
-    elif abs(verdict.raw_margin) < BOUNDARY_BAND:
-        want = VERDICT_BOUNDARY
-    else:
-        want = VERDICT_DISTILLABLE
-    if rep.verdict != want:
-        raise Violation(
-            f"pipeline verdict {rep.verdict} but PPT test implies {want} "
-            f"(margin {verdict.raw_margin:.3e}, kind {meta['kind']})", state=g)
     if rep.verdict != VERDICT_DISTILLABLE:
-        if rep.witness is not None or rep.concentration is not None:
-            raise Violation("non-distillable report carries stage artifacts")
         return
-    for label, stage_g in (("concentrated", rep.concentration.gamma_1x1),
-                           ("standard-form", rep.standard_form.gamma_std),
+    if not validate_physical(rep.concentration.gamma_1x1).physical:
+        raise Violation("concentrated stage output is unphysical", state=g)
+    for label, stage_g in (("standard-form", rep.standard_form.gamma_std),
                            ("symmetrized", rep.symmetrization.gamma_out)):
-        if stage_g is None or not is_npt(stage_g).npt:
-            raise Violation(f"{label} stage output missing or not NPT", state=g)
-    if len(rep.rc_sweep) != 8:
-        raise Violation("witness sweep malformed", state=g)
+        if not is_npt(stage_g).npt:
+            raise Violation(f"{label} stage output is not NPT", state=g)
 
 
 REGISTRY: tuple[tuple[str, object], ...] = tuple((fn.__name__, fn) for fn in (

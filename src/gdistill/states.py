@@ -412,6 +412,8 @@ def reduce_to_modes(gamma: CorrelationMatrix, keep_a, keep_b) -> CorrelationMatr
     if not keep_a and not keep_b:
         raise ValueError("cannot trace out every mode")
     for name, keep, limit in (("A", keep_a, gamma.n_a), ("B", keep_b, gamma.n_b)):
+        if not all(map(_is_integer, keep)):
+            raise ValueError(f"side-{name} mode indices {keep} must be integers")
         if any(not (0 <= k < limit) for k in keep):
             raise ValueError(f"side-{name} mode indices {keep} out of range (0..{limit-1})")
         if sorted(set(keep)) != keep:
@@ -436,6 +438,8 @@ def condition_on_x_measurement(gamma: CorrelationMatrix, mode: int) -> Correlati
     Raises MeasurementError when the measured q variance is degenerate.
     """
     n = gamma.n_modes
+    if not _is_integer(mode):
+        raise ValueError(f"mode index {mode!r} must be an integer")
     if not (0 <= mode < n):
         raise ValueError(f"mode index {mode} out of range (0..{n-1})")
     if n < 2:

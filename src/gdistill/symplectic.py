@@ -113,12 +113,14 @@ def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     factor L, both read-only, and max|s_ij|, the matrix's rounding scale.
     ValueError unless the entries are finite, max|g - g^T| <= 1e-8 * max(1,
     max|s_ij|) and Cholesky succeeds; a failed Cholesky cites the eigenvalue
-    range (a positive lower end: too ill-conditioned, not indefinite)."""
+    range (a positive lower end: too ill-conditioned, not indefinite).  Both
+    s and the asymmetry are taken of h = g/2, so no finite matrix overflows."""
     if not np.isfinite(g).all():
         raise ValueError("correlation matrix entries must be finite")
-    s = _sym(g)
+    h = 0.5 * g
+    s = h + h.T  # _sym(g), bit for bit
     scale = float(np.abs(s).max())
-    if np.abs(g - g.T).max() > 1e-8 * max(1.0, scale):
+    if np.abs(h - h.T).max() > 0.5e-8 * max(1.0, scale):
         raise ValueError("correlation matrix must be symmetric")
     try:
         L = np.linalg.cholesky(s)
@@ -336,8 +338,10 @@ def two_mode_squeezer(r: float) -> np.ndarray:
 
 def embed_pair(S4: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     """Embed a 4x4 symplectic acting on modes (i, j) into an n-mode identity."""
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"need two distinct modes below {n}, got ({i}, {j})")
+    if (not all(map(_is_integer, (n, i, j))) or i == j
+            or not (0 <= i < n and 0 <= j < n)):
+        raise ValueError(
+            f"need two distinct integer modes below {n!r}, got ({i!r}, {j!r})")
     out = np.eye(2 * n)
     idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
     out[np.ix_(idx, idx)] = _as_matrix(S4)

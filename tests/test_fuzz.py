@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from gdistill import (DEFAULT_TOLERANCES, FuzzConfig, cli, distill, fuzz,
-                      run_fuzz, states, symplectic, vacuum)
+                      run_fuzz, states, vacuum)
 from gdistill.fuzz import REGISTRY, Violation
 
 
 # every setting FuzzConfig dropped, the partition range, the kind mix and the
 # 13 bounds it had, the 9 bounds named since, and the two scaling-law bounds
-# that left with their check: no bound is settable
+# and three others that left with their checks: no bound is settable
 REMOVED_KEYS = ["max_modes_a", "max_modes_b", "npt_fraction_target",
-                "scaling_rel", "scaling_abs", *DEFAULT_TOLERANCES]
+                "scaling_rel", "scaling_abs", "pairing", "ordering", "unit_slack",
+                *DEFAULT_TOLERANCES]
 
 
 def test_config_defaults_and_overrides():
@@ -73,9 +74,8 @@ def test_removed_config_keys_are_rejected(key, tmp_path, capsys):
 def test_default_tolerances_are_read_only_library_guards():
     with pytest.raises(TypeError):
         DEFAULT_TOLERANCES["purity"] = 1.0
-    assert len(DEFAULT_TOLERANCES) == 20 and len(REMOVED_KEYS) == 25
+    assert len(DEFAULT_TOLERANCES) == 17 and len(REMOVED_KEYS) == 25
     guards = {"verdict_band": distill.BOUNDARY_BAND,
-              "pairing": symplectic.TOL_SYMPLECTIC,
               "purity": states.PURITY_TOL,
               "symmetry": distill.SYMMETRY_TOL}
     for name, guard in guards.items():

@@ -317,6 +317,17 @@ def test_cli_numbers_no_float_holds_are_refused_without_traceback(tmp_path):
                               "int too large to convert to float\n")
 
 
+def test_cli_asymmetry_near_the_float_limit_is_one_refusal_line(tmp_path):
+    # the symmetry gate's g - g^T overflowed: a RuntimeWarning and its source
+    # line were printed before the refusal
+    doc = state_to_dict(GaussianState(gamma=tmss_cm(0.5)))
+    doc["state"]["gamma"][0][1], doc["state"]["gamma"][1][0] = 1.7e308, -1.7e308
+    res = run_cli("validate", write_doc(tmp_path, "asymmetric.json", doc))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "field 'state.gamma': correlation matrix must be symmetric\n"
+
+
 def _nested_too_deep():
     return b"[" * 100_000
 

@@ -625,6 +625,21 @@ def test_condition_on_x_measurement_validates():
         condition_on_x_measurement(vacuum(1, 0), 0)  # nothing would remain
 
 
+@pytest.mark.parametrize("call", [
+    lambda: reduce_to_modes(tmss_cm(0.5), [0.5], [0]),  # was numpy's IndexError
+    lambda: reduce_to_modes(tmss_cm(0.5), [0], [np.float64(0.0)]),
+    lambda: reduce_to_modes(tmss_cm(0.5), [False], [0]),
+    lambda: condition_on_x_measurement(tmss_cm(0.5), True),  # conditioned mode 1
+    lambda: condition_on_x_measurement(tmss_cm(0.5), 1.0),
+    lambda: embed_pair(beam_splitter(0.7), 2, 0, 1.0),
+    lambda: embed_pair(beam_splitter(0.7), 2, False, True),
+    lambda: embed_pair(beam_splitter(0.7), 2.0, 0, 1),
+])
+def test_mode_indices_follow_the_integer_rule(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
 def test_condition_preserves_physicality():
     for seed in range(30):
         rng = np.random.default_rng(seed)

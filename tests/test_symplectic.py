@@ -161,6 +161,17 @@ def test_symplectic_eigenvalues_validates_as_a_correlation_matrix():
         symplectic_eigenvalues(-np.eye(4))
 
 
+def test_symmetry_gate_does_not_overflow_near_the_float_limit():
+    # g - g^T overflowed here: under error::RuntimeWarning that was a
+    # RuntimeWarning, not the refusal
+    g = np.eye(4)
+    g[0, 1], g[1, 0] = 1.7e308, -1.7e308
+    with pytest.raises(ValueError, match="must be symmetric"):
+        symplectic_eigenvalues(g)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        validate_physical(g)
+
+
 def test_symplectic_eigenvalues_congruence_invariant():
     for seed in range(30):
         rng = np.random.default_rng(seed)
