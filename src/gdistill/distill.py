@@ -214,6 +214,25 @@ def find_npt_witness(gamma: CorrelationMatrix) -> NptWitness:
     return _witness(gamma)
 
 
+@functools.lru_cache(maxsize=32)
+def _start_vector(dim: int) -> np.ndarray:
+    """The read-only complex (1, ..., 1) of length dim that inverse iteration
+    starts from (np.linalg.solve does not write its right-hand side)."""
+    z = np.ones(dim, dtype=complex)
+    z.flags.writeable = False
+    return z
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a 1-D float or complex x, bit for bit, without its
+    dispatch: the same ravel(order="K"), dot products and square root."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _witness(gamma: CorrelationMatrix) -> NptWitness:
     """The unit minimal eigenvector of gamma - i*Jtilde in canonical phase,
     by inverse iteration at lambda_min as is_npt computed it (eps =
@@ -224,7 +243,7 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
     # shifted a rounding band below lambda_min (module docstring)
     shifted = herm.copy()
     shifted.flat[:: gamma.dim + 1] -= lam - gamma._rounding
-    z = np.ones(gamma.dim, dtype=complex)
+    z = _start_vector(gamma.dim)
     for _ in range(MAX_WITNESS_SOLVES):
         try:
             z = np.linalg.solve(shifted, z)
@@ -237,10 +256,10 @@ def _witness(gamma: CorrelationMatrix) -> NptWitness:
         modulus = np.abs(z)
         pivot = int(np.argmax(modulus >= (1.0 - 1e-9) * modulus.max()))
         z = z * (np.conj(z[pivot]) / abs(z[pivot]))
-        z = z / np.linalg.norm(z)
+        z = z / _norm(z)
         hz = herm @ z
         margin = float(np.real(np.conj(z) @ hz))
-        residual = float(np.linalg.norm(hz - margin * z))
+        residual = _norm(hz - margin * z)
         if residual <= WITNESS_RESIDUAL_TOL * gamma._scale:
             break
     else:
@@ -262,7 +281,7 @@ def _canonical_pair(z_side: np.ndarray, skew: float):
     """(f1, f2) spanning (Re z, Im z) of one side, skew = Re(z)^T J Im(z)."""
     zr = z_side.real
     zi = z_side.imag
-    nrm = float(np.linalg.norm(zr))
+    nrm = _norm(zr)
     if nrm == 0.0 or skew == 0.0:
         raise ConcentrationError("witness side has vanishing real part or skew product")
     f1 = zr / nrm

@@ -364,7 +364,8 @@ def wigner_duality_inequalities(t: _Trial):
     if v.margin < DEFAULT_TOLERANCES["boundary_clearance"]:
         return  # stay clear of the physicality boundary
     p = standard_form_params(g)
-    w = standard_form_params(wigner_cm(g))
+    companion = wigner_cm(g)
+    w = standard_form_params(companion)
     tol = DEFAULT_TOLERANCES["duality"]
     physicality = check_physical(w).physicality_residual
     if physicality < -tol * _scale(g) ** 4:
@@ -378,7 +379,7 @@ def wigner_duality_inequalities(t: _Trial):
     det_g = float(np.linalg.det(g.entries))
     if abs(w.n_a * p.n_a - w.n_b * p.n_b) > tol * _scale(g) ** 2:
         raise Violation("cross relation N_a n_a = N_b n_b violated", state=g)
-    det_w = float(np.linalg.det(wigner_cm(g).entries))
+    det_w = float(np.linalg.det(companion.entries))
     if abs(det_w * det_g - 1.0) > tol * max(1.0, det_g):
         raise Violation("determinant of the companion is not 1/det gamma", state=g)
 

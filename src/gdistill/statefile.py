@@ -131,9 +131,14 @@ def save_state(state: GaussianState, path: str, metadata: dict | None = None):
         fh.write("\n")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def dumps(doc: dict) -> str:
-    """Canonical JSON form used by the command line (deterministic bytes)."""
-    return json.dumps(doc, sort_keys=True)
+    """Canonical JSON form used by the command line (deterministic bytes):
+    json.dumps(doc, sort_keys=True), by one module-level encoder with those
+    settings instead of a new one per call."""
+    return _ENCODER.encode(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ def cholesky_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     h = 0.5 * g
     s = h + h.T  # _sym(g), bit for bit
     scale = float(np.abs(s).max())
-    if np.abs(h - h.T).max() > 0.5e-8 * max(1.0, scale):
+    # h - h^T is exactly antisymmetric, so its largest entry is its largest modulus
+    if (h - h.T).max() > 0.5e-8 * max(1.0, scale):
         raise ValueError("correlation matrix must be symmetric")
     try:
         L = np.linalg.cholesky(s)

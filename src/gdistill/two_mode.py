@@ -352,6 +352,19 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
                            asymptotic_value=standard_form_params(gamma_rho).rc_limit)
 
 
+@functools.lru_cache(maxsize=128)
+def _probe_factors(rs: tuple) -> tuple[tuple[float, float, float], ...]:
+    """(u, u^2, (1 + u^2) / 2) with u = exp(-2r) for each probe squeezing r in
+    rs, the part of rc_sweep that does not depend on the state.  Raises
+    ValueError unless 0 < r <= MAX_PROBE_R, on every call: a refused tuple is
+    not cached."""
+    for r in rs:
+        if not 0 < r <= MAX_PROBE_R:
+            raise ValueError(f"probe squeezing must be > 0 and <= {MAX_PROBE_R}, got {r}")
+    return tuple((u, u * u, 0.5 * (1.0 + u * u))
+                 for u in np.exp(-2.0 * np.array(rs, dtype=float)).tolist())
+
+
 def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     """rc_value of params.matrix() at every probe squeezing in rs, in order.
 
@@ -368,18 +381,27 @@ def rc_sweep(params: StdFormParams, rs) -> tuple[RcWitnessResult, ...]:
     (X P does from r = 178), so the sign stays right up to MAX_PROBE_R.
     Every point's asymptotic value is params.rc_limit, the number symmetrize
     decided its output NPT on.  Raises ValueError unless 0 < r <= MAX_PROBE_R.
+
+    The probes are validated, and u, u^2 and (1 + u^2) / 2 computed by one
+    np.exp, once per distinct tuple rs (of hashable numbers).  Each value is
+    then evaluated in Python floats with the operations, and in the order, of
+    the elementwise vector form, so it is the same float bit for bit.  params
+    must be those of a positive definite matrix, as params.matrix() requires:
+    otherwise X_u P_u or the first denominator can reach zero or below, where
+    the float evaluation raises (ZeroDivisionError, or ValueError from
+    math.sqrt) and the vector form returned nan or inf.
     """
     rs = tuple(rs)
-    for r in rs:
-        if not 0 < r <= MAX_PROBE_R:
-            raise ValueError(f"probe squeezing must be > 0 and <= {MAX_PROBE_R}, got {r}")
+    probes = _probe_factors(rs)
     p = params
-    u = np.exp(-2.0 * np.array(rs, dtype=float))
-    u2 = u * u
     s = p.n_a + p.n_b
-    x = (p.d_x + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
-    q = (p.d_p + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
-    value = u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
+    n_a, dx1, dp1 = float(p.n_a), float(p.d_x + 1.0), float(p.d_p + 1.0)
+    x0, x2 = float(s - 2.0 * p.k_x), float(s + 2.0 * p.k_x)
+    q0, q2 = float(s + 2.0 * p.k_p), float(s - 2.0 * p.k_p)
     limit = p.rc_limit
-    return tuple(RcWitnessResult(r=float(r), value=v, asymptotic_value=limit)
-                 for r, v in zip(rs, value.tolist()))
+    results = []
+    for r, (u, u2, h) in zip(rs, probes):
+        xq = (dx1 * u + 0.5 * (x0 + x2 * u2)) * (dp1 * u + 0.5 * (q0 + q2 * u2))
+        value = u * (2.0 / (n_a * u + h) - 4.0 / math.sqrt(xq))
+        results.append(RcWitnessResult(r=float(r), value=value, asymptotic_value=limit))
+    return tuple(results)

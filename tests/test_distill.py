@@ -161,6 +161,26 @@ def test_witness_solve_matches_the_minimal_eigenvector():
         assert np.abs(z - eigh_witness(g, z)).max() <= 1e-9
 
 
+def test_norm_is_bitwise_numpys_on_the_witness_vectors():
+    # the contiguous complex z and residual, and each side's strided .real and
+    # .imag views as _canonical_pair takes them
+    checked = 0
+    for n_a in range(1, 5):
+        for n_b in range(1, 5):
+            for seed in range(8):
+                g = random_npt_cm(n_a, n_b, seed)
+                z = find_npt_witness(g).z
+                hz = g._pt_herm @ z
+                vectors = [z, hz - float(np.real(np.conj(z) @ hz)) * z]
+                for side in (z[: 2 * n_a], z[2 * n_a :]):
+                    assert not side.real.flags.c_contiguous
+                    vectors += [side.real, side.imag]
+                for v in vectors:
+                    assert distill_module._norm(v).hex() == float(np.linalg.norm(v)).hex()
+                    checked += 1
+    assert checked == 16 * 8 * 6
+
+
 @pytest.mark.parametrize("g", orthogonal_start_states().values(),
                          ids=orthogonal_start_states().keys())
 def test_pipeline_certifies_a_state_orthogonal_to_the_start_vector(g):

@@ -152,6 +152,14 @@ def test_load_state_errors(tmp_path):
 def test_dumps_is_canonical():
     assert dumps({"b": 1, "a": [1, 2]}) == '{"a": [1, 2], "b": 1}'
     assert dumps({"a": [1, 2], "b": 1}) == dumps({"b": 1, "a": [1, 2]})
+    reports = [distill_pipeline(g) for g in (random_npt_cm(2, 2, seed=3), vacuum(1, 1),
+                                            tmss_cm(1e-8))]
+    assert [rep.verdict for rep in reports] == ["DISTILLABLE", "NOT_DISTILLABLE",
+                                                "INCONCLUSIVE_BOUNDARY"]
+    docs = [pipeline_report_to_dict(rep) for rep in reports]
+    docs.append(state_to_dict(GaussianState(gamma=random_npt_cm(1, 2, seed=4)), {"b": 1, "a": 2}))
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, sort_keys=True)
 
 
 def test_report_serializers():

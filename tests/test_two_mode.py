@@ -441,6 +441,11 @@ def test_rc_sweep_validation():
     p = standard_form_params(vacuum(1, 1))
     with pytest.raises(ValueError, match="probe squeezing must be > 0"):
         rc_sweep(p, (1.0, 0.0, 2.0))
+    # the probe factors are cached per tuple; a refused tuple raises every time
+    assert len(rc_sweep(p, (1.0,))) == 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="probe squeezing must be > 0"):
+            rc_sweep(p, (1.0, 0.0))
     with pytest.raises(ValueError, match="probe squeezing must be > 0"):
         rc_sweep(p, [-1.0])
     assert rc_sweep(p, ()) == ()
@@ -453,6 +458,43 @@ def test_rc_sweep_validation():
     q = standard_form_params(tmss_cm(0.5))
     values = [res.value for res in rc_sweep(q, (177.0, 178.0, 180.0, 300.0, 350.0))]
     assert all(np.isfinite(v) and v < 0 for v in values)
+
+
+def _rc_sweep_vector_form(p, rs):
+    """rc_sweep's values as the elementwise numpy expression it evaluates per
+    point in floats: the reference its bits are pinned against."""
+    u = np.exp(-2.0 * np.array(rs, dtype=float))
+    u2 = u * u
+    s = p.n_a + p.n_b
+    x = (p.d_x + 1.0) * u + 0.5 * ((s - 2.0 * p.k_x) + (s + 2.0 * p.k_x) * u2)
+    q = (p.d_p + 1.0) * u + 0.5 * ((s + 2.0 * p.k_p) + (s - 2.0 * p.k_p) * u2)
+    return u * (2.0 / (p.n_a * u + 0.5 * (1.0 + u2)) - 4.0 / np.sqrt(x * q))
+
+
+def _random_positive_definite_params(rng):
+    """Standard-form parameters of a random positive definite matrix, n_a n_b >
+    k_x^2 >= k_p^2: symmetric (n_a = n_b) for half the draws."""
+    n_a = rng.uniform(1.0, 6.0)
+    n_b = n_a if rng.random() < 0.5 else rng.uniform(1.0, 6.0)
+    k_x = rng.uniform(0.0, 0.999) * math.sqrt(n_a * n_b)
+    return StdFormParams(n_a, n_b, k_x, rng.uniform(-k_x, k_x))
+
+
+@pytest.mark.parametrize("rs", [range(1, 9), (0.5, 2.0, 8.0), (350,)],
+                         ids=["1..8", "0.5-2-8", "350"])
+def test_rc_sweep_is_bitwise_the_vector_form(rs):
+    rng = np.random.default_rng(31)
+    forms = [_random_positive_definite_params(rng) for _ in range(2000)]
+    # numpy-scalar parameters: the entries of standard-form matrices
+    forms += [StdFormParams(*(g.entries[i, j] for i, j in ((0, 0), (2, 2), (0, 2), (1, 3))))
+              for g in (REF, tmss_cm(0.1), tmss_cm(1.0), tmss_cm(3.0))]
+    assert type(forms[-1].n_a) is np.float64
+    for p in forms:
+        sweep = rc_sweep(p, rs)
+        values = np.array([res.value for res in sweep])
+        assert all(type(res.value) is float for res in sweep)
+        assert values.tobytes() == _rc_sweep_vector_form(p, rs).tobytes(), p
+        assert [res.r for res in sweep] == [float(r) for r in rs]
 
 
 def test_rc_sign_matches_asymptotics_for_symmetric_states():
