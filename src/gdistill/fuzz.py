@@ -16,6 +16,7 @@ the seed and the trial count are settable: no config loosens DEFAULT_TOLERANCES.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
@@ -109,7 +110,11 @@ class _Trial:
 
     def __init__(self, seed: int, index: int, trial: int):
         self.entropy = (seed, index, trial)
-        self.rng = _rng(*self.entropy)
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        """The trial's generator, made on first use: not every invariant draws."""
+        return _rng(*self.entropy)
 
     def seed(self, salt: int = 0) -> int:
         return _subseed(*self.entropy, salt)

@@ -17,15 +17,20 @@ boundary   Like entangled but the core is tuned so the minimal symplectic
            eigenvalue of the partial transpose is 1 +/- delta with delta
            drawn log-uniformly from [1e-9, 1e-6]: states straddling the
            PPT/NPT boundary.
+
+Each draw, and each try of a rejection loop, validates one matrix: the
+core, the padding, their direct sum and the scramble congruence stay plain
+arrays until the CorrelationMatrix that the draw returns or tests.
+Congruence by an invertible S preserves positive definiteness, so checks
+of the intermediates would decide nothing that the last one does not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import (CorrelationMatrix, GaussianState, apply_symplectic,
-                     direct_sum_states, is_npt, require_two_sides)
-from .symplectic import direct_sum, random_symplectic, seed_sequence
+from .states import CorrelationMatrix, GaussianState, is_npt, require_two_sides
+from .symplectic import _is_integer, _sym, direct_sum, random_symplectic, seed_sequence
 from .two_mode import StdFormParams, check_physical
 
 KINDS = ("thermal", "entangled", "boundary")
@@ -46,35 +51,55 @@ def _subseed(seed: int, *salt: int) -> int:
     return int(seed_sequence(seed, *salt).generate_state(1)[0])
 
 
+def _require_integer_modes(n_a, n_b) -> None:
+    if not (_is_integer(n_a) and _is_integer(n_b)):
+        raise ValueError(f"mode counts must be integers, got ({n_a!r}, {n_b!r})")
+
+
+def _scrambled(g: np.ndarray, n_a: int, n_b: int, seed: int) -> CorrelationMatrix:
+    """_sym(S^T g S) with S = S_A (+) S_B, independent random symplectics on
+    the two sides, validated as the CorrelationMatrix of partition (n_a, n_b)."""
+    sa = random_symplectic(n_a, _subseed(seed, 1)).entries
+    sb = random_symplectic(n_b, _subseed(seed, 2)).entries
+    S = direct_sum(sa, sb)
+    return CorrelationMatrix(entries=_sym(S.T @ g @ S), partition=(n_a, n_b))
+
+
 def local_scramble(gamma: CorrelationMatrix, seed: int) -> CorrelationMatrix:
     """Apply independent random symplectics on sides A and B."""
-    sa = random_symplectic(gamma.n_a, _subseed(seed, 1)).entries
-    sb = random_symplectic(gamma.n_b, _subseed(seed, 2)).entries
-    return apply_symplectic(gamma, direct_sum(sa, sb))
+    return _scrambled(gamma.entries, gamma.n_a, gamma.n_b, seed)
 
 
-def _thermal_product(n_a: int, n_b: int, rng: np.random.Generator) -> CorrelationMatrix:
-    nus = rng.uniform(1.05, 2.5, size=n_a + n_b)
-    diag = np.repeat(nus, 2)
-    return CorrelationMatrix(entries=np.diag(diag), partition=(n_a, n_b))
+def _thermal_diagonal(n_modes: int, rng: np.random.Generator) -> np.ndarray:
+    """(nu_1, nu_1, ..., nu_n, nu_n), each nu drawn from [1.05, 2.5]."""
+    return np.repeat(rng.uniform(1.05, 2.5, size=n_modes), 2)
 
 
-def _squeezed_thermal_core(a: float, c: float) -> CorrelationMatrix:
+def _squeezed_thermal_core(a: float, c: float) -> np.ndarray:
     """[[a*I, c*Z], [c*Z, a*I]] with Z = diag(1, -1)."""
-    return StdFormParams(n_a=a, n_b=a, k_x=c, k_p=-c).matrix()
+    return StdFormParams(n_a=a, n_b=a, k_x=c, k_p=-c).entries()
 
 
-def _pad_and_scramble(core: CorrelationMatrix, n_a: int, n_b: int,
+def _pad_and_scramble(core: np.ndarray, n_a: int, n_b: int,
                       rng: np.random.Generator, seed: int) -> CorrelationMatrix:
+    """The 4x4 core on modes 0 and n_a, thermal modes on the others, then
+    scrambled: the entries of direct_sum_states(core, thermal product of
+    (n_a - 1, n_b - 1) modes), from the same draw."""
     if n_a + n_b > 2:
-        core = direct_sum_states(core, _thermal_product(n_a - 1, n_b - 1, rng))
-    return local_scramble(core, seed)
+        pad = _thermal_diagonal(n_a + n_b - 2, rng)
+        k = 2 * (n_a - 1)  # the padding's A side
+        g = np.diag(np.concatenate(((0.0, 0.0), pad[:k], (0.0, 0.0), pad[k:])))
+        core_idx = [0, 1, 2 * n_a, 2 * n_a + 1]
+        g[np.ix_(core_idx, core_idx)] = core
+        core = g
+    return _scrambled(core, n_a, n_b, seed)
 
 
 def random_physical_cm(n_a: int, n_b: int, seed: int,
                        nu_range=(1.0, 2.2)) -> CorrelationMatrix:
     """Random physical state: thermal spectrum under a *global* random
     symplectic.  Generically entangled; used where only physicality matters."""
+    _require_integer_modes(n_a, n_b)
     rng = _rng(seed, 10)
     n = n_a + n_b
     nus = rng.uniform(*nu_range, size=n)
@@ -85,6 +110,7 @@ def random_physical_cm(n_a: int, n_b: int, seed: int,
 
 def random_unphysical_pd(n_a: int, n_b: int, seed: int) -> CorrelationMatrix:
     """Positive definite but unphysical: some symplectic eigenvalues < 1."""
+    _require_integer_modes(n_a, n_b)
     rng = _rng(seed, 20)
     n = n_a + n_b
     nus = rng.uniform(0.3, 1.6, size=n)
@@ -98,14 +124,17 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
     """Draw one state of the given kind; returns (state, metadata).
 
     Metadata records the kind, seed and whether the sample is NPT.  Raises
-    ValueError for an unknown kind, an empty side or a negative seed.
+    ValueError for an unknown kind, an empty side, and a mode count or seed
+    that is not a non-negative integer (an int or numpy integer, not a bool).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    _require_integer_modes(n_a, n_b)
     require_two_sides((n_a, n_b), "random_state")
     rng = _rng(seed, 0)
     if kind == "thermal":
-        g = local_scramble(_thermal_product(n_a, n_b, rng), _subseed(seed, 3))
+        g = _scrambled(np.diag(_thermal_diagonal(n_a + n_b, rng)), n_a, n_b,
+                       _subseed(seed, 3))
     elif kind == "entangled":
         r = rng.uniform(0.15, 1.1)
         eta = rng.uniform(0.4, 0.95)
@@ -125,7 +154,7 @@ def random_state(kind: str, n_a: int, n_b: int, seed: int) -> tuple[GaussianStat
     meta = {
         "kind": kind,
         "seed": int(seed),
-        "partition": [n_a, n_b],
+        "partition": list(g.partition),
         "npt": bool(verdict.npt),
         "npt_margin": float(verdict.raw_margin),
     }
@@ -160,8 +189,8 @@ def random_asymmetric_npt_1x1(seed: int) -> CorrelationMatrix:
         t = rng.uniform(0.45, 0.92)
         b = t * a + 1.0 - t
         k_x = np.sqrt(t) * c
-        core = StdFormParams(n_a=a, n_b=b, k_x=k_x, k_p=-k_x).matrix()
-        g = local_scramble(core, _subseed(seed, 41, k))
+        core = StdFormParams(n_a=a, n_b=b, k_x=k_x, k_p=-k_x).entries()
+        g = _scrambled(core, 1, 1, _subseed(seed, 41, k))
         verdict = is_npt(g)
         if (verdict.npt and verdict.raw_margin <= -ASYM_MIN_MARGIN
                 and abs(a - b) >= ASYM_MIN_ASYMMETRY):

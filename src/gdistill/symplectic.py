@@ -69,7 +69,10 @@ class SymplecticMatrix:
 
 def form_matrix(n: int) -> np.ndarray:
     """The read-only 2n x 2n form matrix J for n modes, built once per n and
-    shared by every caller."""
+    shared by every caller.  ValueError unless n is an integer (integer rule)
+    and at least 1."""
+    if not _is_integer(n):
+        raise ValueError(f"mode count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"mode count must be >= 1, got {n}")
     return _form_matrix(n)
@@ -217,11 +220,23 @@ def extend_to_symplectic_basis(f1: np.ndarray, f2: np.ndarray) -> SymplecticMatr
 
 
 def seed_sequence(seed: int, *salt: int) -> np.random.SeedSequence:
-    """The SeedSequence of (seed, *salt); ValueError for a negative seed,
-    which SeedSequence would refuse without naming it."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return np.random.SeedSequence(entropy=(int(seed),) + salt)
+    """The SeedSequence of the entropy tuple (seed, *salt), given as the uint32
+    words numpy would coerce that tuple to: each value in little-endian 32-bit
+    words, [0] for 0.  ValueError naming the value unless the seed and every
+    salt is a non-negative integer under the integer rule (no bool)."""
+    words = []
+    for n in (seed, *salt):
+        name = "salt" if words else "seed"
+        if not _is_integer(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"{name} must be non-negative, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        while n > 0xFFFFFFFF:
+            n >>= 32
+            words.append(n & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def random_symplectic(n: int, seed: int) -> SymplecticMatrix:

@@ -346,7 +346,8 @@ def rc_value(gamma_rho: CorrelationMatrix, r: float) -> RcWitnessResult:
     require_two_mode(gamma_rho.partition, "reduction-criterion witness")
     if r <= 0:
         raise ValueError(f"probe squeezing must be > 0, got {r}")
-    g = gamma_rho.entries + tmss_cm(r).entries
+    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    g = gamma_rho.entries + StdFormParams(n_a=ch, n_b=ch, k_x=sh, k_p=-sh).entries()
     value = 2.0 / np.sqrt(np.linalg.det(g[:2, :2])) - 4.0 / np.sqrt(np.linalg.det(g))
     return RcWitnessResult(r=float(r), value=float(value),
                            asymptotic_value=standard_form_params(gamma_rho).rc_limit)

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -58,6 +59,40 @@ def test_make_form_rejects_bad_mode_count():
     for n in (0, -2):
         with pytest.raises(ValueError, match=f"mode count must be >= 1, got {n}"):
             random_symplectic(n, seed=0)
+    # the integer rule: no float, however integral, and no bool
+    for n in (2.0, 1.5, True, "2"):
+        with pytest.raises(ValueError, match=rf"^mode count must be an integer, got {n!r}$"):
+            form_matrix(n)
+        with pytest.raises(ValueError, match=rf"^mode count must be an integer, got {n!r}$"):
+            random_symplectic(n, seed=0)
+    assert np.array_equal(form_matrix(np.int64(2)), form_matrix(2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30,
+                                  np.uint64(2**64 - 1), np.uint64(7)])
+@pytest.mark.parametrize("salt", [(), (0,), (3, 101), (2**32, 7), (10**30, 2**33 + 1)])
+def test_seed_sequence_is_numpys_coercion_of_the_entropy_tuple(seed, salt):
+    # the words seed_sequence passes must be those numpy builds from the tuple
+    ours = symplectic_module.seed_sequence(seed, *salt)
+    theirs = np.random.SeedSequence(entropy=(seed, *salt))
+    assert np.array_equal(ours.generate_state(4), theirs.generate_state(4))
+
+
+@pytest.mark.parametrize("seed, salt, message", [
+    (1.5, (), "seed must be an integer, got 1.5"),
+    (1.0, (), "seed must be an integer, got 1.0"),
+    (True, (), "seed must be an integer, got True"),
+    (float("nan"), (), "seed must be an integer, got nan"),
+    ("3", (), "seed must be an integer, got '3'"),
+    (-1, (), "seed must be non-negative, got -1"),
+    (np.int64(-4), (), "seed must be non-negative, got -4"),
+    (3, (2, 0.5), "salt must be an integer, got 0.5"),
+    (3, (False,), "salt must be an integer, got False"),
+    (3, (1, -2), "salt must be non-negative, got -2"),
+])
+def test_seed_sequence_refuses_what_is_not_a_non_negative_integer(seed, salt, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        symplectic_module.seed_sequence(seed, *salt)
 
 
 @pytest.mark.parametrize("call", [
